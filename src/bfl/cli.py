@@ -8,7 +8,7 @@ Subcommands:
     bfl stability -c FILE --eps LIST
 
 Exit codes: 0 pass, 2 numerical divergence, 3 acceptance-threshold failure,
-4 config error. BFL_THREADS caps the parallel jobs of converge/stability.
+4 config error.
 """
 
 from __future__ import annotations

@@ -7,15 +7,14 @@ to the coarser grids. With node coefficient samples the scheme is first
 order in h for variable g; with midpoint samples it is second order; both
 orders are what the tables report.
 
-Levels and epsilon sweeps are independent pure runs, so they execute in a
-thread pool capped by the BFL_THREADS environment variable.
+Levels and perturbation scales run one after another in the calling
+thread; the stability sweep evolves its unperturbed base run once and
+measures every perturbation scale against it.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -23,14 +22,7 @@ import numpy as np
 from .config import ExperimentConfig, build_grid, build_initial, build_integrator, build_speed, refine
 from .integrate import IntegratorSpec, evolve
 from .interp import resample
-from .probe import stability_probe
-
-
-def worker_count(jobs: int) -> int:
-    cap = os.environ.get("BFL_THREADS")
-    if cap is not None:
-        return max(1, min(jobs, int(cap)))
-    return max(1, min(jobs, os.cpu_count() or 1))
+from .probe import _amplification_ratios
 
 
 def continuum_oracle(cfg: ExperimentConfig, grid):
@@ -84,8 +76,7 @@ def convergence_study(cfg: ExperimentConfig, levels: int,
 
     reference_oracle = continuum_oracle(base, build_grid(configs[-1]))
 
-    with ThreadPoolExecutor(max_workers=worker_count(len(configs))) as pool:
-        outcomes = list(pool.map(_run_level, configs))
+    outcomes = [_run_level(c) for c in configs]
 
     diverged = [i for i, (_, res) in enumerate(outcomes) if res.status != "ok"]
     if diverged:
@@ -132,12 +123,7 @@ def stability_sweep(cfg: ExperimentConfig, eps_list) -> dict:
     spec = build_integrator(cfg)
     spec = IntegratorSpec(method=spec.method, dt=spec.dt, cfl=spec.cfl,
                           snapshot_stride=10 ** 9)
-
-    def job(eps):
-        return stability_probe(state.field, eps, speed, cfg.horizon, spec)
-
-    with ThreadPoolExecutor(max_workers=worker_count(len(eps_list))) as pool:
-        ratios = list(pool.map(job, eps_list))
+    ratios = _amplification_ratios(state.field, eps_list, speed, cfg.horizon, spec)
     spread = (max(ratios) - min(ratios)) / (sum(ratios) / len(ratios))
     return {"rows": [{"eps": e, "ratio": r} for e, r in zip(eps_list, ratios)],
             "spread": spread}

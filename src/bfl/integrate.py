@@ -7,33 +7,39 @@ Methods:
   two rotations per step). Rotations are isometries, so |u_i| = 1 holds to
   rounding regardless of dt. In curve mode the tangents are rotated with a
   midpoint two-stage update, the base node is stepped by the same midpoint
-  rule, and the curve is rebuilt from exactly-unit chords.
+  rule, and the curve is rebuilt from exactly-unit chords; that update is
+  second order in time.
 * ``rk4`` - classical Runge-Kutta; fourth order, O(dt^5) local norm drift.
 * ``projected_rk4`` - rk4 followed by renormalization of each u_i (or of
   each chord of gamma).
 
 Step size comes either fixed or from the stiffness rule dt = c h^2 / beta,
 since the right-hand side has spectral radius of order beta/h^2.
-Explicit RK is only conditionally stable here; the rotation update has no
-such norm-instability (it cannot leave the sphere), which is what lets the
-aggressive steps in the acceptance runs stay bounded.
+Explicit RK is only conditionally stable here. The rotation update keeps
+|u_i| = 1 for any dt, but that is all it guarantees: past the stability
+limit its energy and its error grow without bound while the tangents stay
+on the sphere (at cfl = 1 the energy of a variable-g helix blows up).
 
 evolve() marches with a fixed step, shortens the last step to land exactly
 on the horizon, and stores a snapshot (state plus the coefficient samples
-used) every ``snapshot_stride`` steps. A NaN or Inf aborts with the step
-index; the partial trajectory is kept and flagged.
+used) every ``snapshot_stride`` steps. Between snapshots it steps raw
+(n, 3) node arrays; fields and states are built only for stored snapshots.
+A NaN or Inf aborts with the step index; the partial trajectory is kept and
+flagged.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
+from typing import Callable
 
 import numpy as np
 
-from .dynamics import TANGENT, FlowState, g_samples, pairing_for, rhs
-from .lattice import Field, cross, cross3, delta_g, dminus, dplus, magnitudes
-from .speed import COUPLED, sample
+from .dynamics import TANGENT, FlowState, g_samples, pairing_for
+from .lattice import Field, _delta_g, _dminus, _dplus, _positive, cross3
+from .speed import COUPLED, _sample_at
 
 
 class DivergenceError(RuntimeError):
@@ -96,126 +102,144 @@ def rotate(vectors: np.ndarray, rotvecs: np.ndarray) -> np.ndarray:
     return vectors + a[:, None] * first + b[:, None] * second
 
 
-def _rotation_step_tangent(state: FlowState, dt: float) -> Field:
+def _rotation_tangent(omega, t: float, u: np.ndarray, dt: float) -> np.ndarray:
     # commutator-free fourth-order composition of exact per-node rotations:
     # four rotation-rate evaluations, two rotations, |u_i| preserved to
     # rounding for any dt
-    u = state.field
-    t = state.t
-    pairing = pairing_for(state.speed, state.grid)
-    g_fixed = None if state.speed.time_dependent else sample(state.speed, t, state.grid)
-
-    def omega(t_stage: float, u_stage: Field) -> np.ndarray:
-        g = g_fixed if g_fixed is not None else sample(state.speed, t_stage, state.grid)
-        return -delta_g(g, u_stage, pairing).values
-
     w1 = omega(t, u)
-    stage2 = rotate(u.values, 0.5 * dt * w1)
-    w2 = omega(t + 0.5 * dt, u.with_values(stage2))
-    w3 = omega(t + 0.5 * dt, u.with_values(rotate(u.values, 0.5 * dt * w2)))
+    stage2 = rotate(u, 0.5 * dt * w1)
+    w2 = omega(t + 0.5 * dt, stage2)
+    w3 = omega(t + 0.5 * dt, rotate(u, 0.5 * dt * w2))
     stage4 = rotate(stage2, dt * w3 - 0.5 * dt * w1)
-    w4 = omega(t + dt, u.with_values(stage4))
+    w4 = omega(t + dt, stage4)
     half_a = (dt / 12.0) * (3.0 * w1 + 2.0 * w2 + 2.0 * w3 - w4)
     half_b = (dt / 12.0) * (-w1 + 2.0 * w2 + 2.0 * w3 + 3.0 * w4)
-    return u.with_values(rotate(rotate(u.values, half_a), half_b))
+    return rotate(rotate(u, half_a), half_b)
 
 
-def _curve_g(state: FlowState, t: float, gamma: Field) -> Field:
-    if state.speed.flavor == COUPLED:
-        return sample(state.speed, t, state.grid, gamma=gamma)
-    return sample(state.speed, t, state.grid)
+def _rotation_curve(chords, rates, rebuild, t: float, gamma: np.ndarray,
+                    dt: float) -> np.ndarray:
+    # midpoint rule: chords rotated, base node translated, curve rebuilt
+    u = chords(gamma)
+    w1, vel1 = rates(t, gamma, u)
+    u_half = rotate(u, 0.5 * dt * w1)
+    gamma_half = rebuild(gamma[0] + 0.5 * dt * vel1[0], u_half)
+    w2, vel2 = rates(t + 0.5 * dt, gamma_half, u_half)
+    return rebuild(gamma[0] + dt * vel2[0], rotate(u, dt * w2))
 
 
-def _rebuild_curve(gamma_template: Field, base: np.ndarray, u_vals: np.ndarray) -> Field:
-    h = gamma_template.grid.h
-    if gamma_template.grid.periodic:
+def _rebuild_curve(h: float, periodic: bool, base: np.ndarray,
+                   u_vals: np.ndarray) -> np.ndarray:
+    if periodic:
         # the exact flow conserves the mean tangent (cyclic telescoping);
         # share the rounding-level closure defect over all chords instead of
         # dumping it into the wrap chord, where it seeds a seam instability
         u_vals = u_vals - u_vals.mean(axis=0)
-    steps = np.vstack([base, base + np.cumsum(h * u_vals[:-1], axis=0)])
-    return gamma_template.with_values(steps)
-
-
-def _rotation_step_curve(state: FlowState, dt: float) -> Field:
-    gamma = state.field
-    u = dplus(gamma)
-    g1 = _curve_g(state, state.t, gamma)
-    w1 = -1.0 * delta_g(g1, u)
-    vel1 = g1 * cross(u, dminus(u))
-
-    u_half = u.with_values(rotate(u.values, 0.5 * dt * w1.values))
-    base_half = gamma.values[0] + 0.5 * dt * vel1.values[0]
-    gamma_half = _rebuild_curve(gamma, base_half, u_half.values)
-
-    g2 = _curve_g(state, state.t + 0.5 * dt, gamma_half)
-    w2 = -1.0 * delta_g(g2, u_half)
-    vel2 = g2 * cross(u_half, dminus(u_half))
-
-    u_new = u.with_values(rotate(u.values, dt * w2.values))
-    base_new = gamma.values[0] + dt * vel2.values[0]
-    return _rebuild_curve(gamma, base_new, u_new.values)
+    return np.vstack([base, base + np.cumsum(h * u_vals[:-1], axis=0)])
 
 
 # --------------------------------------------------------------------------
 # Runge-Kutta kernels
 # --------------------------------------------------------------------------
 
-def _rk4_step(state: FlowState, dt: float) -> Field:
-    f = state.field
-    g_fixed = (None if state.speed.time_dependent
-               else sample(state.speed, state.t, state.grid))
-
-    def deriv(t, vals):
-        return rhs(state.advanced(t, f.with_values(vals)), g_fixed).values
-
-    y = f.values
-    k1 = deriv(state.t, y)
-    k2 = deriv(state.t + 0.5 * dt, y + 0.5 * dt * k1)
-    k3 = deriv(state.t + 0.5 * dt, y + 0.5 * dt * k2)
-    k4 = deriv(state.t + dt, y + dt * k3)
-    return f.with_values(y + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4))
+def _rk4(deriv, project, t: float, y: np.ndarray, dt: float) -> np.ndarray:
+    k1 = deriv(t, y)
+    k2 = deriv(t + 0.5 * dt, y + 0.5 * dt * k1)
+    k3 = deriv(t + 0.5 * dt, y + 0.5 * dt * k2)
+    k4 = deriv(t + dt, y + dt * k3)
+    y_new = y + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+    return y_new if project is None else project(y_new)
 
 
-def _project(state: FlowState, f: Field) -> Field:
-    if state.mode == TANGENT:
-        mags = magnitudes(f)
-        return f.with_values(f.values / mags[:, None])
-    # curve mode: renormalize each chord and rebuild from the base node
-    u_vals = dplus(f).values
+def _unit_tangents(u: np.ndarray) -> np.ndarray:
+    return u / np.sqrt(np.einsum("ij,ij->i", u, u))[:, None]
+
+
+def _unit_chords(chords, rebuild, periodic: bool, gamma: np.ndarray) -> np.ndarray:
+    # renormalize each chord and rebuild from the base node
+    u_vals = chords(gamma)
     mags = np.linalg.norm(u_vals, axis=1)
-    if not f.grid.periodic:
+    if not periodic:
         mags[-1] = 1.0  # ghosted last chord carries no information
-        u_vals = u_vals.copy()
         u_vals[-1] = u_vals[-2]
-    return _rebuild_curve(f, f.values[0], u_vals / mags[:, None])
+    return rebuild(gamma[0], u_vals / mags[:, None])
 
 
 # --------------------------------------------------------------------------
 # stepping and evolution
 # --------------------------------------------------------------------------
 
+def _kernel(state: FlowState, spec: IntegratorSpec) -> Callable:
+    """advance(t, y, dt): one step of the state's flow on raw node values y.
+
+    Resolves once what every step reuses: the ghost policy, the pairing and
+    the coefficient sampler. A time-independent g is sampled once; every
+    sample is bounds-validated and checked positive when it is taken.
+    """
+    grid, speed = state.grid, state.speed
+    h, periodic, ext = grid.h, grid.periodic, state.field.extension
+    x = grid.nodes()
+    if not speed.time_dependent:
+        g_fixed = _positive(_sample_at(speed, state.t, x))
+        coefficient = lambda t, y: g_fixed
+    elif speed.flavor == COUPLED:
+        coefficient = lambda t, y: _positive(_sample_at(speed, t, x, y))
+    else:
+        coefficient = lambda t, y: _positive(_sample_at(speed, t, x))
+
+    if state.mode == TANGENT:
+        pairing = pairing_for(speed, grid)
+
+        def delta(t, u):
+            return _delta_g(coefficient(t, u), u, h, periodic, ext, pairing)
+
+        if spec.method == "rotation":
+            return partial(_rotation_tangent, lambda t, u: -delta(t, u))
+        deriv = lambda t, u: cross3(u, delta(t, u))
+        project = _unit_tangents
+    else:
+        def chords(gamma):
+            return _dplus(gamma, h, periodic, ext)
+
+        def velocity(g, u):
+            # g (u ^ D-u) with u = D+gamma; the chords extend by zero
+            return g[:, None] * cross3(u, _dminus(u, h, periodic, "zero"))
+
+        rebuild = partial(_rebuild_curve, h, periodic)
+        if spec.method == "rotation":
+            def rates(t, gamma, u):
+                # rotation rate -Delta_g u of the chords, velocity of the base node
+                g = coefficient(t, gamma)
+                return -_delta_g(g, u, h, periodic, "zero", "node"), velocity(g, u)
+
+            return partial(_rotation_curve, chords, rates, rebuild)
+        deriv = lambda t, gamma: velocity(coefficient(t, gamma), chords(gamma))
+        project = partial(_unit_chords, chords, rebuild, periodic)
+    return partial(_rk4, deriv, None if spec.method == "rk4" else project)
+
+
+def _checked_step(advance: Callable, t: float, y: np.ndarray, dt: float) -> np.ndarray:
+    """advance(t, y, dt), or DivergenceError(t) when any value is non-finite.
+
+    A non-finite stage flows into the step result, so one check covers it.
+    """
+    try:
+        with np.errstate(invalid="ignore", over="ignore"):
+            y_new = advance(t, y, dt)
+    except (ValueError, FloatingPointError) as exc:
+        raise DivergenceError(t) from exc
+    if not np.all(np.isfinite(y_new)):
+        raise DivergenceError(t)
+    return y_new
+
+
 def step(state: FlowState, spec: IntegratorSpec, dt: float) -> FlowState:
     """Advance one step of length dt (dt may be negative: reversed flow).
 
     Raises DivergenceError if the update produces NaN or Inf.
     """
-    try:
-        with np.errstate(invalid="ignore", over="ignore"):
-            if spec.method == "rotation":
-                if state.mode == TANGENT:
-                    new_field = _rotation_step_tangent(state, dt)
-                else:
-                    new_field = _rotation_step_curve(state, dt)
-            else:
-                new_field = _rk4_step(state, dt)
-                if spec.method == "projected_rk4":
-                    new_field = _project(state, new_field)
-    except (ValueError, FloatingPointError) as exc:
-        raise DivergenceError(state.t) from exc
-    if not np.all(np.isfinite(new_field.values)):
-        raise DivergenceError(state.t)
-    return state.advanced(state.t + dt, new_field)
+    y = _checked_step(_kernel(state, spec), state.t, state.field.values, dt)
+    return state.advanced(state.t + dt, state.field.with_values(y))
 
 
 @dataclass
@@ -251,30 +275,33 @@ def evolve(state: FlowState, horizon: float, spec: IntegratorSpec) -> EvolveResu
     dt = direction * abs(spec.resolve_dt(state))
     result = EvolveResult(mode=state.mode)
 
-    def record(s: FlowState):
-        result.times.append(s.t)
-        result.fields.append(s.field)
-        result.g_samples.append(g_samples(s))
+    def record(t: float, f: Field):
+        result.times.append(t)
+        result.fields.append(f)
+        result.g_samples.append(g_samples(state.advanced(t, f)))
 
-    record(state)
+    record(state.t, state.field)
+    advance = _kernel(state, spec)
     k = 0
-    current = state
-    while direction * (horizon - current.t) > 1e-14 * max(1.0, abs(horizon)):
+    t, y = state.t, state.field.values
+    tol = 1e-14 * max(1.0, abs(horizon))
+    while direction * (horizon - t) > tol:
         step_dt = dt
-        if direction * (horizon - current.t) < abs(dt):
-            step_dt = horizon - current.t
+        if direction * (horizon - t) < abs(dt):
+            step_dt = horizon - t
         try:
-            current = step(current, spec, step_dt)
+            y = _checked_step(advance, t, y, step_dt)
         except DivergenceError:
             result.status = "diverged"
             result.failed_step = k + 1
             result.steps_taken = k + 1
             return result
+        t = t + step_dt
         k += 1
-        if k % spec.snapshot_stride == 0 or _at_horizon(current.t, horizon):
-            record(current)
-    if result.times[-1] != current.t:
-        record(current)
+        if k % spec.snapshot_stride == 0 or _at_horizon(t, horizon):
+            record(t, state.field.with_values(y))
+    if result.times[-1] != t:
+        record(t, state.field.with_values(y))
     result.steps_taken = k
     return result
 

@@ -235,38 +235,55 @@ def normalized(v: Field) -> Field:
 # shift and difference operators
 # --------------------------------------------------------------------------
 
-def _ghost(v: Field, side: int) -> np.ndarray:
-    # side -1: value at index -1; side +1: value at index n
-    vals = v.values
-    if v.grid.periodic:
-        return vals[-1] if side < 0 else vals[0]
-    if v.extension == "constant":
-        return vals[0] if side < 0 else vals[-1]
-    return np.zeros_like(vals[0])
+def _shifted(vals: np.ndarray, side: int, periodic: bool, extension: str) -> np.ndarray:
+    """Node i picks up the value at node i + side (side = +1 or -1).
+
+    The one value read past an end comes from the periodic wrap or, on a
+    window, from the extension tag: the edge value or zero.
+    """
+    out = np.empty_like(vals)
+    constant = extension == "constant"
+    if side > 0:
+        out[:-1] = vals[1:]
+        out[-1] = vals[0] if periodic else vals[-1] if constant else 0.0
+    else:
+        out[1:] = vals[:-1]
+        out[0] = vals[-1] if periodic else vals[0] if constant else 0.0
+    return out
+
+
+def _dplus(vals: np.ndarray, h: float, periodic: bool, extension: str) -> np.ndarray:
+    out = _shifted(vals, +1, periodic, extension)
+    out -= vals
+    out /= h
+    return out
+
+
+def _dminus(vals: np.ndarray, h: float, periodic: bool, extension: str) -> np.ndarray:
+    out = _shifted(vals, -1, periodic, extension)
+    np.subtract(vals, out, out=out)
+    out /= h
+    return out
 
 
 def shift_plus(v: Field) -> Field:
     """tau+ v: node i picks up the value at node i+1."""
-    out = np.concatenate([v.values[1:], [_ghost(v, +1)]])
-    return Field(v.grid, out, v.extension)
+    return Field(v.grid, _shifted(v.values, +1, v.grid.periodic, v.extension), v.extension)
 
 
 def shift_minus(v: Field) -> Field:
     """tau- v: node i picks up the value at node i-1."""
-    out = np.concatenate([[_ghost(v, -1)], v.values[:-1]])
-    return Field(v.grid, out, v.extension)
+    return Field(v.grid, _shifted(v.values, -1, v.grid.periodic, v.extension), v.extension)
 
 
 def dplus(v: Field) -> Field:
     """Right difference (v_{i+1} - v_i)/h."""
-    out = (np.concatenate([v.values[1:], [_ghost(v, +1)]]) - v.values) / v.grid.h
-    return Field(v.grid, out, "zero")
+    return Field(v.grid, _dplus(v.values, v.grid.h, v.grid.periodic, v.extension), "zero")
 
 
 def dminus(v: Field) -> Field:
     """Left difference (v_i - v_{i-1})/h."""
-    out = (v.values - np.concatenate([[_ghost(v, -1)], v.values[:-1]])) / v.grid.h
-    return Field(v.grid, out, "zero")
+    return Field(v.grid, _dminus(v.values, v.grid.h, v.grid.periodic, v.extension), "zero")
 
 
 def d2(v: Field) -> Field:
@@ -328,14 +345,29 @@ def delta_g(g: Field, v: Field, pairing: str = "node") -> Field:
     _check_aligned(g, v)
     if g.is_vector:
         raise ValueError("coefficient field must be scalar")
-    if np.any(g.values <= 0.0):
-        i = int(np.argmin(g.values))
+    grid = v.grid
+    return Field(grid, _delta_g(_positive(g.values), v.values, grid.h, grid.periodic,
+                                v.extension, pairing), "zero")
+
+
+def _positive(g: np.ndarray) -> np.ndarray:
+    """The coefficient samples g, after checking that every one is positive."""
+    if np.any(g <= 0.0):
+        i = int(np.argmin(g))
         raise CoefficientBoundError(
-            f"non-positive coefficient sample {g.values[i]:.6g} at node {i}")
+            f"non-positive coefficient sample {g[i]:.6g} at node {i}")
+    return g
+
+
+def _delta_g(g: np.ndarray, vals: np.ndarray, h: float, periodic: bool,
+             extension: str, pairing: str) -> np.ndarray:
+    """delta_g on raw node values; the inner difference reads ghosts by
+    ``extension``, the outer one differences a zero-extended product."""
+    weights = g[:, None] if vals.ndim == 2 else g
     if pairing == "node":
-        return dplus(g * dminus(v))
+        return _dplus(weights * _dminus(vals, h, periodic, extension), h, periodic, "zero")
     if pairing == "cell":
-        return dminus(g * dplus(v))
+        return _dminus(weights * _dplus(vals, h, periodic, extension), h, periodic, "zero")
     raise ValueError(f"unknown pairing {pairing!r}")
 
 

@@ -103,12 +103,12 @@ def _diagnose_one(result: EvolveResult, speed: SpeedField, t: float,
         delta = delta_g(g, u)
         du = cross(u, delta)
         grad = norm_h(dplus(u))
+        rhs_dual = norm_h1_dual(du)
         margin_row = {}
         if margins and result.mode == TANGENT:
             base = grad if grad0 is None else grad0
             margin_row["gradient_bound"] = gradient_bound_margin(t, base, grad, speed)
-            margin_row["dual_bound"] = dual_bound_margin(
-                t, base, norm_h1_dual(du), speed)
+            margin_row["dual_bound"] = dual_bound_margin(t, base, rhs_dual, speed)
         err = None
         if oracle is not None:
             err = float(np.max(np.abs(f.values - oracle(t))))
@@ -118,7 +118,7 @@ def _diagnose_one(result: EvolveResult, speed: SpeedField, t: float,
             energy=energy(u, g),
             grad_norm=grad,
             rhs_norm=norm_h(du),
-            rhs_dual_norm=norm_h1_dual(du),
+            rhs_dual_norm=rhs_dual,
             delta_norm=norm_h(delta),
             bound_margins=margin_row,
             oracle_error=err,
@@ -434,11 +434,20 @@ def perturbed_initial_data(u0: Field, eps: float) -> Field:
 def stability_probe(u0: Field, eps: float, speed: SpeedField, horizon: float,
                     spec: IntegratorSpec) -> float:
     """H1 amplification |u(T) - u~(T)|_H1 / |u0 - u~0|_H1 of a bump of size eps."""
-    u0_tilde = perturbed_initial_data(u0, eps)
+    return _amplification_ratios(u0, [eps], speed, horizon, spec)[0]
+
+
+def _amplification_ratios(u0: Field, eps_list, speed: SpeedField, horizon: float,
+                          spec: IntegratorSpec) -> list[float]:
+    """stability_probe's ratio for every eps, all measured against one base run."""
+    perturbed = [perturbed_initial_data(u0, eps) for eps in eps_list]
     base = evolve(FlowState(0.0, u0, speed), horizon, spec)
-    pert = evolve(FlowState(0.0, u0_tilde, speed), horizon, spec)
-    if base.status != "ok" or pert.status != "ok":
-        raise RuntimeError("stability probe run diverged")
-    num = norm_h1(base.final() - pert.final())
-    den = norm_h1(u0 - u0_tilde)
-    return num / den
+    ratios = []
+    for u0_tilde in perturbed:
+        pert = evolve(FlowState(0.0, u0_tilde, speed), horizon, spec)
+        if base.status != "ok" or pert.status != "ok":
+            raise RuntimeError("stability probe run diverged")
+        num = norm_h1(base.final() - pert.final())
+        den = norm_h1(u0 - u0_tilde)
+        ratios.append(num / den)
+    return ratios

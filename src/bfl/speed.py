@@ -86,14 +86,18 @@ def sample(speed: SpeedField, t: float, grid: Grid, gamma: Field | None = None) 
     Non-coupled flavors sample at x_i + sampling_offset. The coupled flavor
     requires gamma and samples at the nodes with the curve values.
     """
-    x = grid.nodes()
+    return Field(grid, _sample_at(speed, t, grid.nodes(),
+                                  None if gamma is None else gamma.values))
+
+
+def _sample_at(speed: SpeedField, t: float, x: np.ndarray,
+               gamma: np.ndarray | None = None) -> np.ndarray:
+    """sample() on node coordinates x and raw curve values gamma."""
     if speed.flavor == COUPLED:
         if gamma is None:
             raise ValueError("coupled speed needs the current curve")
-        vals = speed(t, x, gamma.values)
+        vals = speed(t, x, gamma)
     else:
-        if gamma is not None and speed.flavor != COUPLED:
-            gamma = None
         vals = speed(t, x + speed.sampling_offset)
     vals = np.broadcast_to(np.asarray(vals, dtype=float), x.shape).copy()
     slack = _BOUND_SLACK * max(1.0, abs(speed.beta))
@@ -102,7 +106,7 @@ def sample(speed: SpeedField, t: float, grid: Grid, gamma: Field | None = None) 
         raise CoefficientBoundError(
             f"sample {vals[bad]:.6g} at node {bad} (x = {x[bad]:.6g}) "
             f"violates declared bounds [{speed.alpha:g}, {speed.beta:g}]")
-    return Field(grid, vals)
+    return vals
 
 
 @dataclass

@@ -10,6 +10,7 @@ and a constant field (ratio 1). Test 2c checks only the sharp sandwich on
 the same random fields.
 """
 
+import math
 import time
 
 import numpy as np
@@ -169,7 +170,7 @@ def test_criterion_03_exact_semidiscrete_helix():
         r = evolve(state, 0.4, IntegratorSpec(method="rk4", dt=dt,
                                               snapshot_stride=10 ** 9))
         rk_errors.append(float(np.max(np.abs(r.final().values - closed_form(0.4)))))
-    orders = [np.log2(rk_errors[i] / rk_errors[i + 1]) for i in range(2)]
+    orders = [math.log2(rk_errors[i] / rk_errors[i + 1]) for i in range(2)]
     elapsed = time.time() - t0
     ok = err <= 1e-6 and all(3.7 <= o <= 4.3 for o in orders) and elapsed < 5.0
     report(3, ok, f"rotation L_inf error {err:.2e} <= 1e-6; rk4 temporal "
@@ -264,7 +265,7 @@ def test_criterion_07_reconstruction():
                                     snapshot_stride=2))
         disps.append(anchor_dispersion(TangentTrajectory.from_result(r_n),
                                        [0, n // 4]))
-    disp_orders = [np.log2(disps[i] / disps[i + 1]) for i in range(2)]
+    disp_orders = [math.log2(disps[i] / disps[i + 1]) for i in range(2)]
 
     ok = (circle_err <= circle_bound and mismatch <= 1e-12
           and disps[0] > disps[1] > disps[2] and min(disp_orders) >= 1.0)

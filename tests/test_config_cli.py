@@ -18,7 +18,6 @@ from bfl.config import (
     refine,
     serialize_config,
 )
-from bfl.convergence import worker_count
 from bfl.identities import run_identity_suite
 from bfl.report import render_csv
 from bfl.probe import diagnose
@@ -276,13 +275,6 @@ def test_mid_offset_rejected_for_coupled_speed(tmp_path):
     from dataclasses import replace
     with pytest.raises(ConfigError):
         build_speed(replace(parsed, offset="mid"), build_grid(parsed))
-
-
-def test_worker_count_respects_env(monkeypatch):
-    monkeypatch.setenv("BFL_THREADS", "2")
-    assert worker_count(8) == 2
-    monkeypatch.delenv("BFL_THREADS")
-    assert worker_count(1) == 1
 
 
 def test_console_entry_point():

@@ -1,9 +1,20 @@
+import math
+
 import numpy as np
 import pytest
 
-from bfl.dynamics import FlowState, chord_lengths
+from bfl.dynamics import FlowState, chord_lengths, g_samples, pairing_for, rhs
 from bfl.integrate import IntegratorSpec, evolve, rotate, step
-from bfl.lattice import Field, Grid, dminus, norm_linf, unit_drift, unit_field
+from bfl.lattice import (
+    Field,
+    Grid,
+    delta_g,
+    dminus,
+    norm_linf,
+    unit_drift,
+    unit_field,
+)
+from bfl.probe import oracle_circle_curve
 from bfl.speed import make_constant, speed_from_name
 
 
@@ -101,6 +112,104 @@ def test_projected_rk4_unit_norms_exact():
     state = FlowState(0.0, u0, make_constant(1.0))
     new = step(state, IntegratorSpec(method="projected_rk4", dt=5e-3), 5e-3)
     assert unit_drift(new.field) <= 2e-16 * 10
+
+
+# Field-level references: each stage rebuilt as a state and evaluated with
+# dynamics.rhs or delta_g, in the float-operation order of the kernels
+
+def reference_rk4_step(state, dt):
+    def deriv(t, vals):
+        return rhs(state.advanced(t, state.field.with_values(vals))).values
+
+    y, t = state.field.values, state.t
+    k1 = deriv(t, y)
+    k2 = deriv(t + 0.5 * dt, y + 0.5 * dt * k1)
+    k3 = deriv(t + 0.5 * dt, y + 0.5 * dt * k2)
+    k4 = deriv(t + dt, y + dt * k3)
+    return y + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+
+
+def reference_rotation_step(state, dt):
+    pairing = pairing_for(state.speed, state.grid)
+
+    def omega(t, vals):
+        stage = state.advanced(t, state.field.with_values(vals))
+        return -delta_g(g_samples(stage), stage.field, pairing).values
+
+    u, t = state.field.values, state.t
+    w1 = omega(t, u)
+    stage2 = rotate(u, 0.5 * dt * w1)
+    w2 = omega(t + 0.5 * dt, stage2)
+    w3 = omega(t + 0.5 * dt, rotate(u, 0.5 * dt * w2))
+    stage4 = rotate(stage2, dt * w3 - 0.5 * dt * w1)
+    w4 = omega(t + dt, stage4)
+    half_a = (dt / 12.0) * (3.0 * w1 + 2.0 * w2 + 2.0 * w3 - w4)
+    half_b = (dt / 12.0) * (-w1 + 2.0 * w2 + 2.0 * w3 + 3.0 * w4)
+    return rotate(rotate(u, half_a), half_b)
+
+
+@pytest.mark.parametrize("speed_name", ["sin:2,1,1", "sintime:2,1,1,3"])
+@pytest.mark.parametrize("pairing", ["node", "cell"])
+@pytest.mark.parametrize("periodic", [True, False])
+def test_step_equals_field_level_reference(periodic, pairing, speed_name):
+    grid = Grid.make_periodic(2 * np.pi, 24) if periodic else Grid.make_window(-1.0, 23, 0.1)
+    rng = np.random.default_rng(7)
+    v = rng.normal(size=(grid.n_nodes, 3))
+    u0 = unit_field(grid, v / np.linalg.norm(v, axis=1)[:, None])
+    speed = speed_from_name(speed_name)
+    if pairing == "cell":
+        speed = speed.with_offset(grid.h / 2)
+    state = FlowState(0.3, u0, speed)
+    assert pairing_for(speed, grid) == pairing
+    dt = 2e-4
+    rk = step(state, IntegratorSpec(method="rk4", dt=dt), dt)
+    assert np.array_equal(rk.field.values, reference_rk4_step(state, dt))
+    rot = step(state, IntegratorSpec(method="rotation", dt=dt), dt)
+    assert np.array_equal(rot.field.values, reference_rotation_step(state, dt))
+    assert rk.t == rot.t == 0.3 + dt
+
+
+@pytest.mark.parametrize("periodic", [True, False])
+def test_curve_rk4_step_equals_field_level_reference(periodic):
+    if periodic:
+        grid = Grid.make_periodic(2 * np.pi, 24)
+        gamma0 = oracle_circle_curve(grid)
+    else:
+        grid = Grid.make_window(-1.0, 23, 0.1)
+        x = grid.nodes()
+        gamma0 = Field(grid, np.stack([x, np.sin(x), np.cos(2 * x)], axis=1))
+    state = FlowState(0.0, gamma0, speed_from_name("coupled-tanh:1,0.5"), mode="curve")
+    new = step(state, IntegratorSpec(method="rk4", dt=1e-3), 1e-3)
+    assert np.array_equal(new.field.values, reference_rk4_step(state, 1e-3))
+
+
+def test_temporal_orders():
+    # dt halving against an rk4 run at dt/16; the tangent form on a helix,
+    # the curve form on a circle, both with a space-varying coefficient
+    speed = speed_from_name("sin:2,1,1")
+    horizon = 0.05
+
+    def orders(state, method):
+        dt0 = 0.5 * state.grid.h ** 2 / speed.beta
+
+        def final(m, dt):
+            res = evolve(state, horizon, IntegratorSpec(method=m, dt=dt,
+                                                        snapshot_stride=10 ** 9))
+            assert res.status == "ok"
+            return res.final().values
+
+        ref = final("rk4", dt0 / 16)
+        errs = [np.max(np.abs(final(method, dt0 / 2 ** j) - ref)) for j in range(3)]
+        return [math.log2(errs[j] / errs[j + 1]) for j in range(2)]
+
+    _, u0, _, _ = helix_setup(n=32)
+    helix = FlowState(0.0, u0, speed)
+    for method in ("rotation", "rk4", "projected_rk4"):
+        assert all(3.7 <= o <= 4.3 for o in orders(helix, method)), method
+    circle = FlowState(0.0, oracle_circle_curve(Grid.make_periodic(2 * np.pi, 16)),
+                       speed, mode="curve")
+    assert all(1.8 <= o <= 2.2 for o in orders(circle, "rotation"))
+    assert all(3.7 <= o <= 4.3 for o in orders(circle, "rk4"))
 
 
 # ------------------------------------------------------------------ evolve

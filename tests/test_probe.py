@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from bfl.config import ExperimentConfig, build_grid, build_initial, build_speed
+from bfl.convergence import stability_sweep
 from bfl.dynamics import FlowState
 from bfl.integrate import IntegratorSpec, evolve
 from bfl.lattice import Field, Grid, norm_h, unit_field
@@ -253,6 +255,24 @@ def test_stability_ratio_near_equilibrium_bounded():
     ratio = stability_probe(u0, 1e-3, make_constant(1.0), 0.5, spec)
     # measured 0.902; frozen empirical growth bound for this configuration
     assert ratio <= 1.1
+
+
+def test_stability_sweep_matches_per_eps_probes():
+    # the sweep shares one base run across its scales; every ratio must
+    # still equal a probe that evolves its own base run
+    cfg = ExperimentConfig(
+        topology="periodic", length=2 * np.pi, nodes=32,
+        initial="helix:0.7853981633974483,2", speed="sin:2,1,1",
+        method="rk4", cfl=0.25, horizon=0.1)
+    eps_list = [1e-2, 1e-3, 1e-4]
+    sweep = stability_sweep(cfg, eps_list)
+    grid = build_grid(cfg)
+    speed = build_speed(cfg, grid)
+    state, _ = build_initial(cfg, grid, speed)
+    spec = IntegratorSpec(method="rk4", cfl=0.25)
+    probes = [stability_probe(state.field, eps, speed, cfg.horizon, spec)
+              for eps in eps_list]
+    assert [row["ratio"] for row in sweep["rows"]] == probes
 
 
 def test_energy_helper_matches_definition():
