@@ -2,10 +2,11 @@
 
 Levels refine dyadically with dt tied to h^2 (spatial error dominates).
 Errors are measured at the final time against the continuum closed form
-when the initial data has one, otherwise against the finest level restricted
-to the coarser grids. With node coefficient samples the scheme is first
-order in h for variable g; with midpoint samples it is second order; both
-orders are what the tables report.
+when the initial data has one (great circle, helix and, on windows, the
+soliton filament, all with a constant coefficient), otherwise against the
+finest level restricted to the coarser grids. With node coefficient
+samples the scheme is first order in h for variable g; with midpoint
+samples it is second order; both orders are what the tables report.
 
 Levels and perturbation scales run one after another in the calling
 thread; the stability sweep evolves its unperturbed base run once and
@@ -22,7 +23,7 @@ import numpy as np
 from .config import ExperimentConfig, build_grid, build_initial, build_integrator, build_speed, refine
 from .integrate import IntegratorSpec, evolve
 from .interp import resample
-from .probe import _amplification_ratios
+from .probe import _amplification_ratios, hasimoto_soliton
 
 
 def continuum_oracle(cfg: ExperimentConfig, grid):
@@ -48,6 +49,13 @@ def continuum_oracle(cfg: ExperimentConfig, grid):
                              np.full_like(x, co)], axis=1)
 
         return closed
+    if head == "soliton":
+        # lattice tangents are chords, which approximate gamma_s at the cell
+        # midpoints; sampling at the nodes would cap the order at 1
+        nu, tau0 = (float(a) for a in cfg.initial.split(":", 1)[1].split(","))
+        closed_form, rot = hasimoto_soliton(nu, tau0, grid.x0)
+        mid = x + grid.h / 2.0
+        return lambda t: closed_form(mid, c * t)[1] @ rot.T
     return None
 
 

@@ -26,7 +26,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded, solveh_banded
 
 
 class AlignmentError(ValueError):
@@ -380,6 +379,10 @@ _RIESZ_RESIDUAL_TOL = 1e-10
 
 def _riesz_matrix_solve(grid: Grid, rhs: np.ndarray) -> np.ndarray:
     """Solve (I - D+D-) w = rhs columnwise; rhs has shape (n, k)."""
+    # imported here: dual norms are scipy's only use, and runs that never
+    # take one skip the import's cost
+    from scipy.linalg import solve_banded, solveh_banded
+
     n = grid.n_nodes
     inv_h2 = 1.0 / grid.h ** 2
     if not grid.periodic:

@@ -10,9 +10,15 @@ norm, |Delta_g u|_h, and the signed margins of the two a-priori bounds
 (negative margin = violation). Oracles: the sampled great circle and the
 precessing helix are exact solutions of the lattice flow (the helix rotates
 at omega_h = cos(a) (2 - 2cos kh)/h^2, the k = 1, a = pi/2 case is
-stationary), and curves built by marching the Frenet frame for a prescribed
-curvature/torsion profile, which is how the soliton filament with
-kappa = 2 nu sech(nu x), tau = tau0 enters.
+stationary); the soliton filament with kappa = 2 nu sech(nu x), tau = tau0
+comes from Hasimoto's closed form of the continuum flow at g = 1
+(Hasimoto, J. Fluid Mech. 51, 1972), with A = 2 nu/(nu^2 + tau0^2),
+eta = s - 2 tau0 t and phi = tau0 s + (nu^2 - tau0^2) t:
+
+    gamma(s, t) = (s - A tanh nu eta,  A sech nu eta cos phi,  A sech nu eta sin phi)
+
+Curves for profiles without a closed form are built by marching the
+Frenet frame for the prescribed curvature and torsion.
 """
 
 from __future__ import annotations
@@ -382,21 +388,79 @@ def frenet_curve(grid: Grid, kappa_fn, tau_fn, substeps: int = 10):
     return Field(grid, curve), unit_field(grid, tangents)
 
 
+def _sech(z):
+    """sech z without overflow for large |z|."""
+    e = np.exp(-np.abs(z))
+    return 2.0 * e / (1.0 + e * e)
+
+
+def hasimoto_soliton(nu: float, tau0: float, x0: float):
+    """Hasimoto's soliton filament and the rotation onto the Frenet march's frame.
+
+    At g = 1, with A = 2 nu / (nu^2 + tau0^2), eta = s - 2 tau0 t and
+    phi = tau0 s + (nu^2 - tau0^2) t (Hasimoto, J. Fluid Mech. 51, 1972),
+
+        gamma(s, t) = (s - A tanh nu eta,  A sech nu eta cos phi,  A sech nu eta sin phi)
+
+    is an arc-length curve with kappa = 2 nu sech(nu eta) and torsion tau0
+    that solves gamma_t = gamma_s x gamma_ss. Returns ``closed_form``,
+    (s, t) -> (gamma, gamma_s, N = gamma_ss / kappa) with one row per point
+    s, and the rigid rotation R taking the Frenet frame (T, N, B) at s = x0,
+    t = 0 to (e1, e2, e3), the start frame of ``frenet_curve``; rows v turn
+    as v @ R.T.
+    """
+    amp = 2.0 * nu / (nu * nu + tau0 * tau0)
+
+    def closed_form(s, t):
+        s = np.asarray(s, dtype=float)
+        eta = nu * (s - 2.0 * tau0 * t)
+        phi = tau0 * s + (nu * nu - tau0 * tau0) * t
+        sech, tanh, c, sn = _sech(eta), np.tanh(eta), np.cos(phi), np.sin(phi)
+        gamma = np.stack([s - amp * tanh, amp * sech * c, amp * sech * sn], axis=-1)
+        gamma_s = np.stack([1.0 - amp * nu * sech ** 2,
+                            -amp * sech * (nu * tanh * c + tau0 * sn),
+                            amp * sech * (tau0 * c - nu * tanh * sn)], axis=-1)
+        # gamma_ss / kappa with the common factor sech cancelled, so the
+        # normal stays defined where sech underflows far from the center
+        bend = nu * nu * (2.0 * sech ** 2 - 1.0) + tau0 * tau0
+        normal = (amp / (2.0 * nu)) * np.stack(
+            [2.0 * nu * nu * sech * tanh,
+             -(bend * c - 2.0 * nu * tau0 * tanh * sn),
+             -(bend * sn + 2.0 * nu * tau0 * tanh * c)], axis=-1)
+        return gamma, gamma_s, normal
+
+    _, t_vec, n_vec = closed_form(x0, 0.0)
+    n_vec = n_vec / np.linalg.norm(n_vec)
+    return closed_form, np.stack([t_vec, n_vec, np.cross(t_vec, n_vec)])
+
+
 def oracle_soliton_curve(grid: Grid, nu: float, tau0: float):
     """Filament with kappa = 2 nu sech(nu x), constant torsion tau0.
 
-    The curvature peak travels at speed 2 tau0. Requires a window wide
-    enough that the profile has decayed at both ends.
+    Hasimoto's closed form (``hasimoto_soliton``) at t = 0, sampled at the
+    n + 1 points x0 + i h; its normalized chords are turned so that the
+    Frenet frame at x0 is (e1, e2, e3), the march's start frame, and the
+    curve is rebuilt from h times them as ``frenet_curve`` does, so
+    |D+gamma| = 1 to rounding. The curvature peak travels at speed 2 tau0.
+    Requires a window that contains x = 0 and is wide enough that the
+    profile has decayed at both ends.
     """
     if grid.periodic:
         raise ValueError("the soliton filament lives on a window grid")
-    edge = min(abs(grid.x0), abs(grid.x0 + grid.h * (grid.n_nodes - 1)))
-    if 1.0 / math.cosh(nu * edge) >= 1e-8:
+    x_end = grid.x0 + grid.h * (grid.n_nodes - 1)
+    if not grid.x0 < 0.0 < x_end:
+        raise ValueError(f"window [{grid.x0:g}, {x_end:g}] misses the soliton "
+                         f"centered at x = 0")
+    edge_sech = float(_sech(nu * min(-grid.x0, x_end)))
+    if edge_sech >= 1e-8:
         raise ValueError(f"window too narrow for nu = {nu:g}: "
-                         f"sech(nu*edge) = {1.0 / math.cosh(nu * edge):.2e}")
-    return frenet_curve(grid,
-                        lambda x: 2.0 * nu / np.cosh(nu * x),
-                        lambda x: tau0)
+                         f"sech(nu*edge) = {edge_sech:.2e}")
+    closed_form, rot = hasimoto_soliton(nu, tau0, grid.x0)
+    n, h = grid.n_nodes, grid.h
+    chords = np.diff(closed_form(grid.x0 + h * np.arange(n + 1), 0.0)[0], axis=0)
+    tangents = (chords / np.linalg.norm(chords, axis=1)[:, None]) @ rot.T
+    curve = np.vstack([np.zeros(3), np.cumsum(h * tangents[:-1], axis=0)])
+    return Field(grid, curve), unit_field(grid, tangents)
 
 
 # --------------------------------------------------------------------------

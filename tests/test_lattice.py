@@ -1,5 +1,13 @@
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+import bfl
 
 from bfl.lattice import (
     AlignmentError,
@@ -218,6 +226,34 @@ def test_dual_norm_dominates_sampled_duality_quotients(make_grid):
     for _ in range(100):
         u = random_vector_field(g, rng)
         assert inner_h(v, u) / norm_h1(u) <= dual * (1 + 1e-10)
+
+
+def test_scipy_loads_only_for_dual_norms():
+    # importing bfl and its CLI must not import scipy; the first dual norm
+    # does, and agrees with a dense solve of (I - D+D-) w = v
+    script = textwrap.dedent("""
+        import sys
+        import bfl, bfl.cli
+        assert "scipy" not in sys.modules, "scipy imported with bfl"
+        import numpy as np
+        from bfl.lattice import Field, Grid, norm_h1_dual
+        n = 9
+        g = Grid.make_periodic(2.0, n)
+        v = np.random.default_rng(3).normal(size=(n, 3))
+        lap = (np.roll(np.eye(n), 1, axis=1) - 2.0 * np.eye(n)
+               + np.roll(np.eye(n), -1, axis=1)) / g.h ** 2
+        w = np.linalg.solve(np.eye(n) - lap, v)
+        dense = np.sqrt(g.h * np.sum(v * w))
+        dual = norm_h1_dual(Field(g, v))
+        assert abs(dual - dense) <= 1e-12 * dense, (dual, dense)
+        assert "scipy" in sys.modules, "dual norm ran without scipy"
+    """)
+    src = str(Path(bfl.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": path},
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 # ---------------------------------------------------------------- delta_g

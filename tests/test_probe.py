@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from bfl.config import ExperimentConfig, build_grid, build_initial, build_speed
-from bfl.convergence import stability_sweep
+from bfl.convergence import convergence_study, stability_sweep
 from bfl.dynamics import FlowState
 from bfl.integrate import IntegratorSpec, evolve
 from bfl.lattice import Field, Grid, norm_h, unit_field
@@ -218,10 +218,46 @@ def test_soliton_curve_peak_and_torsion():
     assert np.mean(data.tau.values[core]) == pytest.approx(0.5, abs=0.02)
 
 
+def test_soliton_closed_form_matches_frenet_march():
+    # criterion 11's grid: the closed form agrees with the Frenet march it
+    # replaced to the march's own error
+    grid = Grid.make_window(-20.0, 512, 0.078125)
+    gamma, u = oracle_soliton_curve(grid, nu=1.0, tau0=0.5)
+    gamma_m, u_m = frenet_curve(grid, lambda x: 2.0 / np.cosh(x), lambda x: 0.5)
+    assert np.max(np.abs(u.values - u_m.values)) <= 2e-9
+    assert np.max(np.abs(gamma.values - gamma_m.values)) <= 5e-8
+
+
 def test_soliton_window_too_narrow():
     grid = Grid.make_window(-5.0, 64, 10.0 / 64)
     with pytest.raises(ValueError):
         oracle_soliton_curve(grid, nu=1.0, tau0=0.5)
+
+
+def test_soliton_wide_window_stays_finite():
+    # sech(nu * 400) underflows to 0: the start frame must not depend on it
+    grid = Grid.make_window(-400.0, 1600, 0.5)
+    gamma, u = oracle_soliton_curve(grid, nu=2.0, tau0=0.5)
+    assert np.all(np.isfinite(gamma.values))
+    assert np.array_equal(u.values[0], [1.0, 0.0, 0.0])
+
+
+def test_soliton_window_must_contain_center():
+    # [25, 65] is wide, but the soliton sits at x = 0 outside it
+    grid = Grid.make_window(25.0, 128, 40.0 / 128)
+    with pytest.raises(ValueError, match="misses"):
+        oracle_soliton_curve(grid, nu=1.0, tau0=0.5)
+
+
+def test_window_soliton_spatial_orders():
+    # chords against the closed-form tangent at the cell midpoints
+    cfg = ExperimentConfig(topology="window", x0=-20.0, intervals=128, h=0.3125,
+                           initial="soliton:1,0.5", speed="const:1",
+                           method="rotation", cfl=0.25, horizon=0.25)
+    study = convergence_study(cfg, 3)
+    assert study["reference"] == "continuum closed form"
+    orders = [r["order"] for r in study["rows"][1:]]
+    assert all(1.8 <= o <= 2.2 for o in orders), orders
 
 
 # ------------------------------------------------------------- stability
