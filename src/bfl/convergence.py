@@ -21,7 +21,7 @@ from dataclasses import replace
 import numpy as np
 
 from .config import ExperimentConfig, build_grid, build_initial, build_integrator, build_speed, refine
-from .integrate import IntegratorSpec, evolve
+from .integrate import evolve
 from .interp import resample
 from .probe import _amplification_ratios, hasimoto_soliton
 
@@ -63,9 +63,7 @@ def _run_level(cfg: ExperimentConfig):
     grid = build_grid(cfg)
     speed = build_speed(cfg, grid)
     state, _ = build_initial(cfg, grid, speed)
-    spec = build_integrator(cfg)
-    spec = IntegratorSpec(method=spec.method, dt=spec.dt, cfl=spec.cfl,
-                          snapshot_stride=10 ** 9)
+    spec = replace(build_integrator(cfg), snapshot_stride=10 ** 9)
     result = evolve(state, cfg.horizon, spec)
     return grid, result
 
@@ -128,9 +126,7 @@ def stability_sweep(cfg: ExperimentConfig, eps_list) -> dict:
     state, _ = build_initial(cfg, grid, speed)
     if state.mode != "tangent":
         raise ValueError("the stability probe runs on tangent initial data")
-    spec = build_integrator(cfg)
-    spec = IntegratorSpec(method=spec.method, dt=spec.dt, cfl=spec.cfl,
-                          snapshot_stride=10 ** 9)
+    spec = replace(build_integrator(cfg), snapshot_stride=10 ** 9)
     ratios = _amplification_ratios(state.field, eps_list, speed, cfg.horizon, spec)
     spread = (max(ratios) - min(ratios)) / (sum(ratios) / len(ratios))
     return {"rows": [{"eps": e, "ratio": r} for e, r in zip(eps_list, ratios)],

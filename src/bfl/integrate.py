@@ -23,14 +23,16 @@ on the sphere (at cfl = 1 the energy of a variable-g helix blows up).
 evolve() marches with a fixed step, shortens the last step to land exactly
 on the horizon, and stores a snapshot (state plus the coefficient samples
 used) every ``snapshot_stride`` steps. Between snapshots it steps raw
-(n, 3) node arrays; fields and states are built only for stored snapshots.
+arrays: tangents as C-ordered (3, n) rows (node axis last), transposed
+once on entry, curves as (n, 3) values. Every in-kernel |w|^2 is summed as
+(x^2 + z^2) + y^2, the order of numpy's einsum on (n, 3) rows, so no byte
+depends on the layout. Fields are built only for stored snapshots.
 A NaN or Inf aborts with the step index; the partial trajectory is kept and
 flagged.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable
@@ -38,17 +40,15 @@ from typing import Callable
 import numpy as np
 
 from .dynamics import TANGENT, FlowState, g_samples, pairing_for
-from .lattice import Field, _delta_g, _dminus, _dplus, _positive, cross3
+from .lattice import _NEXT, _PREV, Field, _cross_turned, _delta_g, _dminus, _dplus, _positive, cross3
 from .speed import COUPLED, _sample_at
 
 
 class DivergenceError(RuntimeError):
     """The state picked up a non-finite value."""
 
-    def __init__(self, t: float, step_index: int | None = None):
-        at = f"step {step_index}, " if step_index is not None else ""
-        super().__init__(f"non-finite state at {at}t = {t:.6g}")
-        self.step_index = step_index
+    def __init__(self, t: float):
+        super().__init__(f"non-finite state at t = {t:.6g}")
         self.t = t
 
 
@@ -84,37 +84,52 @@ class IntegratorSpec:
 # --------------------------------------------------------------------------
 
 def rotate(vectors: np.ndarray, rotvecs: np.ndarray) -> np.ndarray:
-    """Rotate each 3-vector by the rotation vector at the same node.
+    """Rotate each (n, 3) row by the rotation vector in the same row."""
+    return np.ascontiguousarray(_rotate_rows(vectors.T, rotvecs.T).T)
+
+
+def _norm2(v: np.ndarray) -> np.ndarray:
+    # |v|^2 per column of a (3, n) array in einsum's order on (n, 3) rows
+    sq = v * v
+    return (sq[0] + sq[2]) + sq[1]
+
+
+def _rotate_rows(v: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Rotate each column of v by the same column of w; (3, n) arrays.
 
     Rodrigues formula written with the sinc-style factors so the small-angle
     limit is exact; negative rotation vectors reverse the rotation, which is
     what makes backward steps work.
     """
-    theta2 = np.einsum("ij,ij->i", rotvecs, rotvecs)
+    theta2 = _norm2(w)
     theta = np.sqrt(theta2)
-    small = theta < 1e-4
-    with np.errstate(invalid="ignore", divide="ignore"):
-        a = np.where(small, 1.0 - theta2 / 6.0, np.sin(theta) / np.where(theta == 0, 1.0, theta))
-        b = np.where(small, 0.5 - theta2 / 24.0,
-                     (1.0 - np.cos(theta)) / np.where(theta2 == 0, 1.0, theta2))
-    first = cross3(rotvecs, vectors)
-    second = cross3(rotvecs, first)
-    return vectors + a[:, None] * first + b[:, None] * second
+    large = theta >= 1e-4
+    a = 1.0 - theta2 / 6.0
+    np.divide(np.sin(theta), theta, out=a, where=large)
+    b = 0.5 - theta2 / 24.0
+    np.divide(1.0 - np.cos(theta), theta2, out=b, where=large)
+    w_next, w_prev = w.take(_NEXT, axis=0), w.take(_PREV, axis=0)
+    first = _cross_turned(w_next, w_prev, v)
+    second = _cross_turned(w_next, w_prev, first)
+    out = first * a
+    out += v
+    second *= b
+    out += second
+    return out
 
 
-def _rotation_tangent(omega, t: float, u: np.ndarray, dt: float) -> np.ndarray:
-    # commutator-free fourth-order composition of exact per-node rotations:
-    # four rotation-rate evaluations, two rotations, |u_i| preserved to
-    # rounding for any dt
+def _rotation_rows(omega, t: float, u: np.ndarray, dt: float) -> np.ndarray:
+    # commutator-free fourth-order composition of exact per-node rotations: four
+    # rotation-rate evaluations, two rotations, |u_i| kept to rounding at any dt
     w1 = omega(t, u)
-    stage2 = rotate(u, 0.5 * dt * w1)
+    stage2 = _rotate_rows(u, 0.5 * dt * w1)
     w2 = omega(t + 0.5 * dt, stage2)
-    w3 = omega(t + 0.5 * dt, rotate(u, 0.5 * dt * w2))
-    stage4 = rotate(stage2, dt * w3 - 0.5 * dt * w1)
+    w3 = omega(t + 0.5 * dt, _rotate_rows(u, 0.5 * dt * w2))
+    stage4 = _rotate_rows(stage2, dt * w3 - 0.5 * dt * w1)
     w4 = omega(t + dt, stage4)
     half_a = (dt / 12.0) * (3.0 * w1 + 2.0 * w2 + 2.0 * w3 - w4)
     half_b = (dt / 12.0) * (-w1 + 2.0 * w2 + 2.0 * w3 + 3.0 * w4)
-    return rotate(rotate(u, half_a), half_b)
+    return _rotate_rows(_rotate_rows(u, half_a), half_b)
 
 
 def _rotation_curve(chords, rates, rebuild, t: float, gamma: np.ndarray,
@@ -149,10 +164,6 @@ def _rk4(deriv, project, t: float, y: np.ndarray, dt: float) -> np.ndarray:
     k4 = deriv(t + dt, y + dt * k3)
     y_new = y + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
     return y_new if project is None else project(y_new)
-
-
-def _unit_tangents(u: np.ndarray) -> np.ndarray:
-    return u / np.sqrt(np.einsum("ij,ij->i", u, u))[:, None]
 
 
 def _unit_chords(chords, rebuild, periodic: bool, gamma: np.ndarray) -> np.ndarray:
@@ -194,28 +205,35 @@ def _kernel(state: FlowState, spec: IntegratorSpec) -> Callable:
             return _delta_g(coefficient(t, u), u, h, periodic, ext, pairing)
 
         if spec.method == "rotation":
-            return partial(_rotation_tangent, lambda t, u: -delta(t, u))
+            return partial(_rotation_rows, lambda t, u: -delta(t, u))
         deriv = lambda t, u: cross3(u, delta(t, u))
-        project = _unit_tangents
+        project = lambda u: u / np.sqrt(_norm2(u))
     else:
         def chords(gamma):
-            return _dplus(gamma, h, periodic, ext)
+            return _dplus(gamma.T, h, periodic, ext).T
 
         def velocity(g, u):
             # g (u ^ D-u) with u = D+gamma; the chords extend by zero
-            return g[:, None] * cross3(u, _dminus(u, h, periodic, "zero"))
+            return (g * cross3(u.T, _dminus(u.T, h, periodic, "zero"))).T
 
         rebuild = partial(_rebuild_curve, h, periodic)
         if spec.method == "rotation":
             def rates(t, gamma, u):
                 # rotation rate -Delta_g u of the chords, velocity of the base node
                 g = coefficient(t, gamma)
-                return -_delta_g(g, u, h, periodic, "zero", "node"), velocity(g, u)
+                return -_delta_g(g, u.T, h, periodic, "zero", "node").T, velocity(g, u)
 
             return partial(_rotation_curve, chords, rates, rebuild)
         deriv = lambda t, gamma: velocity(coefficient(t, gamma), chords(gamma))
         project = partial(_unit_chords, chords, rebuild, periodic)
     return partial(_rk4, deriv, None if spec.method == "rk4" else project)
+
+
+def _march_start(state: FlowState):
+    """The array the kernel marches, and the map from it back to node values."""
+    if state.mode == TANGENT:
+        return np.ascontiguousarray(state.field.values.T), np.transpose
+    return state.field.values, lambda y: y
 
 
 def _checked_step(advance: Callable, t: float, y: np.ndarray, dt: float) -> np.ndarray:
@@ -238,8 +256,9 @@ def step(state: FlowState, spec: IntegratorSpec, dt: float) -> FlowState:
 
     Raises DivergenceError if the update produces NaN or Inf.
     """
-    y = _checked_step(_kernel(state, spec), state.t, state.field.values, dt)
-    return state.advanced(state.t + dt, state.field.with_values(y))
+    y, values = _march_start(state)
+    y = _checked_step(_kernel(state, spec), state.t, y, dt)
+    return state.advanced(state.t + dt, state.field.with_values(values(y)))
 
 
 @dataclass
@@ -283,12 +302,11 @@ def evolve(state: FlowState, horizon: float, spec: IntegratorSpec) -> EvolveResu
     record(state.t, state.field)
     advance = _kernel(state, spec)
     k = 0
-    t, y = state.t, state.field.values
+    t, (y, values) = state.t, _march_start(state)
     tol = 1e-14 * max(1.0, abs(horizon))
+    landing = 1e-13 * max(1.0, abs(horizon))
     while direction * (horizon - t) > tol:
-        step_dt = dt
-        if direction * (horizon - t) < abs(dt):
-            step_dt = horizon - t
+        step_dt = horizon - t if direction * (horizon - t) < abs(dt) else dt
         try:
             y = _checked_step(advance, t, y, step_dt)
         except DivergenceError:
@@ -298,13 +316,9 @@ def evolve(state: FlowState, horizon: float, spec: IntegratorSpec) -> EvolveResu
             return result
         t = t + step_dt
         k += 1
-        if k % spec.snapshot_stride == 0 or _at_horizon(t, horizon):
-            record(t, state.field.with_values(y))
+        if k % spec.snapshot_stride == 0 or abs(t - horizon) <= landing:
+            record(t, state.field.with_values(values(y)))
     if result.times[-1] != t:
-        record(t, state.field.with_values(y))
+        record(t, state.field.with_values(values(y)))
     result.steps_taken = k
     return result
-
-
-def _at_horizon(t: float, horizon: float) -> bool:
-    return math.isclose(t, horizon, rel_tol=0.0, abs_tol=1e-13 * max(1.0, abs(horizon)))

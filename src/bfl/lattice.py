@@ -66,7 +66,7 @@ class Grid:
                 raise ValueError("periodic grid needs a period and at least 3 nodes")
         else:
             if self.n_nodes < 5:
-                raise ValueError("window grid needs at least 5 nodes (M >= 4)")
+                raise ValueError("window grid needs at least 5 nodes (M >= 4 intervals)")
 
     @staticmethod
     def make_periodic(length: float, n_nodes: int, x0: float = 0.0) -> "Grid":
@@ -77,24 +77,10 @@ class Grid:
 
     @staticmethod
     def make_window(x0: float, intervals: int, h: float) -> "Grid":
-        if intervals < 4:
-            raise ValueError("window grid needs M >= 4 intervals")
         return Grid(h=h, x0=x0, n_nodes=intervals + 1, periodic=False)
 
     def nodes(self) -> np.ndarray:
         return self.x0 + self.h * np.arange(self.n_nodes)
-
-    def __eq__(self, other):
-        if not isinstance(other, Grid):
-            return NotImplemented
-        return (self.periodic == other.periodic
-                and self.n_nodes == other.n_nodes
-                and self.h == other.h
-                and self.x0 == other.x0
-                and self.length == other.length)
-
-    def __hash__(self):
-        return hash((self.h, self.x0, self.n_nodes, self.periodic, self.length))
 
 
 # --------------------------------------------------------------------------
@@ -102,19 +88,24 @@ class Grid:
 # --------------------------------------------------------------------------
 
 def _as_values(values) -> np.ndarray:
-    arr = np.array(values, dtype=np.float64, copy=True)
+    # C order whatever the input's: reductions like magnitudes() sum by layout
+    arr = np.array(values, dtype=np.float64, copy=True, order="C")
     if arr.ndim not in (1, 2) or (arr.ndim == 2 and arr.shape[1] != 3):
         raise ValueError(f"field values must be (n,) or (n, 3), got {arr.shape}")
     return arr
 
 
+_NEXT, _PREV = np.array([1, 2, 0]), np.array([2, 0, 1])
+
+
 def cross3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise vector product of (n, 3) arrays (faster than np.cross)."""
-    out = np.empty_like(a)
-    out[:, 0] = a[:, 1] * b[:, 2] - a[:, 2] * b[:, 1]
-    out[:, 1] = a[:, 2] * b[:, 0] - a[:, 0] * b[:, 2]
-    out[:, 2] = a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]
-    return out
+    """Vector product of (3, n) arrays, node axis last (faster than np.cross)."""
+    return _cross_turned(a.take(_NEXT, axis=0), a.take(_PREV, axis=0), b)
+
+
+def _cross_turned(a_next: np.ndarray, a_prev: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a ^ b from a's cyclic row permutations (a_y, a_z, a_x) and (a_z, a_x, a_y)."""
+    return a_next * b.take(_PREV, axis=0) - a_prev * b.take(_NEXT, axis=0)
 
 
 @dataclass(frozen=True)
@@ -143,8 +134,7 @@ class Field:
         return self.values.ndim == 2
 
     def with_values(self, values, extension: str | None = None) -> "Field":
-        return Field(self.grid, values,
-                     self.extension if extension is None else extension)
+        return Field(self.grid, values, self.extension if extension is None else extension)
 
     # -- arithmetic (extension tags combine as documented in the module doc)
 
@@ -164,13 +154,8 @@ class Field:
     def __mul__(self, other) -> "Field":
         if isinstance(other, Field):
             _check_aligned(self, other)
-            a, b = self.values, other.values
-            if a.ndim == 2 and b.ndim == 1:
-                out = a * b[:, None]
-            elif a.ndim == 1 and b.ndim == 2:
-                out = a[:, None] * b
-            else:
-                out = a * b
+            # node axis last, so scalars broadcast over vector components
+            out = (self.values.T * other.values.T).T
             ext = "zero" if "zero" in (self.extension, other.extension) else "constant"
             return Field(self.grid, out, ext)
         return Field(self.grid, self.values * float(other), self.extension)
@@ -187,7 +172,7 @@ def cross(a: Field, b: Field) -> Field:
     """Pointwise vector product of two 3-vector fields."""
     _check_aligned(a, b)
     ext = "zero" if "zero" in (a.extension, b.extension) else "constant"
-    return Field(a.grid, cross3(a.values, b.values), ext)
+    return Field(a.grid, cross3(a.values.T, b.values.T).T, ext)
 
 
 def dot(a: Field, b: Field) -> Field:
@@ -231,11 +216,12 @@ def normalized(v: Field) -> Field:
 
 
 # --------------------------------------------------------------------------
-# shift and difference operators
+# shift and difference operators; the private ones act along the last (node)
+# axis, so (n,) scalars and (3, n) vectors share one path
 # --------------------------------------------------------------------------
 
 def _shifted(vals: np.ndarray, side: int, periodic: bool, extension: str) -> np.ndarray:
-    """Node i picks up the value at node i + side (side = +1 or -1).
+    """Node i picks up the value at node i + side (side = +1 or -1); node axis last.
 
     The one value read past an end comes from the periodic wrap or, on a
     window, from the extension tag: the edge value or zero.
@@ -243,15 +229,16 @@ def _shifted(vals: np.ndarray, side: int, periodic: bool, extension: str) -> np.
     out = np.empty_like(vals)
     constant = extension == "constant"
     if side > 0:
-        out[:-1] = vals[1:]
-        out[-1] = vals[0] if periodic else vals[-1] if constant else 0.0
+        out[..., :-1] = vals[..., 1:]
+        out[..., -1] = vals[..., 0] if periodic else vals[..., -1] if constant else 0.0
     else:
-        out[1:] = vals[:-1]
-        out[0] = vals[-1] if periodic else vals[0] if constant else 0.0
+        out[..., 1:] = vals[..., :-1]
+        out[..., 0] = vals[..., -1] if periodic else vals[..., 0] if constant else 0.0
     return out
 
 
 def _dplus(vals: np.ndarray, h: float, periodic: bool, extension: str) -> np.ndarray:
+    """(v_{i+1} - v_i)/h along the last (node) axis."""
     out = _shifted(vals, +1, periodic, extension)
     out -= vals
     out /= h
@@ -259,6 +246,7 @@ def _dplus(vals: np.ndarray, h: float, periodic: bool, extension: str) -> np.nda
 
 
 def _dminus(vals: np.ndarray, h: float, periodic: bool, extension: str) -> np.ndarray:
+    """(v_i - v_{i-1})/h along the last (node) axis."""
     out = _shifted(vals, -1, periodic, extension)
     np.subtract(vals, out, out=out)
     out /= h
@@ -267,22 +255,22 @@ def _dminus(vals: np.ndarray, h: float, periodic: bool, extension: str) -> np.nd
 
 def shift_plus(v: Field) -> Field:
     """tau+ v: node i picks up the value at node i+1."""
-    return Field(v.grid, _shifted(v.values, +1, v.grid.periodic, v.extension), v.extension)
+    return Field(v.grid, _shifted(v.values.T, +1, v.grid.periodic, v.extension).T, v.extension)
 
 
 def shift_minus(v: Field) -> Field:
     """tau- v: node i picks up the value at node i-1."""
-    return Field(v.grid, _shifted(v.values, -1, v.grid.periodic, v.extension), v.extension)
+    return Field(v.grid, _shifted(v.values.T, -1, v.grid.periodic, v.extension).T, v.extension)
 
 
 def dplus(v: Field) -> Field:
     """Right difference (v_{i+1} - v_i)/h."""
-    return Field(v.grid, _dplus(v.values, v.grid.h, v.grid.periodic, v.extension), "zero")
+    return Field(v.grid, _dplus(v.values.T, v.grid.h, v.grid.periodic, v.extension).T, "zero")
 
 
 def dminus(v: Field) -> Field:
     """Left difference (v_i - v_{i-1})/h."""
-    return Field(v.grid, _dminus(v.values, v.grid.h, v.grid.periodic, v.extension), "zero")
+    return Field(v.grid, _dminus(v.values.T, v.grid.h, v.grid.periodic, v.extension).T, "zero")
 
 
 def d2(v: Field) -> Field:
@@ -345,8 +333,8 @@ def delta_g(g: Field, v: Field, pairing: str = "node") -> Field:
     if g.is_vector:
         raise ValueError("coefficient field must be scalar")
     grid = v.grid
-    return Field(grid, _delta_g(_positive(g.values), v.values, grid.h, grid.periodic,
-                                v.extension, pairing), "zero")
+    return Field(grid, _delta_g(_positive(g.values), v.values.T, grid.h, grid.periodic,
+                                v.extension, pairing).T, "zero")
 
 
 def _positive(g: np.ndarray) -> np.ndarray:
@@ -360,13 +348,13 @@ def _positive(g: np.ndarray) -> np.ndarray:
 
 def _delta_g(g: np.ndarray, vals: np.ndarray, h: float, periodic: bool,
              extension: str, pairing: str) -> np.ndarray:
-    """delta_g on raw node values; the inner difference reads ghosts by
-    ``extension``, the outer one differences a zero-extended product."""
-    weights = g[:, None] if vals.ndim == 2 else g
+    """delta_g on raw node values, node axis last; the inner difference reads
+    ghosts by ``extension``, the outer one differences a zero-extended
+    product."""
     if pairing == "node":
-        return _dplus(weights * _dminus(vals, h, periodic, extension), h, periodic, "zero")
+        return _dplus(g * _dminus(vals, h, periodic, extension), h, periodic, "zero")
     if pairing == "cell":
-        return _dminus(weights * _dplus(vals, h, periodic, extension), h, periodic, "zero")
+        return _dminus(g * _dplus(vals, h, periodic, extension), h, periodic, "zero")
     raise ValueError(f"unknown pairing {pairing!r}")
 
 
@@ -423,10 +411,8 @@ def riesz_representative(v: Field) -> Field:
     ghosts by constant extension, so w carries that policy regardless of
     how v extends; only v's window values enter.
     """
-    rhs = v.values if v.is_vector else v.values[:, None]
-    w = _riesz_matrix_solve(v.grid, np.ascontiguousarray(rhs))
-    if not v.is_vector:
-        w = w[:, 0]
+    rhs = v.values.reshape(v.grid.n_nodes, -1)
+    w = _riesz_matrix_solve(v.grid, rhs).reshape(v.values.shape)
     wf = Field(v.grid, w, "constant")
     resid_vals = wf.values - d2(wf).values - v.values
     scale = max(1.0, norm_linf(v))

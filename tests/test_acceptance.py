@@ -16,7 +16,7 @@ import time
 import numpy as np
 
 from bfl.config import ExperimentConfig
-from bfl.convergence import convergence_study, stability_sweep
+from bfl.convergence import continuum_oracle, convergence_study, stability_sweep
 from bfl.dynamics import FlowState
 from bfl.identities import IDENTITY_THRESHOLD, run_identity_suite
 from bfl.integrate import IntegratorSpec, evolve
@@ -382,3 +382,23 @@ def test_criterion_11_soliton_transport():
                    f"runtime {elapsed:.1f}s < 30s")
     assert rel_err <= 0.10
     assert elapsed < 30.0
+
+
+def test_criterion_11_soliton_profile():
+    # the whole tangent profile against Hasimoto's closed form, not only the
+    # curvature peak; measured 5.6e-3 at 512 intervals and 1.4e-3 at 1024
+    # (ratio 4.0: second order)
+    cfg = ExperimentConfig(topology="window", x0=-20.0, intervals=512, h=40.0 / 512,
+                           initial="soliton:1.0,0.5", speed="const:1",
+                           method="rotation", cfl=0.25, horizon=1.0)
+    grid = Grid.make_window(cfg.x0, cfg.intervals, cfg.h)
+    _, u0 = oracle_soliton_curve(grid, 1.0, 0.5)
+    res = evolve(FlowState(0.0, u0, make_constant(1.0)), cfg.horizon,
+                 IntegratorSpec(method="rotation", cfl=0.25, snapshot_stride=10 ** 9))
+    err = float(np.max(np.abs(res.final().values
+                              - continuum_oracle(cfg, grid)(cfg.horizon))))
+    ok = res.status == "ok" and err <= 8e-3
+    report("11b", ok, f"soliton tangent sup error {err:.2e} <= 8e-3 against "
+                      "the closed form at T = 1 (512 intervals)")
+    assert res.status == "ok"
+    assert err <= 8e-3

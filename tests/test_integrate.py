@@ -10,6 +10,7 @@ from bfl.lattice import (
     Grid,
     delta_g,
     dminus,
+    magnitudes,
     norm_linf,
     unit_drift,
     unit_field,
@@ -129,6 +130,21 @@ def reference_rk4_step(state, dt):
     return y + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
 
 
+def reference_rotate(vectors, rotvecs):
+    # the (n, 3) Rodrigues body the row kernel replaced: einsum for |w|^2,
+    # np.where for the small-angle factors, np.cross for the products
+    theta2 = np.einsum("ij,ij->i", rotvecs, rotvecs)
+    theta = np.sqrt(theta2)
+    small = theta < 1e-4
+    with np.errstate(invalid="ignore", divide="ignore"):
+        a = np.where(small, 1.0 - theta2 / 6.0, np.sin(theta) / np.where(theta == 0, 1.0, theta))
+        b = np.where(small, 0.5 - theta2 / 24.0,
+                     (1.0 - np.cos(theta)) / np.where(theta2 == 0, 1.0, theta2))
+    first = np.cross(rotvecs, vectors)
+    second = np.cross(rotvecs, first)
+    return vectors + a[:, None] * first + b[:, None] * second
+
+
 def reference_rotation_step(state, dt):
     pairing = pairing_for(state.speed, state.grid)
 
@@ -138,17 +154,17 @@ def reference_rotation_step(state, dt):
 
     u, t = state.field.values, state.t
     w1 = omega(t, u)
-    stage2 = rotate(u, 0.5 * dt * w1)
+    stage2 = reference_rotate(u, 0.5 * dt * w1)
     w2 = omega(t + 0.5 * dt, stage2)
-    w3 = omega(t + 0.5 * dt, rotate(u, 0.5 * dt * w2))
-    stage4 = rotate(stage2, dt * w3 - 0.5 * dt * w1)
+    w3 = omega(t + 0.5 * dt, reference_rotate(u, 0.5 * dt * w2))
+    stage4 = reference_rotate(stage2, dt * w3 - 0.5 * dt * w1)
     w4 = omega(t + dt, stage4)
     half_a = (dt / 12.0) * (3.0 * w1 + 2.0 * w2 + 2.0 * w3 - w4)
     half_b = (dt / 12.0) * (-w1 + 2.0 * w2 + 2.0 * w3 + 3.0 * w4)
-    return rotate(rotate(u, half_a), half_b)
+    return reference_rotate(reference_rotate(u, half_a), half_b)
 
 
-@pytest.mark.parametrize("speed_name", ["sin:2,1,1", "sintime:2,1,1,3"])
+@pytest.mark.parametrize("speed_name", ["sin:2,1,1", "sintime:2,1,1,3", "const:1"])
 @pytest.mark.parametrize("pairing", ["node", "cell"])
 @pytest.mark.parametrize("periodic", [True, False])
 def test_step_equals_field_level_reference(periodic, pairing, speed_name):
@@ -161,12 +177,31 @@ def test_step_equals_field_level_reference(periodic, pairing, speed_name):
         speed = speed.with_offset(grid.h / 2)
     state = FlowState(0.3, u0, speed)
     assert pairing_for(speed, grid) == pairing
-    dt = 2e-4
-    rk = step(state, IntegratorSpec(method="rk4", dt=dt), dt)
-    assert np.array_equal(rk.field.values, reference_rk4_step(state, dt))
-    rot = step(state, IntegratorSpec(method="rotation", dt=dt), dt)
-    assert np.array_equal(rot.field.values, reference_rotation_step(state, dt))
-    assert rk.t == rot.t == 0.3 + dt
+    for dt in (2e-4, -2e-4):  # forward and reversed flow
+        rk = step(state, IntegratorSpec(method="rk4", dt=abs(dt)), dt)
+        rk_ref = reference_rk4_step(state, dt)
+        assert np.array_equal(rk.field.values, rk_ref)
+        # projected_rk4: the rk4 step, then each node renormalized
+        proj = step(state, IntegratorSpec(method="projected_rk4", dt=abs(dt)), dt)
+        unit_ref = rk_ref / magnitudes(state.field.with_values(rk_ref))[:, None]
+        assert np.array_equal(proj.field.values, unit_ref)
+        rot = step(state, IntegratorSpec(method="rotation", dt=abs(dt)), dt)
+        assert np.array_equal(rot.field.values, reference_rotation_step(state, dt))
+        assert rk.t == proj.t == rot.t == 0.3 + dt
+
+
+def test_rotate_bytes_independent_of_layout():
+    rng = np.random.default_rng(12)
+    v = rng.normal(size=(400, 3))
+    # angles from 1e-9 to 10 cover both branches of the sinc-style factors
+    w = rng.normal(size=(400, 3)) * 10 ** rng.uniform(-9, 1, size=(400, 1))
+    w[0] = 0.0
+    out = rotate(v, w)
+    assert out.flags["C_CONTIGUOUS"]
+    assert out.tobytes() == reference_rotate(v, w).tobytes()
+    for vv, ww in [(np.asfortranarray(v), np.asfortranarray(w)),
+                   (v, np.asfortranarray(w)), (np.asfortranarray(v), w)]:
+        assert rotate(vv, ww).tobytes() == out.tobytes()
 
 
 @pytest.mark.parametrize("periodic", [True, False])

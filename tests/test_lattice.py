@@ -21,6 +21,7 @@ from bfl.lattice import (
     dot,
     dplus,
     inner_h,
+    magnitudes,
     norm_h,
     norm_h1,
     norm_h1_dual,
@@ -73,6 +74,16 @@ def test_field_alignment_and_finiteness():
         Field(g, np.ones((7, 3)))
     with pytest.raises(ValueError):
         Field(g, np.full((8, 3), np.nan))
+
+
+def test_field_values_are_c_ordered_whatever_the_input():
+    # reductions over node values sum in a layout-dependent order, so a
+    # field's diagnostics must not depend on how its input was laid out
+    g = periodic(n=200)
+    v = np.random.default_rng(11).normal(size=(200, 3))
+    f = Field(g, np.asfortranarray(v))
+    assert f.values.flags["C_CONTIGUOUS"]
+    assert magnitudes(f).tobytes() == magnitudes(Field(g, v)).tobytes()
 
 
 def test_fields_are_immutable():
