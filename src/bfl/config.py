@@ -11,6 +11,7 @@ One experiment per file. Lines are ``key = value``; blank lines and
     h = <float>                  spacing (window)
     initial = great-circle:<k> | helix:<alpha>,<k> | soliton:<nu>,<tau0>
               | coupled-circle[:<k>] | coupled-soliton:<nu>,<tau0> | file:<path>
+              (k an integer; a bare coupled-circle means coupled-circle:1)
     speed = const:<c> | sin:<a>,<b>,<k> | sintime:<a>,<b>,<k>,<w>
             | coupled-tanh:<a>,<b>
     offset = node | mid          coefficient sampling (default node)
@@ -22,8 +23,9 @@ One experiment per file. Lines are ``key = value``; blank lines and
     out = <path>                 output directory (optional)
     seed = <int>
 
-Configs round-trip: parse(serialize(cfg)) == cfg, with floats written in
-shortest round-trip form.
+A selector head takes no spaces and no argument may be empty; parse_config
+rejects a malformed selector (``bfl`` exits 4). Configs round-trip:
+parse(serialize(cfg)) == cfg, with floats written in shortest round-trip form.
 """
 
 from __future__ import annotations
@@ -34,8 +36,9 @@ import numpy as np
 
 from .dynamics import FlowState, warn_if_near_boundary
 from .integrate import IntegratorSpec
-from .lattice import Field, Grid, unit_field
-from .speed import COUPLED, SpeedField, speed_from_name
+from .lattice import Grid, unit_field
+from .probe import oracle_circle_curve, oracle_great_circle, oracle_helix, oracle_soliton_curve
+from .speed import CONSTANT, COUPLED, SpeedField, speed_from_name, split_selector
 
 
 class ConfigError(ValueError):
@@ -140,6 +143,32 @@ def validate_config(cfg: ExperimentConfig) -> None:
     for p in cfg.probes:
         if p not in ("margins", "oracle"):
             raise ConfigError(f"unknown probe {p!r}")
+    try:
+        parse_initial(cfg.initial)
+        speed_from_name(cfg.speed)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
+# argument types per initial-data head; int marks a wavenumber
+_INITIAL_ARGS = {"great-circle": (int,), "helix": (float, int),
+                 "soliton": (float, float), "coupled-circle": (int,),
+                 "coupled-soliton": (float, float)}
+
+
+def parse_initial(selector: str) -> tuple[str, tuple]:
+    """Head and typed arguments of an ``initial`` selector; ValueError if malformed."""
+    if selector.startswith("file:"):
+        return "file", (selector[len("file:"):],)
+    head, args = split_selector("coupled-circle:1" if selector == "coupled-circle" else selector)
+    kinds = _INITIAL_ARGS.get(head)
+    if kinds is None:
+        raise ValueError(f"unknown initial data selector {selector!r}")
+    if len(args) != len(kinds):
+        raise ValueError(f"{head} takes {len(kinds)} arguments, got {len(args)}")
+    if any(kind is int and not a.is_integer() for kind, a in zip(kinds, args)):
+        raise ValueError(f"wavenumbers must be integers in {selector!r}")
+    return head, tuple(kind(a) for kind, a in zip(kinds, args))
 
 
 # --------------------------------------------------------------------------
@@ -164,67 +193,42 @@ def build_speed(cfg: ExperimentConfig, grid: Grid) -> SpeedField:
     return speed
 
 
-def _selector_args(selector: str, expected: int, name: str):
-    _, _, tail = selector.partition(":")
-    parts = [p for p in tail.split(",") if p.strip()] if tail.strip() else []
-    if len(parts) != expected:
-        raise ConfigError(f"{name} takes {expected} arguments, got {len(parts)}")
-    try:
-        return [float(p) for p in parts]
-    except ValueError as exc:
-        raise ConfigError(f"bad arguments in {selector!r}") from exc
-
-
 def build_initial(cfg: ExperimentConfig, grid: Grid, speed: SpeedField):
     """Initial FlowState plus the closed-form oracle t -> values, if any."""
-    from . import probe
-
-    head = cfg.initial.split(":", 1)[0]
+    # the closed forms solve the flow for a constant coefficient c, at rate c
+    c = speed.beta if speed.flavor == CONSTANT else None
     try:
+        head, args = parse_initial(cfg.initial)
         if head == "great-circle":
-            # an equilibrium for every coefficient: Delta u stays parallel to u
-            (k,) = _selector_args(cfg.initial, 1, head)
-            u0 = probe.oracle_great_circle(grid, int(k))
+            # an equilibrium: Delta u stays parallel to u
+            u0 = oracle_great_circle(grid, *args)
             vals0 = u0.values.copy()
-            return FlowState(0.0, u0, speed), (lambda t: vals0)
+            return FlowState(0.0, u0, speed), None if c is None else (lambda t: vals0)
         if head == "helix":
-            alpha, k = _selector_args(cfg.initial, 2, head)
-            u0, closed_form, _ = probe.oracle_helix(grid, alpha, int(k))
-            # the closed form solves the flow only for a constant
-            # coefficient; its rate scales with that constant
-            if cfg.speed.split(":", 1)[0] == "const":
-                c = float(cfg.speed.split(":", 1)[1])
-                oracle = closed_form if c == 1.0 else (
-                    lambda t, cf=closed_form, c=c: cf(c * t))
-                return FlowState(0.0, u0, speed), oracle
-            return FlowState(0.0, u0, speed), None
+            u0, closed_form, _ = oracle_helix(grid, *args)
+            oracle = None if c is None else (lambda t: closed_form(c * t))
+            return FlowState(0.0, u0, speed), oracle
         if head == "soliton":
-            nu, tau0 = _selector_args(cfg.initial, 2, head)
-            _, u0 = probe.oracle_soliton_curve(grid, nu, tau0)
+            _, u0 = oracle_soliton_curve(grid, *args)
             return FlowState(0.0, u0, speed), None
         if head == "coupled-circle":
-            args = ([1.0] if cfg.initial == "coupled-circle"
-                    else _selector_args(cfg.initial, 1, head))
-            gamma0 = probe.oracle_circle_curve(grid, int(args[0]))
+            gamma0 = oracle_circle_curve(grid, *args)
             return FlowState(0.0, gamma0, speed, mode="curve"), None
         if head == "coupled-soliton":
-            nu, tau0 = _selector_args(cfg.initial, 2, head)
-            gamma0, _ = probe.oracle_soliton_curve(grid, nu, tau0)
+            gamma0, _ = oracle_soliton_curve(grid, *args)
             return FlowState(0.0, gamma0, speed, mode="curve"), None
-        if head == "file":
-            _, _, path = cfg.initial.partition(":")
-            vals = np.loadtxt(path, delimiter=",", dtype=float)
-            if vals.ndim != 2 or vals.shape[1] != 3:
-                raise ConfigError(f"{path}: expected rows of ux,uy,uz")
-            norms = np.linalg.norm(vals, axis=1)
-            if np.any(norms == 0.0):
-                raise ConfigError(f"{path}: zero tangent row")
-            u0 = unit_field(grid, vals / norms[:, None])
-            warn_if_near_boundary(u0)  # window data must sit 10 h off the ends
-            return FlowState(0.0, u0, speed), None
+        (path,) = args  # file:<path>
+        vals = np.loadtxt(path, delimiter=",", dtype=float)
+        if vals.ndim != 2 or vals.shape[1] != 3:
+            raise ConfigError(f"{path}: expected rows of ux,uy,uz")
+        norms = np.linalg.norm(vals, axis=1)
+        if np.any(norms == 0.0):
+            raise ConfigError(f"{path}: zero tangent row")
+        u0 = unit_field(grid, vals / norms[:, None])
+        warn_if_near_boundary(u0)  # window data must sit 10 h off the ends
+        return FlowState(0.0, u0, speed), None
     except (ValueError, OSError) as exc:
         raise ConfigError(f"initial data {cfg.initial!r}: {exc}") from exc
-    raise ConfigError(f"unknown initial data selector {cfg.initial!r}")
 
 
 def build_integrator(cfg: ExperimentConfig) -> IntegratorSpec:

@@ -20,41 +20,32 @@ from dataclasses import replace
 
 import numpy as np
 
-from .config import ExperimentConfig, build_grid, build_initial, build_integrator, build_speed, refine
+from .config import (ExperimentConfig, build_grid, build_initial, build_integrator,
+                     build_speed, parse_initial, refine)
 from .integrate import evolve
 from .interp import resample
-from .probe import _amplification_ratios, hasimoto_soliton
+from .probe import _amplification_ratios, hasimoto_soliton, helix_tangents, oracle_great_circle
+from .speed import CONSTANT
 
 
 def continuum_oracle(cfg: ExperimentConfig, grid):
     """Closed-form continuum solution t -> values, when the data has one."""
-    head = cfg.initial.split(":", 1)[0]
-    if cfg.speed.split(":", 1)[0] != "const":
+    speed = build_speed(cfg, grid)
+    if speed.flavor != CONSTANT:
         return None
-    c = float(cfg.speed.split(":", 1)[1])
-    x = grid.nodes()
+    c = speed.beta
+    head, args = parse_initial(cfg.initial)
     if head == "great-circle":
-        k = int(float(cfg.initial.split(":", 1)[1]))
-        vals = np.stack([np.cos(k * x), np.sin(k * x), np.zeros_like(x)], axis=1)
+        vals = oracle_great_circle(grid, *args).values
         return lambda t: vals
     if head == "helix":
-        alpha_s, k_s = cfg.initial.split(":", 1)[1].split(",")
-        alpha, k = float(alpha_s), int(float(k_s))
-        s, co = math.sin(alpha), math.cos(alpha)
-        omega = c * k ** 2 * co
-
-        def closed(t):
-            ph = k * x - omega * t
-            return np.stack([s * np.cos(ph), s * np.sin(ph),
-                             np.full_like(x, co)], axis=1)
-
-        return closed
+        alpha, k = args
+        return helix_tangents(grid.nodes(), alpha, k, c * k ** 2 * math.cos(alpha))
     if head == "soliton":
         # lattice tangents are chords, which approximate gamma_s at the cell
         # midpoints; sampling at the nodes would cap the order at 1
-        nu, tau0 = (float(a) for a in cfg.initial.split(":", 1)[1].split(","))
-        closed_form, rot = hasimoto_soliton(nu, tau0, grid.x0)
-        mid = x + grid.h / 2.0
+        closed_form, rot = hasimoto_soliton(*args, grid.x0)
+        mid = grid.nodes() + grid.h / 2.0
         return lambda t: closed_form(mid, c * t)[1] @ rot.T
     return None
 
@@ -78,21 +69,17 @@ def convergence_study(cfg: ExperimentConfig, levels: int,
     if levels < 3:
         raise ValueError("need at least 3 refinement levels")
     base = cfg if offset is None else replace(cfg, offset=offset)
-    configs = [refine(base, 2 ** j) if j else refine(base, 1) for j in range(levels)]
-
-    reference_oracle = continuum_oracle(base, build_grid(configs[-1]))
-
-    outcomes = [_run_level(c) for c in configs]
+    outcomes = [_run_level(refine(base, 2 ** j)) for j in range(levels)]
 
     diverged = [i for i, (_, res) in enumerate(outcomes) if res.status != "ok"]
     if diverged:
         raise RuntimeError(f"level {diverged[0]} diverged")
 
+    oracles = [continuum_oracle(base, grid) for grid, _ in outcomes]
     errors = []
-    if reference_oracle is not None:
+    if oracles[0] is not None:
         kind = "continuum closed form"
-        for grid, res in outcomes:
-            oracle = continuum_oracle(base, grid)
+        for (_, res), oracle in zip(outcomes, oracles):
             errors.append(float(np.max(np.abs(res.final().values
                                               - oracle(base.horizon)))))
     else:
@@ -106,8 +93,7 @@ def convergence_study(cfg: ExperimentConfig, levels: int,
                                               - restricted.values))))
 
     rows = []
-    for j, err in enumerate(errors):
-        grid = build_grid(configs[j])
+    for j, ((grid, _), err) in enumerate(zip(outcomes, errors)):
         order = None if j == 0 else math.log2(errors[j - 1] / err)
         rows.append({"level": j, "h": grid.h, "n_nodes": grid.n_nodes,
                      "error": err, "order": order})

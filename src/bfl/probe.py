@@ -316,16 +316,21 @@ def oracle_helix(grid: Grid, alpha: float, k: int):
         windings = k * grid.length / (2 * math.pi)
         if abs(windings - round(windings)) > 1e-9:
             raise ValueError("helix wavenumber incompatible with the period")
-    x = grid.nodes()
-    s, c = math.sin(alpha), math.cos(alpha)
     omega = helix_rotation_rate(grid, alpha, k)
+    closed_form = helix_tangents(grid.nodes(), alpha, k, omega)
+    return unit_field(grid, closed_form(0.0)), closed_form, omega
+
+
+def helix_tangents(x: np.ndarray, alpha: float, k: int, omega: float):
+    """t -> helix tangents at the points x, precessing at the rate omega."""
+    s, c = math.sin(alpha), math.cos(alpha)
 
     def closed_form(t: float) -> np.ndarray:
         phase = k * x - omega * t
         return np.stack([s * np.cos(phase), s * np.sin(phase),
                          np.full_like(x, c)], axis=1)
 
-    return unit_field(grid, closed_form(0.0)), closed_form, omega
+    return closed_form
 
 
 def frenet_curve(grid: Grid, kappa_fn, tau_fn, substeps: int = 10):

@@ -184,6 +184,15 @@ def validate_bounds(speed: SpeedField, grid: Grid, t_grid=(0.0,),
 # named built-ins, selectable from configs
 # --------------------------------------------------------------------------
 
+def split_selector(spec: str) -> tuple[str, list[float]]:
+    """``head:a,b,...`` -> (head as written, float arguments, none empty)."""
+    head, _, tail = spec.partition(":")
+    try:
+        return head, [float(s) for s in tail.split(",")] if tail else []
+    except ValueError as exc:
+        raise ValueError(f"bad arguments in {spec!r}") from exc
+
+
 def speed_from_name(spec: str) -> SpeedField:
     """Build a coefficient from its config name.
 
@@ -191,12 +200,7 @@ def speed_from_name(spec: str) -> SpeedField:
     ``sintime:a,b,k,w`` (a + b sin(kx) cos(wt)) |
     ``coupled-tanh:a,b`` (a + b tanh(|gamma|^2)).
     """
-    head, _, tail = spec.partition(":")
-    head = head.strip()
-    try:
-        args = [float(s) for s in tail.split(",")] if tail.strip() else []
-    except ValueError as exc:
-        raise ValueError(f"bad coefficient arguments in {spec!r}") from exc
+    head, args = split_selector(spec)
 
     if head == "const":
         (c,) = args

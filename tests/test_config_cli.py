@@ -1,7 +1,9 @@
 import json
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,9 +17,11 @@ from bfl.config import (
     build_integrator,
     build_speed,
     parse_config,
+    parse_initial,
     refine,
     serialize_config,
 )
+from bfl.convergence import continuum_oracle, convergence_study
 from bfl.identities import run_identity_suite
 from bfl.report import render_csv
 from bfl.probe import diagnose
@@ -117,6 +121,79 @@ def test_helix_oracle_absent_for_variable_speed():
     assert oracle is None
 
 
+def test_great_circle_oracle_needs_constant_speed():
+    from bfl.integrate import evolve
+
+    # with variable g the great circle is no equilibrium: it leaves its
+    # plane (final sup deviation 0.47 at n = 32, T = 0.5 for sin:2,1,1)
+    for speed_name, has_oracle in [("const:1.5", True), ("sin:2,1,1", False)]:
+        cfg = parse_config(HELIX_CFG.replace(
+            "initial = helix:0.7853981633974483,2", "initial = great-circle:1").replace(
+            "speed = const:1", f"speed = {speed_name}"))
+        grid = build_grid(cfg)
+        speed = build_speed(cfg, grid)
+        state, oracle = build_initial(cfg, grid, speed)
+        assert (oracle is not None) == has_oracle
+        assert (continuum_oracle(cfg, grid) is not None) == has_oracle
+        if has_oracle:
+            res = evolve(state, cfg.horizon, build_integrator(cfg))
+            assert np.max(np.abs(res.final().values - oracle(cfg.horizon))) <= 1e-12
+
+
+@pytest.mark.parametrize("cfg", [
+    ExperimentConfig(topology="periodic", length=2 * np.pi, nodes=32,
+                     initial="helix:0.7853981633974483,2", speed="const:2",
+                     method="rotation", cfl=0.25, horizon=0.2),
+    ExperimentConfig(topology="window", x0=-20.0, intervals=128, h=40.0 / 128,
+                     initial="soliton:1,0.5", speed="const:2",
+                     method="rotation", cfl=0.25, horizon=0.25),
+], ids=["helix", "soliton"])
+def test_continuum_oracle_scales_with_constant_speed(cfg):
+    # measured orders 1.99, 2.00 (helix) and 2.03, 1.99 (soliton); an
+    # oracle that ignores c measures about 0
+    study = convergence_study(cfg, 3)
+    assert study["reference"] == "continuum closed form"
+    orders = [r["order"] for r in study["rows"] if r["order"] is not None]
+    assert all(1.8 <= o <= 2.2 for o in orders), orders
+
+
+def test_parse_initial_types_its_arguments():
+    assert parse_initial("helix:0.5,2.0") == ("helix", (0.5, 2))
+    assert type(parse_initial("helix:0.5,2.0")[1][1]) is int
+    assert parse_initial("coupled-circle") == ("coupled-circle", (1,))
+    assert parse_initial("file:a:b.csv") == ("file", ("a:b.csv",))
+
+
+@pytest.mark.parametrize("initial", [
+    "great-circle:1.5", "helix:0.7853981633974483,2.5", "coupled-circle:1.5"])
+def test_non_integer_wavenumbers_rejected(initial):
+    with pytest.raises(ConfigError, match="integer"):
+        parse_config(HELIX_CFG.replace(
+            "initial = helix:0.7853981633974483,2", f"initial = {initial}"))
+
+
+def test_speed_head_with_space_rejected(tmp_path, capsys):
+    bad = HELIX_CFG.replace("speed = const:1", "speed = const :1")
+    with pytest.raises(ConfigError):
+        parse_config(bad)
+    cfg_path = tmp_path / "bad.bfl"
+    cfg_path.write_text(bad)
+    assert run_cli("converge", "-c", str(cfg_path), "--levels", "3") == 4
+
+
+def test_readme_config_block_builds():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("### Config format", 1)[1]
+    block = re.search(r"^```\n(.*?)^```", section, re.S | re.M).group(1)
+    cfg = parse_config(block)
+    grid = build_grid(cfg)
+    speed = build_speed(cfg, grid)
+    state, _ = build_initial(cfg, grid, speed)
+    spec = build_integrator(cfg)
+    assert state.field.grid == grid
+    assert spec.method == cfg.method
+
+
 def test_initial_from_file(tmp_path):
     rows = np.tile([0.0, 0.0, 2.0], (32, 1))  # normalized on load
     path = tmp_path / "u0.csv"
@@ -210,6 +287,20 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
     cfg_path.write_text("topology = moebius\n")
     assert run_cli("run", "-c", str(cfg_path)) == 4
     assert run_cli("run", "-c", str(tmp_path / "missing.bfl")) == 4
+
+
+@pytest.mark.parametrize("key, selector", [
+    ("initial", "great-circle"), ("initial", "helix:0.7,,2"),
+    ("initial", "helix :0.7,2"), ("initial", "wobble:1"), ("speed", "const:1,")])
+def test_cli_malformed_selector_exit_code(tmp_path, capsys, key, selector):
+    old = {"initial": "initial = helix:0.7853981633974483,2",
+           "speed": "speed = const:1"}[key]
+    cfg_path = tmp_path / "bad.bfl"
+    cfg_path.write_text(HELIX_CFG.replace(old, f"{key} = {selector}"))
+    assert run_cli("run", "-c", str(cfg_path), "-o", str(tmp_path)) == 4
+    assert run_cli("converge", "-c", str(cfg_path), "--levels", "3") == 4
+    assert run_cli("stability", "-c", str(cfg_path), "--eps", "1e-2,1e-3") == 4
+    assert "config error" in capsys.readouterr().err
 
 
 def test_cli_stability_rejects_zero_eps(tmp_path, capsys):
