@@ -89,6 +89,8 @@ def cmd_converge(args) -> int:
     except RuntimeError as exc:
         print(f"divergence during study: {exc}", file=sys.stderr)
         return EXIT_DIVERGED
+    except ValueError as exc:
+        raise ConfigError(str(exc))
     print(f"reference: {study['reference']}  (coefficient sampling: "
           f"{study['offset']})")
     print(f"{'h':>12} {'nodes':>7} {'error':>13} {'order':>7}")
@@ -104,8 +106,6 @@ def cmd_stability(args) -> int:
         eps_list = [float(s) for s in args.eps.split(",") if s.strip()]
     except ValueError:
         raise ConfigError(f"bad eps list {args.eps!r}")
-    if any(e <= 0 for e in eps_list):
-        raise ConfigError("perturbation scales must be positive")
     try:
         sweep = stability_sweep(cfg, eps_list)
     except RuntimeError as exc:

@@ -5,10 +5,9 @@ Methods:
 * ``rotation`` (default) - per-node exact rotations about w_i = -Delta_g u_i,
   composed commutator-free to fourth order (four rotation-rate evaluations,
   two rotations per step). Rotations are isometries, so |u_i| = 1 holds to
-  rounding regardless of dt. In curve mode the tangents are rotated with a
-  midpoint two-stage update, the base node is stepped by the same midpoint
-  rule, and the curve is rebuilt from exactly-unit chords; that update is
-  second order in time.
+  rounding regardless of dt. In curve mode the same composition rotates the
+  chords D+gamma and translates the base node with the same weights, and each
+  step rebuilds the curve from them; fourth order in time in both forms.
 * ``rk4`` - classical Runge-Kutta; fourth order, O(dt^5) local norm drift.
 * ``projected_rk4`` - rk4 followed by renormalization of each u_i (or of
   each chord of gamma).
@@ -23,12 +22,12 @@ on the sphere (at cfl = 1 the energy of a variable-g helix blows up).
 evolve() marches with a fixed step, shortens the last step to land exactly
 on the horizon, and stores a snapshot (state plus the coefficient samples
 used) every ``snapshot_stride`` steps. Between snapshots it steps raw
-arrays: tangents as C-ordered (3, n) rows (node axis last), transposed
-once on entry, curves as (n, 3) values. Every in-kernel |w|^2 is summed as
+arrays: tangents as C-ordered (3, n) rows (node axis last), transposed once
+on entry, curves as (n, 3) values, which a rotation step marches as
+(3, n + 1) rows [chords | base node]. Every in-kernel |w|^2 is summed as
 (x^2 + z^2) + y^2, the order of numpy's einsum on (n, 3) rows, so no byte
-depends on the layout. Fields are built only for stored snapshots.
-A NaN or Inf aborts with the step index; the partial trajectory is kept and
-flagged.
+depends on the layout. Fields are built only for stored snapshots. A NaN or
+Inf aborts with the step index; the partial trajectory is kept and flagged.
 """
 
 from __future__ import annotations
@@ -118,29 +117,23 @@ def _rotate_rows(v: np.ndarray, w: np.ndarray) -> np.ndarray:
     return out
 
 
-def _rotation_rows(omega, t: float, u: np.ndarray, dt: float) -> np.ndarray:
-    # commutator-free fourth-order composition of exact per-node rotations: four
-    # rotation-rate evaluations, two rotations, |u_i| kept to rounding at any dt
+def _rotation_rows(omega, t: float, u: np.ndarray, dt: float, move=_rotate_rows) -> np.ndarray:
+    # commutator-free fourth-order composition of exact per-node rotations (or of
+    # move(u, w)): four rate evaluations, two moves, |u_i| kept to rounding at any dt
     w1 = omega(t, u)
-    stage2 = _rotate_rows(u, 0.5 * dt * w1)
+    stage2 = move(u, 0.5 * dt * w1)
     w2 = omega(t + 0.5 * dt, stage2)
-    w3 = omega(t + 0.5 * dt, _rotate_rows(u, 0.5 * dt * w2))
-    stage4 = _rotate_rows(stage2, dt * w3 - 0.5 * dt * w1)
+    w3 = omega(t + 0.5 * dt, move(u, 0.5 * dt * w2))
+    stage4 = move(stage2, dt * w3 - 0.5 * dt * w1)
     w4 = omega(t + dt, stage4)
     half_a = (dt / 12.0) * (3.0 * w1 + 2.0 * w2 + 2.0 * w3 - w4)
     half_b = (dt / 12.0) * (-w1 + 2.0 * w2 + 2.0 * w3 + 3.0 * w4)
-    return _rotate_rows(_rotate_rows(u, half_a), half_b)
+    return move(move(u, half_a), half_b)
 
 
-def _rotation_curve(chords, rates, rebuild, t: float, gamma: np.ndarray,
-                    dt: float) -> np.ndarray:
-    # midpoint rule: chords rotated, base node translated, curve rebuilt
-    u = chords(gamma)
-    w1, vel1 = rates(t, gamma, u)
-    u_half = rotate(u, 0.5 * dt * w1)
-    gamma_half = rebuild(gamma[0] + 0.5 * dt * vel1[0], u_half)
-    w2, vel2 = rates(t + 0.5 * dt, gamma_half, u_half)
-    return rebuild(gamma[0] + dt * vel2[0], rotate(u, dt * w2))
+def _move_curve(y: np.ndarray, w: np.ndarray) -> np.ndarray:
+    # y = [chords | base node] as (3, n + 1) rows: rotate the chords, translate the base
+    return np.concatenate([_rotate_rows(y[:, :-1], w[:, :-1]), y[:, -1:] + w[:, -1:]], axis=1)
 
 
 def _rebuild_curve(h: float, periodic: bool, base: np.ndarray,
@@ -168,7 +161,7 @@ def _rk4(deriv, project, t: float, y: np.ndarray, dt: float) -> np.ndarray:
 
 def _unit_chords(chords, rebuild, periodic: bool, gamma: np.ndarray) -> np.ndarray:
     # renormalize each chord and rebuild from the base node
-    u_vals = chords(gamma)
+    u_vals = chords(gamma).T
     mags = np.linalg.norm(u_vals, axis=1)
     if not periodic:
         mags[-1] = 1.0  # ghosted last chord carries no information
@@ -210,21 +203,28 @@ def _kernel(state: FlowState, spec: IntegratorSpec) -> Callable:
         project = lambda u: u / np.sqrt(_norm2(u))
     else:
         def chords(gamma):
-            return _dplus(gamma.T, h, periodic, ext).T
+            return _dplus(gamma.T, h, periodic, ext)
 
         def velocity(g, u):
-            # g (u ^ D-u) with u = D+gamma; the chords extend by zero
-            return (g * cross3(u.T, _dminus(u.T, h, periodic, "zero"))).T
+            # g (u ^ D-u) with u = D+gamma as (3, n) rows; the chords extend by zero
+            return g * cross3(u, _dminus(u, h, periodic, "zero"))
 
         rebuild = partial(_rebuild_curve, h, periodic)
         if spec.method == "rotation":
-            def rates(t, gamma, u):
-                # rotation rate -Delta_g u of the chords, velocity of the base node
-                g = coefficient(t, gamma)
-                return -_delta_g(g, u.T, h, periodic, "zero", "node").T, velocity(g, u)
+            curve = lambda y: rebuild(y[:, -1], y[:, :-1].T)
 
-            return partial(_rotation_curve, chords, rates, rebuild)
-        deriv = lambda t, gamma: velocity(coefficient(t, gamma), chords(gamma))
+            def rate(t, y):
+                # rotation rate -Delta_g u of the chords, velocity of the base node
+                u, g = y[:, :-1], coefficient(t, curve(y))
+                return np.concatenate([-_delta_g(g, u, h, periodic, "zero", "node"),
+                                       velocity(g, u)[:, :1]], axis=1)
+
+            def advance(t, gamma, dt):
+                y = np.concatenate([chords(gamma), gamma[:1].T], axis=1)
+                return curve(_rotation_rows(rate, t, y, dt, _move_curve))
+
+            return advance
+        deriv = lambda t, gamma: velocity(coefficient(t, gamma), chords(gamma)).T
         project = partial(_unit_chords, chords, rebuild, periodic)
     return partial(_rk4, deriv, None if spec.method == "rk4" else project)
 

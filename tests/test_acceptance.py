@@ -350,13 +350,13 @@ def test_criterion_10_coupled_flow():
     recon_err = max(float(np.max(np.abs(c.values + shift - d.values)))
                     for c, d in zip(curves.fields, direct.fields))
 
-    # frozen regression bounds: measured 2.6e-4 and 1.7e-5
-    ok = drift <= 1e-8 and discrepancy <= 1e-3 and recon_err <= 1e-4
+    # frozen regression bounds: measured 3.4e-14 and 1.7e-5
+    ok = drift <= 1e-8 and discrepancy <= 1e-10 and recon_err <= 1e-4
     report(10, ok, f"|D+gamma| drift {drift:.2e} <= 1e-8; direct-vs-tangent "
-                   f"discrepancy {discrepancy:.2e} <= 1e-3 (frozen); "
+                   f"discrepancy {discrepancy:.2e} <= 1e-10 (frozen); "
                    f"reconstruction cross-check {recon_err:.2e} <= 1e-4 (frozen)")
     assert drift <= 1e-8
-    assert discrepancy <= 1e-3
+    assert discrepancy <= 1e-10
     assert recon_err <= 1e-4
 
 

@@ -307,9 +307,17 @@ def test_cli_stability_rejects_zero_eps(tmp_path, capsys):
     cfg_path = tmp_path / "helix.bfl"
     cfg_path.write_text(HELIX_CFG.replace("speed = const:1", "speed = sin:2,1,1"))
     assert run_cli("stability", "-c", str(cfg_path), "--eps", "0,1e-3") == 4
+    assert run_cli("stability", "-c", str(cfg_path), "--eps", "1e-3,-1e-4") == 4
     assert run_cli("stability", "-c", str(cfg_path), "--eps", "1e-2,1e-3") == 0
     out = capsys.readouterr().out
     assert "spread" in out
+
+
+def test_cli_converge_rejects_too_few_levels(tmp_path, capsys):
+    cfg_path = tmp_path / "helix.bfl"
+    cfg_path.write_text(HELIX_CFG)
+    assert run_cli("converge", "-c", str(cfg_path), "--levels", "2") == 4
+    assert "config error" in capsys.readouterr().err
 
 
 def test_cli_converge_prints_table(tmp_path, capsys):
