@@ -214,8 +214,10 @@ def _kernel(state: FlowState, spec: IntegratorSpec) -> Callable:
             curve = lambda y: rebuild(y[:, -1], y[:, :-1].T)
 
             def rate(t, y):
-                # rotation rate -Delta_g u of the chords, velocity of the base node
-                u, g = y[:, :-1], coefficient(t, curve(y))
+                # rotation rate -Delta_g u of the chords, velocity of the base node;
+                # only a coupled g reads the curve, so only it pays for the rebuild
+                u = y[:, :-1]
+                g = coefficient(t, curve(y) if speed.flavor == COUPLED else None)
                 return np.concatenate([-_delta_g(g, u, h, periodic, "zero", "node"),
                                        velocity(g, u)[:, :1]], axis=1)
 
@@ -293,11 +295,13 @@ def evolve(state: FlowState, horizon: float, spec: IntegratorSpec) -> EvolveResu
     direction = 1.0 if horizon > state.t else -1.0
     dt = direction * abs(spec.resolve_dt(state))
     result = EvolveResult(mode=state.mode)
+    # a g that reads neither t nor the curve is one Field for every snapshot
+    fixed_g = None if state.speed.time_dependent else g_samples(state)
 
     def record(t: float, f: Field):
         result.times.append(t)
         result.fields.append(f)
-        result.g_samples.append(g_samples(state.advanced(t, f)))
+        result.g_samples.append(g_samples(state.advanced(t, f)) if fixed_g is None else fixed_g)
 
     record(state.t, state.field)
     advance = _kernel(state, spec)

@@ -32,25 +32,32 @@ import numpy as np
 from .dynamics import CURVE, TANGENT, FlowState
 from .integrate import EvolveResult, IntegratorSpec, evolve
 from .lattice import (
+    _RIESZ_RESIDUAL_TOL,
     Field,
     Grid,
+    RieszSolveError,
+    _delta_g,
+    _dminus,
+    _dplus,
+    _riesz_matrix_solve,
     cross,
+    cross3,
     d2,
     d3,
-    delta_g,
     dminus,
     dplus,
     magnitudes,
-    norm_h,
     norm_h1,
-    norm_h1_dual,
     normalized,
-    unit_drift,
     unit_field,
 )
 from .speed import COUPLED, SPACE_TIME, SpeedField
 
 KAPPA_MIN = 1e-8
+
+# snapshots stacked per diagnostics block; 16 keeps the block's arrays near
+# 1 MiB at n = 513
+_BLOCK = 16
 
 
 # --------------------------------------------------------------------------
@@ -93,44 +100,6 @@ def dual_bound_margin(t: float, grad0: float, rhs_dual_now: float,
     return bound - rhs_dual_now
 
 
-def _diagnose_one(result: EvolveResult, speed: SpeedField, t: float,
-                  f: Field, g: Field, grad0: float | None, margins: bool,
-                  oracle) -> DiagnosticsRecord:
-    with np.errstate(over="raise", invalid="raise"):
-        if result.mode == CURVE:
-            u = dplus(f)
-            drift_vals = magnitudes(u)
-            if not f.grid.periodic:
-                drift_vals = drift_vals[:-1]
-            drift = float(np.max(np.abs(drift_vals - 1.0)))
-        else:
-            u = f
-            drift = unit_drift(f)
-        delta = delta_g(g, u)
-        du = cross(u, delta)
-        grad = norm_h(dplus(u))
-        rhs_dual = norm_h1_dual(du)
-        margin_row = {}
-        if margins and result.mode == TANGENT:
-            base = grad if grad0 is None else grad0
-            margin_row["gradient_bound"] = gradient_bound_margin(t, base, grad, speed)
-            margin_row["dual_bound"] = dual_bound_margin(t, base, rhs_dual, speed)
-        err = None
-        if oracle is not None:
-            err = float(np.max(np.abs(f.values - oracle(t))))
-        return DiagnosticsRecord(
-            t=t,
-            unit_drift=drift,
-            energy=energy(u, g),
-            grad_norm=grad,
-            rhs_norm=norm_h(du),
-            rhs_dual_norm=rhs_dual,
-            delta_norm=norm_h(delta),
-            bound_margins=margin_row,
-            oracle_error=err,
-        )
-
-
 def diagnose(result: EvolveResult, speed: SpeedField,
              margins: bool = True, oracle=None) -> list[DiagnosticsRecord]:
     """Diagnostics rows for every stored snapshot.
@@ -139,19 +108,109 @@ def diagnose(result: EvolveResult, speed: SpeedField,
     the sup-norm error against it. Margins are tangent-mode monitors; for
     curve snapshots the tangent u = D+gamma is diagnosed and margins are
     skipped (the coupled bound bookkeeping tracks the energy rate instead).
-    Rows stop at the last computable snapshot when a run diverged.
+
+    Rows stop before the first snapshot whose coefficient samples include a
+    non-positive value or whose diagnostics are not all finite, since the
+    snapshot just before a divergence can overflow. A Riesz residual above
+    tolerance raises RieszSolveError.
     """
     records = []
-    grad0 = None
-    for t, f, g in zip(result.times, result.fields, result.g_samples):
-        try:
-            record = _diagnose_one(result, speed, t, f, g, grad0, margins, oracle)
-        except (ValueError, FloatingPointError):
-            break  # snapshot just before a divergence can overflow; truncate
-        if grad0 is None:
-            grad0 = record.grad_norm
-        records.append(record)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, len(result.times), _BLOCK):
+            times = result.times[start:start + _BLOCK]
+            fields = result.fields[start:start + _BLOCK]
+            rows = _diagnose_block(result.mode, fields, result.g_samples[start:start + _BLOCK])
+            for t, f, (drift, energy_now, grad, rhs, rhs_dual, delta) in zip(times, fields, rows):
+                margin_row = {}
+                if margins and result.mode == TANGENT:
+                    base = records[0].grad_norm if records else grad
+                    margin_row["gradient_bound"] = gradient_bound_margin(t, base, grad, speed)
+                    margin_row["dual_bound"] = dual_bound_margin(t, base, rhs_dual, speed)
+                err = None
+                if oracle is not None:
+                    err = float(np.max(np.abs(f.values - oracle(t))))
+                    if not math.isfinite(err):
+                        return records
+                records.append(DiagnosticsRecord(
+                    t=t, unit_drift=drift, energy=energy_now, grad_norm=grad,
+                    rhs_norm=rhs, rhs_dual_norm=rhs_dual, delta_norm=delta,
+                    bound_margins=margin_row, oracle_error=err))
+            if len(rows) < len(times):
+                break
     return records
+
+
+def _diagnose_block(mode: str, fields, g_fields) -> list[tuple]:
+    """(drift, energy, grad, rhs, rhs_dual, delta) rows for a block of snapshots.
+
+    The block is stacked component-major as (3, B, n), so the lattice's row
+    operators run on it unchanged, and each snapshot is reduced in the order
+    the Field-level norms take on its (n, 3) values; one banded solve serves
+    every dual norm. Rows stop before the first snapshot whose g has a
+    non-positive sample or whose values are not all finite; each residual is
+    checked against its own snapshot's scale.
+    """
+    grid, ext = fields[0].grid, fields[0].extension
+    h, periodic, n = grid.h, grid.periodic, grid.n_nodes
+    g = np.stack([s.values for s in g_fields])
+    u = np.stack([f.values.T for f in fields], axis=1)
+    if mode == CURVE:
+        u, ext = _dplus(u, h, periodic, ext), "zero"
+    mags = np.sqrt(_squares(_rows(u)))
+    if mode == CURVE and not periodic:
+        mags = mags[:, :-1]
+    drift = np.max(np.abs(mags - 1.0), axis=1)
+    energies = h * np.sum(g * _squares(_rows(_dminus(u, h, periodic, ext))), axis=1)
+    delta = _delta_g(g, u, h, periodic, ext, "node")
+    du = cross3(u, delta)
+    du_rows = _rows(du)
+    grad = _root(h * _sums(_rows(_dplus(u, h, periodic, ext)) ** 2))
+    rhs = _root(h * _sums(du_rows * du_rows))
+    delta_rows = _rows(delta)
+    delta_norm = _root(h * _sums(delta_rows * delta_rows))
+    # a non-finite column must not reach the solve: scipy rejects it
+    good = np.all(g > 0.0, axis=1) & np.isfinite(drift + energies + grad + rhs + delta_norm)
+    k = len(fields) if good.all() else int(np.argmin(good))
+    if k == 0:
+        return []
+    du = du[:, :k]
+    w = _riesz_matrix_solve(grid, du.reshape(3 * k, n).T).T.reshape(3, k, n)
+    resid = w - _dplus(_dminus(w, h, periodic, "constant"), h, periodic, "zero") - du
+    worst = np.max(np.abs(resid), axis=(0, 2))
+    scale = np.maximum(1.0, np.max(np.sqrt(_squares(du_rows[:k])), axis=1))
+    rhs_dual = _root(h * _sums(du_rows[:k] * _rows(w)))
+    for i in range(k):
+        if not math.isfinite(worst[i]):
+            k = i
+            break
+        if worst[i] > _RIESZ_RESIDUAL_TOL * scale[i]:
+            raise RieszSolveError(f"residual {worst[i]:.3e} exceeds tolerance")
+        if not math.isfinite(rhs_dual[i]):
+            k = i
+            break
+    columns = (drift[:k], energies[:k], grad[:k], rhs[:k], rhs_dual[:k], delta_norm[:k])
+    return list(zip(*(c.tolist() for c in columns)))
+
+
+def _rows(v: np.ndarray) -> np.ndarray:
+    """(3, B, n) -> C-ordered (B, n, 3): each snapshot laid out as its Field values."""
+    return np.ascontiguousarray(np.moveaxis(v, 0, -1))
+
+
+def _sums(rows: np.ndarray) -> np.ndarray:
+    """np.sum over each snapshot's (n, 3) rows, in the order it takes on one Field."""
+    return np.sum(rows.reshape(len(rows), -1), axis=1)
+
+
+def _squares(rows: np.ndarray) -> np.ndarray:
+    """|v_i|^2 per snapshot and node, (B, n), by magnitudes()' einsum on (n, 3) rows."""
+    flat = rows.reshape(-1, 3)
+    return np.einsum("ij,ij->i", flat, flat).reshape(rows.shape[:2])
+
+
+def _root(x: np.ndarray) -> np.ndarray:
+    """math.sqrt(max(x, 0.0)) elementwise, signed zeros and NaN included."""
+    return np.sqrt(np.where(x < 0.0, 0.0, x))
 
 
 def energy_rate_residual(result: EvolveResult, speed: SpeedField) -> float:

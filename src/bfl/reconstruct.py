@@ -25,10 +25,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import Field, Grid, dminus, magnitudes
+from .lattice import Field, Grid, magnitudes
 
 RECONSTRUCTED = "reconstructed"
 DIRECT = "direct"
+
+# snapshots stacked per block of the Riemann sums
+_BLOCK = 16
 
 
 @dataclass(frozen=True)
@@ -88,15 +91,26 @@ def gamma_integral(u: Field, origin: int | None = None) -> Field:
     for i < origin, and Gamma_origin = 0.
     """
     grid = u.grid
-    i0 = default_origin(grid) if origin is None else origin
-    if not 0 <= i0 < grid.n_nodes:
-        raise ValueError(f"origin node {i0} outside the grid")
+    i0 = _checked_origin(grid, origin)
     vals = u.values if u.is_vector else u.values[:, None]
-    prefix = np.vstack([np.zeros((1, vals.shape[1])), np.cumsum(grid.h * vals, axis=0)])
-    out = prefix[:-1] - prefix[i0]
+    out = _left_sums(grid.h, vals, i0)
     if not u.is_vector:
         out = out[:, 0]
     return Field(grid, out)
+
+
+def _checked_origin(grid: Grid, origin: int | None) -> int:
+    i0 = default_origin(grid) if origin is None else origin
+    if not 0 <= i0 < grid.n_nodes:
+        raise ValueError(f"origin node {i0} outside the grid")
+    return i0
+
+
+def _left_sums(h: float, vals: np.ndarray, i0: int) -> np.ndarray:
+    """gamma_integral on values whose node axis is the second to last (any leading axes)."""
+    prefix = np.cumsum(h * vals, axis=-2)
+    prefix = np.concatenate([np.zeros_like(prefix[..., :1, :]), prefix], axis=-2)
+    return prefix[..., :-1, :] - prefix[..., i0:i0 + 1, :]
 
 
 def basepoint_drift(traj: TangentTrajectory, anchor: int | None = None,
@@ -107,30 +121,38 @@ def basepoint_drift(traj: TangentTrajectory, anchor: int | None = None,
              + trapezoid over the snapshots of g_a (u_a ^ D-u_a).
     """
     grid = traj.grid
-    i0 = default_origin(grid) if origin is None else origin
+    i0 = _checked_origin(grid, origin)
     a = i0 if anchor is None else anchor
     if not 0 <= a < grid.n_nodes:
         raise ValueError(f"anchor node {a} outside the grid")
 
     times = np.asarray(traj.times)
-    u0_vals = traj.fields[0].values
+    fields = traj.fields
 
-    # velocity of the anchor point along the trajectory
-    vel = np.empty((len(times), 3))
-    for k, (f, g) in enumerate(zip(traj.fields, traj.g_samples)):
-        du = dminus(f)
-        vel[k] = g.values[a] * np.cross(f.values[a], du.values[a])
+    # velocity of the anchor point along the trajectory; D- reads the node to
+    # the left, the periodic wrap (a - 1 = -1), or on a window the ghost of
+    # each field's extension
+    u_a = np.array([f.values[a] for f in fields])
+    if a > 0 or grid.periodic:
+        left = np.array([f.values[a - 1] for f in fields])
+    else:
+        left = np.array([f.values[0] if f.extension == "constant" else np.zeros(3)
+                         for f in fields])
+    g_a = np.array([g.values[a] for g in traj.g_samples])
+    vel = g_a[:, None] * np.cross(u_a, (u_a - left) / grid.h)
+
+    # trapezoid, accumulated left to right from zero
+    steps = (0.5 * np.diff(times))[:, None] * (vel[:-1] + vel[1:])
+    temporal = np.cumsum(np.vstack([np.zeros(3), steps]), axis=0)
 
     lo, hi = (i0, a) if i0 <= a else (a, i0)
     sign = 1.0 if i0 <= a else -1.0
-
+    u0_vals = fields[0].values[lo:hi]
     out = np.zeros((len(times), 3))
-    temporal = np.zeros(3)
-    for k in range(1, len(times)):
-        spatial = sign * grid.h * np.sum(u0_vals[lo:hi] - traj.fields[k].values[lo:hi],
-                                         axis=0)
-        temporal = temporal + 0.5 * (times[k] - times[k - 1]) * (vel[k - 1] + vel[k])
-        out[k] = spatial + temporal
+    for start in range(1, len(times), _BLOCK):
+        block = np.stack([f.values[lo:hi] for f in fields[start:start + _BLOCK]])
+        spatial = sign * grid.h * np.sum(u0_vals - block, axis=1)
+        out[start:start + _BLOCK] = spatial + temporal[start:start + _BLOCK]
     return out
 
 
@@ -138,10 +160,12 @@ def reconstruct_curve(traj: TangentTrajectory, anchor: int | None = None,
                       origin: int | None = None) -> CurveTrajectory:
     """gamma(t_k) = gamma_integral(u(t_k)) + c(t_k), origin pinned at zero."""
     drift = basepoint_drift(traj, anchor=anchor, origin=origin)
+    i0 = _checked_origin(traj.grid, origin)
     curves = []
-    for k, f in enumerate(traj.fields):
-        base = gamma_integral(f, origin=origin)
-        curves.append(Field(base.grid, base.values + drift[k]))
+    for start in range(0, len(traj.fields), _BLOCK):
+        block = np.stack([f.values for f in traj.fields[start:start + _BLOCK]])
+        values = _left_sums(traj.grid.h, block, i0) + drift[start:start + _BLOCK, None, :]
+        curves += [Field(traj.grid, v) for v in values]
     return CurveTrajectory(traj.times, tuple(curves), provenance=RECONSTRUCTED)
 
 

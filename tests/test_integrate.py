@@ -287,6 +287,17 @@ def test_snapshot_stride_and_g_samples_recorded():
     assert res.times[1] == pytest.approx(5e-3)
     expected = 2.0 + np.sin(grid.nodes()) * np.cos(res.times[1])
     assert np.allclose(res.g_samples[1].values, expected)
+    # every stored sample is exactly a fresh sample at its snapshot time,
+    # whether g is sampled once (constant, space-only) or at every snapshot
+    for state in (FlowState(0.0, u0, make_constant(1.5)),
+                  FlowState(0.0, u0, speed_from_name("sin:2,1,1")),
+                  FlowState(0.0, u0, speed_from_name("sintime:2,1,1,1")),
+                  FlowState(0.0, oracle_circle_curve(grid), speed_from_name("coupled-tanh:1,0.5"),
+                            mode="curve")):
+        res = evolve(state, 0.02, IntegratorSpec(method="rk4", dt=1e-3, snapshot_stride=5))
+        assert len(res.g_samples) == len(res.times) == 5
+        for t, f, g in zip(res.times, res.fields, res.g_samples):
+            assert np.array_equal(g.values, g_samples(state.advanced(t, f)).values)
 
 
 def test_time_reversal_smoke():

@@ -1,11 +1,23 @@
 import numpy as np
 import pytest
 
+import bfl.probe
 from bfl.config import ExperimentConfig, build_grid, build_initial, build_speed
 from bfl.convergence import convergence_study, stability_sweep
-from bfl.dynamics import FlowState
-from bfl.integrate import IntegratorSpec, evolve
-from bfl.lattice import Field, Grid, norm_h, unit_field
+from bfl.dynamics import CURVE, TANGENT, FlowState, g_samples
+from bfl.integrate import EvolveResult, IntegratorSpec, evolve
+from bfl.lattice import (
+    Field,
+    Grid,
+    RieszSolveError,
+    cross,
+    delta_g,
+    dplus,
+    magnitudes,
+    norm_h,
+    norm_h1_dual,
+    unit_drift,
+)
 from bfl.probe import (
     DiagnosticsRecord,
     oracle_circle_curve,
@@ -25,6 +37,7 @@ from bfl.probe import (
     smooth_bump,
     stability_probe,
 )
+from bfl.report import render_csv
 from bfl.speed import make_constant, speed_from_name
 
 
@@ -108,6 +121,132 @@ def test_diagnose_curve_mode_skips_margins():
     assert recs[-1].bound_margins == {}
     assert recs[0].unit_drift <= 1e-13   # unit chords by construction
     assert recs[-1].unit_drift <= 1e-10
+
+
+# ------------------------------------------------ blocked diagnostics pins
+
+def reference_diagnose_one(result, speed, t, f, g, grad0, margins, oracle):
+    # Field-level diagnostics of one snapshot: the per-snapshot path that the
+    # blocked diagnose() replaced, kept as its byte reference
+    with np.errstate(over="raise", invalid="raise"):
+        if result.mode == CURVE:
+            u = dplus(f)
+            drift_vals = magnitudes(u)
+            if not f.grid.periodic:
+                drift_vals = drift_vals[:-1]
+            drift = float(np.max(np.abs(drift_vals - 1.0)))
+        else:
+            u = f
+            drift = unit_drift(f)
+        delta = delta_g(g, u)
+        du = cross(u, delta)
+        grad = norm_h(dplus(u))
+        rhs_dual = norm_h1_dual(du)
+        margin_row = {}
+        if margins and result.mode == TANGENT:
+            base = grad if grad0 is None else grad0
+            margin_row["gradient_bound"] = gradient_bound_margin(t, base, grad, speed)
+            margin_row["dual_bound"] = dual_bound_margin(t, base, rhs_dual, speed)
+        err = None
+        if oracle is not None:
+            err = float(np.max(np.abs(f.values - oracle(t))))
+        return DiagnosticsRecord(
+            t=t, unit_drift=drift, energy=energy(u, g), grad_norm=grad,
+            rhs_norm=norm_h(du), rhs_dual_norm=rhs_dual, delta_norm=norm_h(delta),
+            bound_margins=margin_row, oracle_error=err)
+
+
+def reference_diagnose(result, speed, margins=True, oracle=None):
+    records = []
+    grad0 = None
+    for t, f, g in zip(result.times, result.fields, result.g_samples):
+        try:
+            record = reference_diagnose_one(result, speed, t, f, g, grad0, margins, oracle)
+        except (ValueError, FloatingPointError):
+            break
+        if grad0 is None:
+            grad0 = record.grad_norm
+        records.append(record)
+    return records
+
+
+def diagnose_case(name):
+    """A 37-snapshot run (two full blocks of 16 and a partial one), its speed and oracle."""
+    if name == "helix":
+        grid = Grid.make_periodic(2 * np.pi, 64)
+        u0, closed_form, _ = oracle_helix(grid, np.pi / 4, 2)
+        speed = speed_from_name("sin:2,1,1")
+        state, spec, horizon = FlowState(0.0, u0, speed), IntegratorSpec(dt=1e-3, snapshot_stride=2), 0.072
+        oracle = closed_form
+    elif name == "soliton":
+        grid = Grid.make_window(-20.0, 256, 40.0 / 256)
+        _, u0 = oracle_soliton_curve(grid, 1.0, 0.5)
+        speed = make_constant(1.0)
+        state, spec, horizon = FlowState(0.0, u0, speed), IntegratorSpec(dt=5e-3), 0.18
+        oracle = None
+    else:
+        grid = Grid.make_periodic(2 * np.pi, 48)
+        speed = speed_from_name("coupled-tanh:1,0.5")
+        state = FlowState(0.0, oracle_circle_curve(grid), speed, mode=CURVE)
+        spec, horizon = IntegratorSpec(method="rk4", dt=2e-3), 0.072
+        oracle = None
+    res = evolve(state, horizon, spec)
+    assert res.status == "ok" and len(res.times) == 37
+    return res, speed, oracle
+
+
+@pytest.mark.parametrize("name", ["helix", "soliton", "curve"])
+def test_diagnose_equals_field_level_reference(name):
+    res, speed, oracle = diagnose_case(name)
+    got = diagnose(res, speed, oracle=oracle)
+    want = reference_diagnose(res, speed, oracle=oracle)
+    assert len(got) == len(want) == 37
+    for g, w in zip(got, want):
+        for key in ("t", "unit_drift", "energy", "grad_norm", "rhs_norm",
+                    "rhs_dual_norm", "delta_norm", "bound_margins", "oracle_error"):
+            assert getattr(g, key) == getattr(w, key), key
+    assert render_csv(got) == render_csv(want)  # signed zeros and reprs too
+
+
+@pytest.mark.parametrize("k", [0, 16, 20])
+def test_diagnose_stops_before_overflowing_snapshot(k):
+    res, speed, _ = diagnose_case("curve")
+    fields = list(res.fields)
+    fields[k] = Field(fields[k].grid, 1e200 * fields[k].values)
+    broken = EvolveResult(res.mode, list(res.times), fields, list(res.g_samples))
+    got = diagnose(broken, speed)
+    assert len(got) == k
+    assert got == reference_diagnose(broken, speed)
+
+
+@pytest.mark.parametrize("k", [0, 16, 20])
+def test_diagnose_stops_before_non_positive_coefficient(k):
+    res, speed, _ = diagnose_case("helix")
+    g = list(res.g_samples)
+    vals = g[k].values.copy()
+    vals[7] = 0.0
+    g[k] = Field(g[k].grid, vals)
+    broken = EvolveResult(res.mode, list(res.times), list(res.fields), g)
+    got = diagnose(broken, speed)
+    assert len(got) == k
+    assert got == reference_diagnose(broken, speed)
+
+
+def test_diagnose_checks_each_riesz_residual_against_its_own_scale(monkeypatch):
+    grid = Grid.make_periodic(2 * np.pi, 32)
+    speed = make_constant(1.0)
+    helix, _, _ = oracle_helix(grid, np.pi / 4, 4)   # |du| about 8: scale 8
+    circle = oracle_great_circle(grid)              # equilibrium: du = 0, scale 1
+    g = g_samples(FlowState(0.0, helix, speed))
+    solve = bfl.probe._riesz_matrix_solve
+    # a constant offset of 3e-10 in w leaves a residual of 3e-10 in every snapshot
+    monkeypatch.setattr(bfl.probe, "_riesz_matrix_solve",
+                        lambda grid, rhs: solve(grid, rhs) + 3e-10)
+    alone = EvolveResult(TANGENT, [0.0], [helix], [g])
+    assert len(diagnose(alone, speed)) == 1        # 3e-10 <= 1e-10 * 8
+    both = EvolveResult(TANGENT, [0.0, 0.1], [helix, circle], [g, g])
+    with pytest.raises(RieszSolveError):
+        diagnose(both, speed)                      # 3e-10 > 1e-10 * 1
 
 
 # ------------------------------------------------------------- energy law

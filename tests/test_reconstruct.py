@@ -3,7 +3,8 @@ import pytest
 
 from bfl.dynamics import FlowState
 from bfl.integrate import IntegratorSpec, evolve
-from bfl.lattice import Field, Grid, unit_field
+from bfl.lattice import Field, Grid, dminus, unit_field
+from bfl.probe import oracle_soliton_curve
 from bfl.reconstruct import (
     CurveTrajectory,
     TangentTrajectory,
@@ -154,6 +155,87 @@ def test_reconstruction_matches_direct_curve_run():
                 for c, d in zip(curves.fields, res.fields))
     # measured 5.4e-5 for this configuration; frozen with headroom
     assert worst <= 2e-4
+
+
+# ------------------------------------------------- blocked reconstruction pins
+
+def reference_basepoint_drift(traj, anchor=None, origin=None):
+    # per-snapshot drift that the blocked basepoint_drift replaced, kept as its
+    # byte reference
+    grid = traj.grid
+    i0 = default_origin(grid) if origin is None else origin
+    a = i0 if anchor is None else anchor
+    times = np.asarray(traj.times)
+    u0_vals = traj.fields[0].values
+    vel = np.empty((len(times), 3))
+    for k, (f, g) in enumerate(zip(traj.fields, traj.g_samples)):
+        du = dminus(f)
+        vel[k] = g.values[a] * np.cross(f.values[a], du.values[a])
+    lo, hi = (i0, a) if i0 <= a else (a, i0)
+    sign = 1.0 if i0 <= a else -1.0
+    out = np.zeros((len(times), 3))
+    temporal = np.zeros(3)
+    for k in range(1, len(times)):
+        spatial = sign * grid.h * np.sum(u0_vals[lo:hi] - traj.fields[k].values[lo:hi],
+                                         axis=0)
+        temporal = temporal + 0.5 * (times[k] - times[k - 1]) * (vel[k - 1] + vel[k])
+        out[k] = spatial + temporal
+    return out
+
+
+def reference_reconstruct_curve(traj, anchor=None, origin=None):
+    i0 = default_origin(traj.grid) if origin is None else origin
+    drift = reference_basepoint_drift(traj, anchor=anchor, origin=origin)
+    curves = []
+    for k, f in enumerate(traj.fields):
+        prefix = np.vstack([np.zeros((1, 3)), np.cumsum(traj.grid.h * f.values, axis=0)])
+        curves.append(prefix[:-1] - prefix[i0] + drift[k])
+    return curves
+
+
+def pinned_trajectory(name):
+    """37 snapshots: two full blocks of 16 and a partial one."""
+    if name == "periodic":
+        grid = Grid.make_periodic(2 * np.pi, 64)
+        x = grid.nodes()
+        u0 = unit_field(grid, np.stack([0.6 * np.cos(2 * x), 0.6 * np.sin(2 * x),
+                                        np.full_like(x, 0.8)], axis=1))
+        state = FlowState(0.0, u0, speed_from_name("sin:2,1,1"))
+        res = evolve(state, 0.072, IntegratorSpec(dt=1e-3, snapshot_stride=2))
+    elif name == "window":
+        grid = Grid.make_window(-20.0, 256, 40.0 / 256)
+        _, u0 = oracle_soliton_curve(grid, 1.0, 0.5)
+        res = evolve(FlowState(0.0, u0, make_constant(1.0)), 0.18, IntegratorSpec(dt=5e-3))
+    else:
+        # chords of a window curve: zero-extended tangents
+        grid = Grid.make_window(-1.0, 23, 0.1)
+        x = grid.nodes()
+        gamma0 = Field(grid, np.stack([x, np.sin(x), np.cos(2 * x)], axis=1))
+        state = FlowState(0.0, gamma0, speed_from_name("sin:2,1,1"), mode="curve")
+        res = evolve(state, 0.036, IntegratorSpec(method="rk4", dt=1e-3))
+    assert res.status == "ok" and len(res.times) == 37
+    return TangentTrajectory.from_result(res)
+
+
+@pytest.mark.parametrize("name, anchor, origin", [
+    ("periodic", 5, 10),     # left of the origin
+    ("periodic", 10, 10),    # at the origin
+    ("periodic", 20, 10),    # right of the origin
+    ("periodic", 0, None),   # D- reads the periodic wrap
+    ("window", None, None),  # middle node
+    ("window", 0, None),     # D- reads the constant-extension ghost
+    ("window", 200, 40),
+    ("chords", 0, None),     # D- reads the zero-extension ghost
+])
+def test_reconstruction_equals_per_snapshot_reference(name, anchor, origin):
+    traj = pinned_trajectory(name)
+    drift = basepoint_drift(traj, anchor=anchor, origin=origin)
+    assert drift.tobytes() == reference_basepoint_drift(traj, anchor, origin).tobytes()
+    curves = reconstruct_curve(traj, anchor=anchor, origin=origin)
+    want = reference_reconstruct_curve(traj, anchor, origin)
+    assert len(curves.fields) == len(want)
+    for c, w in zip(curves.fields, want):
+        assert c.values.tobytes() == w.tobytes()
 
 
 def test_anchor_dispersion_shrinks_under_refinement():
