@@ -14,7 +14,7 @@ One experiment per file. Lines are ``key = value``; blank lines and
               (k an integer; a bare coupled-circle means coupled-circle:1)
     speed = const:<c> | sin:<a>,<b>,<k> | sintime:<a>,<b>,<k>,<w>
             | coupled-tanh:<a>,<b>
-    offset = node | mid          coefficient sampling (default node)
+    offset = node | mid          g sampled at x_i, or at x_i - h/2 (default node)
     method = rotation | rk4 | projected_rk4
     dt = <float>  OR  cfl = <float>    (exactly one)
     T = <float>                  horizon
@@ -189,7 +189,7 @@ def build_speed(cfg: ExperimentConfig, grid: Grid) -> SpeedField:
     if cfg.offset == "mid":
         if speed.flavor == COUPLED:
             raise ConfigError("coupled coefficients sample at nodes only")
-        speed = speed.with_offset(grid.h / 2.0)
+        speed = speed.with_offset(-grid.h / 2.0)
     return speed
 
 

@@ -6,7 +6,8 @@ when the initial data has one (great circle, helix and, on windows, the
 soliton filament, all with a constant coefficient), otherwise against the
 finest level restricted to the coarser grids. With node coefficient
 samples the scheme is first order in h for variable g; with midpoint
-samples it is second order; both orders are what the tables report.
+samples at x_i - h/2, the center of the cell D-u_i differences, it is
+second order; both orders are what the tables report.
 
 Levels and perturbation scales run one after another in the calling
 thread; the stability sweep evolves its unperturbed base run once and

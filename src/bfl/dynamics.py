@@ -74,11 +74,6 @@ def chord_lengths(gamma: Field) -> np.ndarray:
     return mags if gamma.grid.periodic else mags[:-1]
 
 
-def pairing_for(speed: SpeedField, grid: Grid) -> str:
-    """Cell pairing when the samples sit at midpoints, node pairing otherwise."""
-    return "cell" if abs(speed.sampling_offset - grid.h / 2) < 1e-12 * grid.h else "node"
-
-
 def g_samples(state: FlowState) -> Field:
     gamma = state.field if state.mode == CURVE else None
     return sample(state.speed, state.t, state.grid, gamma=gamma)
@@ -89,7 +84,7 @@ def rhs_tangent(state: FlowState, g: Field | None = None) -> Field:
     u = state.field
     if g is None:
         g = g_samples(state)
-    return cross(u, delta_g(g, u, pairing_for(state.speed, state.grid)))
+    return cross(u, delta_g(g, u))
 
 
 def rhs_coupled(state: FlowState, g: Field | None = None) -> Field:
@@ -137,21 +132,18 @@ def tangent_of_coupled_residual(state: FlowState) -> float:
     return float(np.max(np.abs(lifted.values - direct.values))) / scale
 
 
-def warn_if_near_boundary(u0: Field, background: np.ndarray | None = None) -> None:
+def warn_if_near_boundary(u0: Field) -> None:
     """Warn when a window perturbation sits within 10 h of either end.
 
-    ``background`` is the asymptotic node value (defaults to the edge
-    values); nodes differing from it count as perturbed.
+    Nodes that differ from the edge value on their side count as perturbed.
     """
     grid = u0.grid
     if grid.periodic:
         return
     vals = u0.values if u0.is_vector else u0.values[:, None]
-    ref_lo = vals[0] if background is None else background
-    ref_hi = vals[-1] if background is None else background
     k = BOUNDARY_CLEARANCE_NODES
-    lo = np.max(np.abs(vals[:k] - ref_lo))
-    hi = np.max(np.abs(vals[-k:] - ref_hi))
+    lo = np.max(np.abs(vals[:k] - vals[0]))
+    hi = np.max(np.abs(vals[-k:] - vals[-1]))
     tol = 1e-8 * max(1.0, float(np.max(np.abs(vals))))
     if lo > tol or hi > tol:
         warnings.warn(

@@ -180,6 +180,5 @@ def run_identity_suite(seed: int = 0, trials: int = 1000,
     return worst
 
 
-def suite_passes(results: dict[str, float],
-                 threshold: float = IDENTITY_THRESHOLD) -> bool:
-    return all(r <= threshold for r in results.values())
+def suite_passes(results: dict[str, float]) -> bool:
+    return all(r <= IDENTITY_THRESHOLD for r in results.values())

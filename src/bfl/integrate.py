@@ -38,7 +38,7 @@ from typing import Callable
 
 import numpy as np
 
-from .dynamics import TANGENT, FlowState, g_samples, pairing_for
+from .dynamics import TANGENT, FlowState, g_samples
 from .lattice import _NEXT, _PREV, Field, _cross_turned, _delta_g, _dminus, _dplus, _positive, cross3
 from .speed import COUPLED, _sample_at
 
@@ -176,9 +176,11 @@ def _unit_chords(chords, rebuild, periodic: bool, gamma: np.ndarray) -> np.ndarr
 def _kernel(state: FlowState, spec: IntegratorSpec) -> Callable:
     """advance(t, y, dt): one step of the state's flow on raw node values y.
 
-    Resolves once what every step reuses: the ghost policy, the pairing and
-    the coefficient sampler. A time-independent g is sampled once; every
-    sample is bounds-validated and checked positive when it is taken.
+    Resolves once what every step reuses: the ghost policy and the
+    coefficient sampler. Both forms apply D+(g D-.), so g_i weights the cell
+    left of node i; a midpoint offset samples at x_i - h/2. A
+    time-independent g is sampled once; every sample is bounds-validated
+    and checked positive when it is taken.
     """
     grid, speed = state.grid, state.speed
     h, periodic, ext = grid.h, grid.periodic, state.field.extension
@@ -192,10 +194,8 @@ def _kernel(state: FlowState, spec: IntegratorSpec) -> Callable:
         coefficient = lambda t, y: _positive(_sample_at(speed, t, x))
 
     if state.mode == TANGENT:
-        pairing = pairing_for(speed, grid)
-
         def delta(t, u):
-            return _delta_g(coefficient(t, u), u, h, periodic, ext, pairing)
+            return _delta_g(coefficient(t, u), u, h, periodic, ext)
 
         if spec.method == "rotation":
             return partial(_rotation_rows, lambda t, u: -delta(t, u))
@@ -218,7 +218,7 @@ def _kernel(state: FlowState, spec: IntegratorSpec) -> Callable:
                 # only a coupled g reads the curve, so only it pays for the rebuild
                 u = y[:, :-1]
                 g = coefficient(t, curve(y) if speed.flavor == COUPLED else None)
-                return np.concatenate([-_delta_g(g, u, h, periodic, "zero", "node"),
+                return np.concatenate([-_delta_g(g, u, h, periodic, "zero"),
                                        velocity(g, u)[:, :1]], axis=1)
 
             def advance(t, gamma, dt):

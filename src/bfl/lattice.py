@@ -287,27 +287,20 @@ def d3(v: Field) -> Field:
 # inner products and norms
 # --------------------------------------------------------------------------
 
-def _sum(values: np.ndarray, compensated: bool) -> float:
-    if compensated:
-        return math.fsum(values.ravel().tolist())
-    return float(np.sum(values))
-
-
-def inner_h(u: Field, v: Field, compensated: bool = False) -> float:
+def inner_h(u: Field, v: Field) -> float:
     """(u, v)_h = h * sum_i u_i . v_i over the stored nodes."""
     _check_aligned(u, v)
-    return u.grid.h * _sum(u.values * v.values, compensated)
+    return u.grid.h * float(np.sum(u.values * v.values))
 
 
-def norm_h(v: Field, compensated: bool = False) -> float:
+def norm_h(v: Field) -> float:
     """Lattice L2 norm |v|_h."""
-    return math.sqrt(max(inner_h(v, v, compensated), 0.0))
+    return math.sqrt(max(inner_h(v, v), 0.0))
 
 
-def norm_h1(v: Field, compensated: bool = False) -> float:
+def norm_h1(v: Field) -> float:
     """Lattice H1 norm: |v|_h^2 + |D+ v|_h^2 under the root."""
-    return math.sqrt(max(inner_h(v, v, compensated), 0.0)
-                     + max(inner_h(dplus(v), dplus(v), compensated), 0.0))
+    return math.sqrt(max(inner_h(v, v), 0.0) + max(inner_h(dplus(v), dplus(v)), 0.0))
 
 
 def norm_linf(v: Field) -> float:
@@ -319,22 +312,18 @@ def norm_linf(v: Field) -> float:
 # conservative variable-coefficient second difference
 # --------------------------------------------------------------------------
 
-def delta_g(g: Field, v: Field, pairing: str = "node") -> Field:
-    """Conservative second difference with coefficient samples g.
+def delta_g(g: Field, v: Field) -> Field:
+    """Conservative second difference D+(g D-v) with coefficient samples g.
 
-    ``pairing`` fixes which cell a sample weights:
-
-    * ``"node"``  - g_i multiplies D-v_i; the operator is D+(g D-v),
-      identical to D-(tau+ g D+v).
-    * ``"cell"``  - g_i multiplies D+v_i (sample for the cell to the
-      right of node i, e.g. midpoint samples); the operator is D-(g D+v).
+    g_i weights D-v_i, the difference across the cell [x_{i-1}, x_i], so
+    midpoint samples sit at x_i - h/2. The operator equals D-(tau+ g D+v).
     """
     _check_aligned(g, v)
     if g.is_vector:
         raise ValueError("coefficient field must be scalar")
     grid = v.grid
     return Field(grid, _delta_g(_positive(g.values), v.values.T, grid.h, grid.periodic,
-                                v.extension, pairing).T, "zero")
+                                v.extension).T, "zero")
 
 
 def _positive(g: np.ndarray) -> np.ndarray:
@@ -347,15 +336,11 @@ def _positive(g: np.ndarray) -> np.ndarray:
 
 
 def _delta_g(g: np.ndarray, vals: np.ndarray, h: float, periodic: bool,
-             extension: str, pairing: str) -> np.ndarray:
+             extension: str) -> np.ndarray:
     """delta_g on raw node values, node axis last; the inner difference reads
     ghosts by ``extension``, the outer one differences a zero-extended
     product."""
-    if pairing == "node":
-        return _dplus(g * _dminus(vals, h, periodic, extension), h, periodic, "zero")
-    if pairing == "cell":
-        return _dminus(g * _dplus(vals, h, periodic, extension), h, periodic, "zero")
-    raise ValueError(f"unknown pairing {pairing!r}")
+    return _dplus(g * _dminus(vals, h, periodic, extension), h, periodic, "zero")
 
 
 # --------------------------------------------------------------------------

@@ -51,7 +51,7 @@ from .lattice import (
     normalized,
     unit_field,
 )
-from .speed import COUPLED, SPACE_TIME, SpeedField
+from .speed import COUPLED, SPACE_TIME, SpeedField, _sample_at
 
 KAPPA_MIN = 1e-8
 
@@ -161,7 +161,7 @@ def _diagnose_block(mode: str, fields, g_fields) -> list[tuple]:
         mags = mags[:, :-1]
     drift = np.max(np.abs(mags - 1.0), axis=1)
     energies = h * np.sum(g * _squares(_rows(_dminus(u, h, periodic, ext))), axis=1)
-    delta = _delta_g(g, u, h, periodic, ext, "node")
+    delta = _delta_g(g, u, h, periodic, ext)
     du = cross3(u, delta)
     du_rows = _rows(du)
     grad = _root(h * _sums(_rows(_dplus(u, h, periodic, ext)) ** 2))
@@ -235,20 +235,21 @@ def energy_rate_residual(result: EvolveResult, speed: SpeedField) -> float:
         dm = dminus(u)
         sq = np.einsum("ij,ij->i", dm.values, dm.values)
         rate = 0.0
+        # derivatives of g where its samples sit: the offset points, or the
+        # nodes with the curve for a coupled g
+        gamma_vals = f.values if result.mode == CURVE else None
         if speed.flavor in (SPACE_TIME, COUPLED):
-            gamma_vals = f.values if result.mode == CURVE else None
-            gp = speed(t + eps_t, x, gamma_vals)
-            gm = speed(t - eps_t, x, gamma_vals)
-            dgdt = (np.broadcast_to(gp, x.shape) - np.broadcast_to(gm, x.shape)) / (2 * eps_t)
-            rate += grid.h * float(np.sum(dgdt * sq))
+            gp = _sample_at(speed, t + eps_t, x, gamma_vals)
+            gm = _sample_at(speed, t - eps_t, x, gamma_vals)
+            rate += grid.h * float(np.sum((gp - gm) / (2 * eps_t) * sq))
         if speed.flavor == COUPLED and result.mode == CURVE:
             vel = g * cross(u, dminus(u))
             grad_g = np.empty_like(f.values)
             for j in range(3):
                 shift = np.zeros(3)
                 shift[j] = eps_t
-                gp = speed(t, x, f.values + shift)
-                gm = speed(t, x, f.values - shift)
+                gp = _sample_at(speed, t, x, gamma_vals + shift)
+                gm = _sample_at(speed, t, x, gamma_vals - shift)
                 grad_g[:, j] = (gp - gm) / (2 * eps_t)
             rate += grid.h * float(np.sum(
                 np.einsum("ij,ij->i", vel.values, grad_g) * sq))
@@ -285,10 +286,10 @@ class FrenetData:
     stencil_valid: np.ndarray
 
 
-def frenet(gamma: Field, kappa_min: float = KAPPA_MIN) -> FrenetData:
+def frenet(gamma: Field) -> FrenetData:
     """kappa_i = |D2 gamma_i| and tau_i = det(D+g, D2g, D3g)_i / kappa_i^2.
 
-    Torsion entries with kappa below ``kappa_min`` are flagged undefined and
+    Torsion entries with kappa below ``KAPPA_MIN`` are flagged undefined and
     set to zero rather than clamped: torsion has no value at inflections.
     Window nodes whose stencils would read ghost values are zeroed and
     excluded from the masks. Warns when the input is visibly not arc-length
@@ -311,7 +312,7 @@ def frenet(gamma: Field, kappa_min: float = KAPPA_MIN) -> FrenetData:
     third = d3(gamma)
     kappa = np.where(valid, magnitudes(second), 0.0)
     det = np.einsum("ij,ij->i", np.cross(first.values, second.values), third.values)
-    defined = tau_stencil & (kappa >= kappa_min)
+    defined = tau_stencil & (kappa >= KAPPA_MIN)
     tau = np.zeros_like(kappa)
     tau[defined] = det[defined] / kappa[defined] ** 2
     return FrenetData(
@@ -392,10 +393,10 @@ def helix_tangents(x: np.ndarray, alpha: float, k: int, omega: float):
     return closed_form
 
 
-def frenet_curve(grid: Grid, kappa_fn, tau_fn, substeps: int = 10):
+def frenet_curve(grid: Grid, kappa_fn, tau_fn):
     """March the Frenet frame for prescribed curvature and torsion profiles.
 
-    Fourth-order integration of (gamma, T, N, B)' with substep h/substeps,
+    Fourth-order integration of (gamma, T, N, B)' with substep h/10,
     frame re-orthonormalized at every node. Returns the node curve rebuilt
     from unit chords (so |D+gamma| = 1 to rounding) and the matching unit
     tangent field.
@@ -403,8 +404,8 @@ def frenet_curve(grid: Grid, kappa_fn, tau_fn, substeps: int = 10):
     if grid.periodic:
         raise ValueError("Frenet construction runs on window grids")
     n = grid.n_nodes
-    h = grid.h
-    sub = h / substeps
+    substeps = 10
+    sub = grid.h / substeps
 
     def deriv(x, state):
         gamma, t_vec, n_vec, b_vec = state
@@ -446,9 +447,16 @@ def frenet_curve(grid: Grid, kappa_fn, tau_fn, substeps: int = 10):
         state = renormalize(state)
         points[i + 1] = state[0]
 
-    chords = points[1:] - points[:-1]
+    return _unit_chord_curve(grid, np.diff(points, axis=0))
+
+
+def _unit_chord_curve(grid: Grid, chords: np.ndarray, rot: np.ndarray | None = None):
+    """The curve from h times the normalized chords (turned as v @ rot.T), and
+    those unit tangents; |D+gamma| = 1 to rounding."""
     tangents = chords / np.linalg.norm(chords, axis=1)[:, None]
-    curve = np.vstack([np.zeros(3), np.cumsum(h * tangents[:-1], axis=0)])
+    if rot is not None:
+        tangents = tangents @ rot.T
+    curve = np.vstack([np.zeros(3), np.cumsum(grid.h * tangents[:-1], axis=0)])
     return Field(grid, curve), unit_field(grid, tangents)
 
 
@@ -520,27 +528,20 @@ def oracle_soliton_curve(grid: Grid, nu: float, tau0: float):
         raise ValueError(f"window too narrow for nu = {nu:g}: "
                          f"sech(nu*edge) = {edge_sech:.2e}")
     closed_form, rot = hasimoto_soliton(nu, tau0, grid.x0)
-    n, h = grid.n_nodes, grid.h
-    chords = np.diff(closed_form(grid.x0 + h * np.arange(n + 1), 0.0)[0], axis=0)
-    tangents = (chords / np.linalg.norm(chords, axis=1)[:, None]) @ rot.T
-    curve = np.vstack([np.zeros(3), np.cumsum(h * tangents[:-1], axis=0)])
-    return Field(grid, curve), unit_field(grid, tangents)
+    points = closed_form(grid.x0 + grid.h * np.arange(grid.n_nodes + 1), 0.0)[0]
+    return _unit_chord_curve(grid, np.diff(points, axis=0), rot)
 
 
 # --------------------------------------------------------------------------
 # empirical stability probe
 # --------------------------------------------------------------------------
 
-def smooth_bump(grid: Grid, center: float | None = None,
-                width: float | None = None) -> np.ndarray:
-    """Compactly supported smooth bump exp(1 - 1/(1 - s^2)) on |s| < 1."""
+def smooth_bump(grid: Grid) -> np.ndarray:
+    """Smooth bump exp(1 - 1/(1 - s^2)) on |s| < 1, centered on the grid's span
+    with half-width a quarter of it."""
     x = grid.nodes()
     span = grid.length if grid.periodic else grid.h * (grid.n_nodes - 1)
-    if center is None:
-        center = grid.x0 + span / 2.0
-    if width is None:
-        width = span / 4.0
-    s = (x - center) / width
+    s = (x - (grid.x0 + span / 2.0)) / (span / 4.0)
     out = np.zeros_like(x)
     inside = np.abs(s) < 1.0
     out[inside] = np.exp(1.0 - 1.0 / (1.0 - s[inside] ** 2))

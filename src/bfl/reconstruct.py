@@ -25,7 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import Field, Grid, magnitudes
+from .dynamics import chord_lengths
+from .lattice import Field, Grid, dplus
 
 RECONSTRUCTED = "reconstructed"
 DIRECT = "direct"
@@ -61,7 +62,6 @@ class TangentTrajectory:
         """Adopt an EvolveResult; curve-mode results are differenced to tangents."""
         fields = result.fields
         if result.mode == "curve":
-            from .lattice import dplus
             fields = [dplus(f) for f in fields]
         return TangentTrajectory(tuple(result.times), tuple(fields),
                                  tuple(result.g_samples))
@@ -189,11 +189,7 @@ def anchor_dispersion(traj: TangentTrajectory, anchors, origin: int | None = Non
 
 def chord_drift(gamma: Field) -> float:
     """max | |D+gamma_i| - 1 | over the natural chords."""
-    from .lattice import dplus
-    mags = magnitudes(dplus(gamma))
-    if not gamma.grid.periodic:
-        mags = mags[:-1]
-    return float(np.max(np.abs(mags - 1.0)))
+    return float(np.max(np.abs(chord_lengths(gamma) - 1.0)))
 
 
 def tangent_mismatch(gamma: Field, u: Field) -> float:
@@ -202,7 +198,6 @@ def tangent_mismatch(gamma: Field, u: Field) -> float:
     Periodic curves reconstruct over one period; the wrap chord only matches
     u when the tangents sum to zero (a closed curve), so it is excluded.
     """
-    from .lattice import dplus
     diff = np.abs(dplus(gamma).values - u.values)
     if diff.ndim == 1:
         diff = diff[:, None]

@@ -7,11 +7,13 @@ time derivative) and beta_prime (sup of the spatial / curve-gradient first
 derivatives). The bounds feed the a-priori bound monitors; they are
 spot-validated, never inferred.
 
-Sampling offset: 0 samples g at the nodes (first-order accurate inside the
-conservative second difference for variable g); h/2 samples cell midpoints,
-which the dynamics pairs with the difference across that cell for
-second-order accuracy. The coupled flavor never applies an offset, since
-the curve exists only at nodes.
+Sampling offset: sample i sits at x_i + offset and weights D-u_i, the
+difference across the cell [x_{i-1}, x_i], in D+(g D-u). An offset of 0
+samples the nodes (first order for variable g); -h/2 samples that cell's
+midpoint (second order), which is what ``offset = mid`` selects. Every
+reader of the samples (the stepper, diagnostics, the energy law and the
+reconstruction drift) weights them this one way. The coupled flavor never
+applies an offset, since the curve exists only at nodes.
 """
 
 from __future__ import annotations
@@ -122,19 +124,15 @@ class BoundsReport:
 
 
 def validate_bounds(speed: SpeedField, grid: Grid, t_grid=(0.0,),
-                    gamma: Field | None = None,
-                    points_per_cell: int = 10,
-                    derivative_slack: float = 0.05) -> BoundsReport:
+                    gamma: Field | None = None) -> BoundsReport:
     """Dense spot check of alpha <= g <= beta and the derivative bounds.
 
-    Samples ``points_per_cell`` points per cell at every listed time;
-    finite-difference estimates of dg/dt and dg/dx must respect beta1 and
-    beta_prime within ``derivative_slack`` (5% by default). Violations are
-    reported, not raised: the caller decides.
+    Samples 10 points per cell at every listed time; finite-difference
+    estimates of dg/dt and dg/dx must respect beta1 and beta_prime within
+    5%. Violations are reported, not raised: the caller decides.
     """
     n_cells = grid.n_nodes if grid.periodic else grid.n_nodes - 1
-    xs = grid.x0 + np.linspace(0.0, n_cells * grid.h, n_cells * points_per_cell,
-                               endpoint=False)
+    xs = grid.x0 + np.linspace(0.0, n_cells * grid.h, n_cells * 10, endpoint=False)
     gamma_vals = None
     if speed.flavor == COUPLED:
         if gamma is None:
@@ -169,11 +167,11 @@ def validate_bounds(speed: SpeedField, grid: Grid, t_grid=(0.0,),
     dt_margin = None
     dx_margin = None
     if speed.flavor in (SPACE_TIME, COUPLED):
-        dt_margin = speed.beta1 * (1 + derivative_slack) - dt_worst
+        dt_margin = speed.beta1 * 1.05 - dt_worst
         if dt_margin < 0:
             flags.append(f"time-derivative bound exceeded by {-dt_margin:.3g}")
     if speed.flavor in (SPACE_ONLY, SPACE_TIME):
-        dx_margin = speed.beta_prime * (1 + derivative_slack) - dx_worst
+        dx_margin = speed.beta_prime * 1.05 - dx_worst
         if dx_margin < 0:
             flags.append(f"space-derivative bound exceeded by {-dx_margin:.3g}")
     return BoundsReport(ok=not flags, lower_margin=lower, upper_margin=upper,

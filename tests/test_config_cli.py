@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import bfl
 from bfl.cli import main
 from bfl.config import (
     ConfigError,
@@ -83,7 +84,7 @@ def test_offset_mid_moves_samples():
                                                       "offset = mid"))
     grid = build_grid(cfg2)
     speed = build_speed(cfg2, grid)
-    assert speed.sampling_offset == pytest.approx(grid.h / 2)
+    assert speed.sampling_offset == -grid.h / 2  # midpoint of the cell left of each node
 
 
 def test_initial_selectors():
@@ -377,9 +378,13 @@ def test_mid_offset_rejected_for_coupled_speed(tmp_path):
 
 
 def test_console_entry_point():
+    # the child imports bfl from wherever this process did
+    src = str(Path(bfl.__file__).parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
     proc = subprocess.run([sys.executable, "-m", "bfl.cli", "identities",
                            "--trials", "12"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert "pass" in proc.stdout
 

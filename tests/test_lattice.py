@@ -204,13 +204,6 @@ def test_norm_h1_definition():
         np.sqrt(norm_h(v) ** 2 + norm_h(dplus(v)) ** 2), rel=1e-14)
 
 
-def test_compensated_sum_agrees():
-    rng = np.random.default_rng(2)
-    g = periodic(n=64)
-    v = random_vector_field(g, rng)
-    assert inner_h(v, v) == pytest.approx(inner_h(v, v, compensated=True), rel=1e-13)
-
-
 # ---------------------------------------------------------------- dual norm
 
 def test_dual_norm_constant_periodic():
@@ -304,12 +297,14 @@ def test_delta_g_factorizations_agree(make_grid):
 
 
 def test_delta_g_cell_pairing_factorizations_agree():
+    # D-(g D+v) = D+((tau- g) D-v): a sample weighting the cell right of
+    # node i is delta_g's sample for node i + 1
     rng = np.random.default_rng(37)
     g = periodic()
     coeff = Field(g, 0.5 + rng.random(g.n_nodes))
     v = random_vector_field(g, rng)
-    r1 = delta_g(coeff, v, pairing="cell")
-    r2 = dplus(shift_minus(coeff) * dminus(v))
+    r1 = dminus(coeff * dplus(v))
+    r2 = delta_g(shift_minus(coeff), v)
     scale = max(norm_linf(r1), 1.0)
     assert np.max(np.abs(r1.values - r2.values)) <= 1e-14 * scale
 

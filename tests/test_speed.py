@@ -51,12 +51,12 @@ def test_offset_matters_only_for_varying_g():
     g = Grid.make_periodic(2 * np.pi, 16)
     c0 = make_constant(1.0)
     assert np.allclose(sample(c0, 0.0, g).values,
-                       sample(c0.with_offset(g.h / 2), 0.0, g).values)
+                       sample(c0.with_offset(-g.h / 2), 0.0, g).values)
     s = speed_from_name("sin:2,1,1")
     assert not np.allclose(sample(s, 0.0, g).values,
-                           sample(s.with_offset(g.h / 2), 0.0, g).values)
-    assert np.allclose(sample(s.with_offset(g.h / 2), 0.0, g).values,
-                       2.0 + np.sin(g.nodes() + g.h / 2))
+                           sample(s.with_offset(-g.h / 2), 0.0, g).values)
+    assert np.allclose(sample(s.with_offset(-g.h / 2), 0.0, g).values,
+                       2.0 + np.sin(g.nodes() - g.h / 2))
 
 
 def test_sample_determinism():
