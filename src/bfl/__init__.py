@@ -13,8 +13,6 @@ from .dynamics import (
     FlowState,
     form_equivalence_residual,
     rhs,
-    rhs_coupled,
-    rhs_tangent,
 )
 from .identities import IDENTITY_THRESHOLD, run_identity_suite
 from .integrate import DivergenceError, EvolveResult, IntegratorSpec, evolve, step
@@ -103,8 +101,8 @@ __all__ = [
     "normalized", "oracle_circle_curve", "oracle_great_circle",
     "oracle_helix", "oracle_soliton_curve", "parse_config", "peak_location",
     "piecewise_constant", "piecewise_linear", "reconstruct_curve",
-    "resample", "rhs", "rhs_coupled", "rhs_tangent",
-    "riesz_representative", "run_identity_suite", "sample",
+    "resample", "rhs", "riesz_representative", "run_identity_suite",
+    "sample",
     "serialize_config", "shift_minus", "shift_plus", "stability_probe",
     "stability_sweep", "step", "sup_norm_linear", "tangent_mismatch",
     "unit_drift", "unit_field", "validate_bounds",

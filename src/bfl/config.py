@@ -176,9 +176,12 @@ def parse_initial(selector: str) -> tuple[str, tuple]:
 # --------------------------------------------------------------------------
 
 def build_grid(cfg: ExperimentConfig) -> Grid:
-    if cfg.topology == "periodic":
-        return Grid.make_periodic(cfg.length, cfg.nodes)
-    return Grid.make_window(cfg.x0, cfg.intervals, cfg.h)
+    try:
+        if cfg.topology == "periodic":
+            return Grid.make_periodic(cfg.length, cfg.nodes)
+        return Grid.make_window(cfg.x0, cfg.intervals, cfg.h)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def build_speed(cfg: ExperimentConfig, grid: Grid) -> SpeedField:

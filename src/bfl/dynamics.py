@@ -79,25 +79,20 @@ def g_samples(state: FlowState) -> Field:
     return sample(state.speed, state.t, state.grid, gamma=gamma)
 
 
-def rhs_tangent(state: FlowState, g: Field | None = None) -> Field:
-    """u ^ Delta_g u at the state's time; pointwise orthogonal to u."""
-    u = state.field
-    if g is None:
-        g = g_samples(state)
-    return cross(u, delta_g(g, u))
-
-
-def rhs_coupled(state: FlowState, g: Field | None = None) -> Field:
-    """g (D+gamma ^ D2 gamma); the coupled flavor reads g from the curve."""
-    gamma = state.field
-    if g is None:
-        g = g_samples(state)
-    u = dplus(gamma)
-    return g * cross(u, dminus(u))
-
-
 def rhs(state: FlowState, g: Field | None = None) -> Field:
-    return rhs_tangent(state, g) if state.mode == TANGENT else rhs_coupled(state, g)
+    """The state's rate at its time: u ^ D+(g D-u) for a tangent, pointwise
+    orthogonal to u, or g (D+gamma ^ D2 gamma) for a curve.
+
+    ``g`` defaults to the state's coefficient samples; the coupled flavor
+    reads them from the curve.
+    """
+    if g is None:
+        g = g_samples(state)
+    if state.mode == TANGENT:
+        u = state.field
+        return cross(u, delta_g(g, u))
+    u = dplus(state.field)
+    return g * cross(u, dminus(u))
 
 
 def form_equivalence_residual(u: Field, g: Field) -> float:
@@ -125,7 +120,7 @@ def tangent_of_coupled_residual(state: FlowState) -> float:
     if state.mode != CURVE:
         raise ValueError("needs a curve state")
     g = g_samples(state)
-    lifted = dplus(rhs_coupled(state, g))
+    lifted = dplus(rhs(state, g))
     u = dplus(state.field)
     direct = cross(u, delta_g(g, u))
     scale = max(norm_linf(lifted), norm_linf(direct), 1e-300)

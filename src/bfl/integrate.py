@@ -39,7 +39,8 @@ from typing import Callable
 import numpy as np
 
 from .dynamics import TANGENT, FlowState, g_samples
-from .lattice import _NEXT, _PREV, Field, _cross_turned, _delta_g, _dminus, _dplus, _positive, cross3
+from .lattice import (_NEXT, _PREV, Field, _cross_turned, _delta_g, _dminus, _dplus, _norm2,
+                      _positive, cross3)
 from .speed import COUPLED, _sample_at
 
 
@@ -85,12 +86,6 @@ class IntegratorSpec:
 def rotate(vectors: np.ndarray, rotvecs: np.ndarray) -> np.ndarray:
     """Rotate each (n, 3) row by the rotation vector in the same row."""
     return np.ascontiguousarray(_rotate_rows(vectors.T, rotvecs.T).T)
-
-
-def _norm2(v: np.ndarray) -> np.ndarray:
-    # |v|^2 per column of a (3, n) array in einsum's order on (n, 3) rows
-    sq = v * v
-    return (sq[0] + sq[2]) + sq[1]
 
 
 def _rotate_rows(v: np.ndarray, w: np.ndarray) -> np.ndarray:

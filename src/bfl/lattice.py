@@ -108,6 +108,13 @@ def _cross_turned(a_next: np.ndarray, a_prev: np.ndarray, b: np.ndarray) -> np.n
     return a_next * b.take(_PREV, axis=0) - a_prev * b.take(_NEXT, axis=0)
 
 
+def _norm2(v: np.ndarray) -> np.ndarray:
+    """|v|^2 over the component axis 0 of a (3, ...) array, summed as
+    (x^2 + z^2) + y^2: the order of magnitudes()' einsum on (n, 3) rows."""
+    sq = v * v
+    return (sq[0] + sq[2]) + sq[1]
+
+
 @dataclass(frozen=True)
 class Field:
     """Values (3-vectors or scalars) aligned to a grid, one per node."""

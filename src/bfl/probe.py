@@ -29,8 +29,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import CURVE, TANGENT, FlowState
-from .integrate import EvolveResult, IntegratorSpec, evolve
+from .dynamics import CURVE, TANGENT, FlowState, chord_lengths
+from .integrate import EvolveResult, IntegratorSpec, _rk4, evolve
 from .lattice import (
     _RIESZ_RESIDUAL_TOL,
     Field,
@@ -39,6 +39,7 @@ from .lattice import (
     _delta_g,
     _dminus,
     _dplus,
+    _norm2,
     _riesz_matrix_solve,
     cross,
     cross3,
@@ -145,8 +146,10 @@ def _diagnose_block(mode: str, fields, g_fields) -> list[tuple]:
 
     The block is stacked component-major as (3, B, n), so the lattice's row
     operators run on it unchanged, and each snapshot is reduced in the order
-    the Field-level norms take on its (n, 3) values; one banded solve serves
-    every dual norm. Rows stop before the first snapshot whose g has a
+    the Field-level norms take on its (n, 3) values: |v_i|^2 for the drift,
+    the energy and the residual scale by the lattice's row norm, the h-norms
+    by sums over C-ordered (B, n, 3) copies. One banded solve serves every
+    dual norm. Rows stop before the first snapshot whose g has a
     non-positive sample or whose values are not all finite; each residual is
     checked against its own snapshot's scale.
     """
@@ -156,11 +159,11 @@ def _diagnose_block(mode: str, fields, g_fields) -> list[tuple]:
     u = np.stack([f.values.T for f in fields], axis=1)
     if mode == CURVE:
         u, ext = _dplus(u, h, periodic, ext), "zero"
-    mags = np.sqrt(_squares(_rows(u)))
+    mags = np.sqrt(_norm2(u))
     if mode == CURVE and not periodic:
         mags = mags[:, :-1]
     drift = np.max(np.abs(mags - 1.0), axis=1)
-    energies = h * np.sum(g * _squares(_rows(_dminus(u, h, periodic, ext))), axis=1)
+    energies = h * np.sum(g * _norm2(_dminus(u, h, periodic, ext)), axis=1)
     delta = _delta_g(g, u, h, periodic, ext)
     du = cross3(u, delta)
     du_rows = _rows(du)
@@ -177,7 +180,7 @@ def _diagnose_block(mode: str, fields, g_fields) -> list[tuple]:
     w = _riesz_matrix_solve(grid, du.reshape(3 * k, n).T).T.reshape(3, k, n)
     resid = w - _dplus(_dminus(w, h, periodic, "constant"), h, periodic, "zero") - du
     worst = np.max(np.abs(resid), axis=(0, 2))
-    scale = np.maximum(1.0, np.max(np.sqrt(_squares(du_rows[:k])), axis=1))
+    scale = np.maximum(1.0, np.max(np.sqrt(_norm2(du)), axis=1))
     rhs_dual = _root(h * _sums(du_rows[:k] * _rows(w)))
     for i in range(k):
         if not math.isfinite(worst[i]):
@@ -200,12 +203,6 @@ def _rows(v: np.ndarray) -> np.ndarray:
 def _sums(rows: np.ndarray) -> np.ndarray:
     """np.sum over each snapshot's (n, 3) rows, in the order it takes on one Field."""
     return np.sum(rows.reshape(len(rows), -1), axis=1)
-
-
-def _squares(rows: np.ndarray) -> np.ndarray:
-    """|v_i|^2 per snapshot and node, (B, n), by magnitudes()' einsum on (n, 3) rows."""
-    flat = rows.reshape(-1, 3)
-    return np.einsum("ij,ij->i", flat, flat).reshape(rows.shape[:2])
 
 
 def _root(x: np.ndarray) -> np.ndarray:
@@ -295,9 +292,7 @@ def frenet(gamma: Field) -> FrenetData:
     excluded from the masks. Warns when the input is visibly not arc-length
     parametrized.
     """
-    chords = magnitudes(dplus(gamma))
-    probe_chords = chords if gamma.grid.periodic else chords[:-1]
-    if np.max(np.abs(probe_chords - 1.0)) > 1e-3:
+    if np.max(np.abs(chord_lengths(gamma) - 1.0)) > 1e-3:
         warnings.warn("curve is not arc-length parametrized; curvature and "
                       "torsion values will be distorted", stacklevel=2)
     n = gamma.grid.n_nodes
@@ -396,10 +391,10 @@ def helix_tangents(x: np.ndarray, alpha: float, k: int, omega: float):
 def frenet_curve(grid: Grid, kappa_fn, tau_fn):
     """March the Frenet frame for prescribed curvature and torsion profiles.
 
-    Fourth-order integration of (gamma, T, N, B)' with substep h/10,
-    frame re-orthonormalized at every node. Returns the node curve rebuilt
-    from unit chords (so |D+gamma| = 1 to rounding) and the matching unit
-    tangent field.
+    The steppers' classical rk4 on the stacked rows (gamma, T, N, B) with
+    substep h/10, frame re-orthonormalized at every node. Returns the node
+    curve rebuilt from unit chords (so |D+gamma| = 1 to rounding) and the
+    matching unit tangent field.
     """
     if grid.periodic:
         raise ValueError("Frenet construction runs on window grids")
@@ -408,41 +403,28 @@ def frenet_curve(grid: Grid, kappa_fn, tau_fn):
     sub = grid.h / substeps
 
     def deriv(x, state):
-        gamma, t_vec, n_vec, b_vec = state
+        t_vec, n_vec, b_vec = state[1:]
         kap, tor = kappa_fn(x), tau_fn(x)
-        return (t_vec,
-                kap * n_vec,
-                -kap * t_vec + tor * b_vec,
-                -tor * n_vec)
-
-    def rk4(x, state, dx):
-        k1 = deriv(x, state)
-        s2 = tuple(y + 0.5 * dx * k for y, k in zip(state, k1))
-        k2 = deriv(x + 0.5 * dx, s2)
-        s3 = tuple(y + 0.5 * dx * k for y, k in zip(state, k2))
-        k3 = deriv(x + 0.5 * dx, s3)
-        s4 = tuple(y + dx * k for y, k in zip(state, k3))
-        k4 = deriv(x + dx, s4)
-        return tuple(y + (dx / 6.0) * (a + 2 * b + 2 * c + d)
-                     for y, a, b, c, d in zip(state, k1, k2, k3, k4))
+        return np.stack([t_vec,
+                         kap * n_vec,
+                         -kap * t_vec + tor * b_vec,
+                         -tor * n_vec])
 
     def renormalize(state):
-        gamma, t_vec, n_vec, b_vec = state
-        t_vec = t_vec / np.linalg.norm(t_vec)
-        n_vec = n_vec - (n_vec @ t_vec) * t_vec
+        t_vec = state[1] / np.linalg.norm(state[1])
+        n_vec = state[2] - (state[2] @ t_vec) * t_vec
         n_vec = n_vec / np.linalg.norm(n_vec)
-        b_vec = np.cross(t_vec, n_vec)
-        return (gamma, t_vec, n_vec, b_vec)
+        return np.stack([state[0], t_vec, n_vec, np.cross(t_vec, n_vec)])
 
-    state = (np.zeros(3), np.array([1.0, 0.0, 0.0]),
-             np.array([0.0, 1.0, 0.0]), np.array([0.0, 0.0, 1.0]))
+    # rows gamma, T, N, B
+    state = np.vstack([np.zeros(3), np.eye(3)])
     # one extra node so every grid node gets a forward chord
     points = np.empty((n + 1, 3))
     points[0] = state[0]
     x = grid.x0
     for i in range(n):
         for _ in range(substeps):
-            state = rk4(x, state, sub)
+            state = _rk4(deriv, None, x, state, sub)
             x += sub
         state = renormalize(state)
         points[i + 1] = state[0]
@@ -560,15 +542,10 @@ def perturbed_initial_data(u0: Field, eps: float) -> Field:
     return normalized(Field(u0.grid, u0.values + eps * tangent))
 
 
-def stability_probe(u0: Field, eps: float, speed: SpeedField, horizon: float,
-                    spec: IntegratorSpec) -> float:
-    """H1 amplification |u(T) - u~(T)|_H1 / |u0 - u~0|_H1 of a bump of size eps."""
-    return _amplification_ratios(u0, [eps], speed, horizon, spec)[0]
-
-
-def _amplification_ratios(u0: Field, eps_list, speed: SpeedField, horizon: float,
-                          spec: IntegratorSpec) -> list[float]:
-    """stability_probe's ratio for every eps, all measured against one base run."""
+def stability_probe(u0: Field, eps_list, speed: SpeedField, horizon: float,
+                    spec: IntegratorSpec) -> list[float]:
+    """H1 amplification |u(T) - u~(T)|_H1 / |u0 - u~0|_H1 of a bump of size eps,
+    one ratio per eps in eps_list, every one measured against one base run."""
     perturbed = [perturbed_initial_data(u0, eps) for eps in eps_list]
     base = evolve(FlowState(0.0, u0, speed), horizon, spec)
     ratios = []

@@ -43,16 +43,7 @@ def columns_for(records: list[DiagnosticsRecord]) -> list[str]:
 def csv_rows(records: list[DiagnosticsRecord]) -> list[dict]:
     rows = []
     for r in records:
-        row = {
-            "t": r.t,
-            "unit_drift": r.unit_drift,
-            "energy": r.energy,
-            "grad_norm": r.grad_norm,
-            "rhs_norm": r.rhs_norm,
-            "rhs_dual_norm": r.rhs_dual_norm,
-            "delta_norm": r.delta_norm,
-            "oracle_error": r.oracle_error,
-        }
+        row = {c: getattr(r, c) for c in _BASE_COLUMNS + ("oracle_error",)}
         for k, v in r.bound_margins.items():
             row[f"margin_{k}"] = v
         rows.append(row)

@@ -290,6 +290,33 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
     assert run_cli("run", "-c", str(tmp_path / "missing.bfl")) == 4
 
 
+WINDOW_CFG = """\
+topology = window
+x0 = -20.0
+intervals = 128
+h = 0.3125
+initial = soliton:1,0.5
+speed = const:1
+method = rotation
+cfl = 0.25
+T = 0.05
+"""
+
+
+@pytest.mark.parametrize("command", [
+    ("run",), ("converge", "--levels", "3"), ("stability", "--eps", "1e-2,1e-3")],
+    ids=["run", "converge", "stability"])
+@pytest.mark.parametrize("text", [
+    HELIX_CFG.replace("nodes = 32", "nodes = 2"),
+    WINDOW_CFG.replace("h = 0.3125", "h = -0.1")], ids=["nodes-2", "h-negative"])
+def test_cli_invalid_grid_exit_code(tmp_path, capsys, command, text):
+    cfg_path = tmp_path / "bad.bfl"
+    cfg_path.write_text(text)
+    name, *rest = command
+    assert run_cli(name, "-c", str(cfg_path), *rest) == 4
+    assert "config error" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("key, selector", [
     ("initial", "great-circle"), ("initial", "helix:0.7,,2"),
     ("initial", "helix :0.7,2"), ("initial", "wobble:1"), ("speed", "const:1,")])
@@ -319,6 +346,21 @@ def test_cli_converge_rejects_too_few_levels(tmp_path, capsys):
     cfg_path.write_text(HELIX_CFG)
     assert run_cli("converge", "-c", str(cfg_path), "--levels", "2") == 4
     assert "config error" in capsys.readouterr().err
+
+
+def test_cli_converge_refuses_levels_that_differ_at_t0(tmp_path, capsys):
+    # each level's polygon puts its vertices at other angles, so restricted
+    # levels differ at t = 0 by 4.909e-2 and 2.454e-2, as much as at T: the
+    # table would print order 1.000 for the sampling, not the flow
+    cfg = ExperimentConfig(topology="periodic", length=2 * np.pi, nodes=32,
+                           initial="coupled-circle:1", speed="coupled-tanh:1,0.5",
+                           method="rk4", cfl=0.25, horizon=0.5)
+    with pytest.raises(ValueError, match="at t = 0"):
+        convergence_study(cfg, 3)
+    cfg_path = tmp_path / "circle.bfl"
+    cfg_path.write_text(serialize_config(cfg))
+    assert run_cli("converge", "-c", str(cfg_path), "--levels", "3") == 4
+    assert "4.909e-02 at t = 0" in capsys.readouterr().err
 
 
 def test_cli_converge_prints_table(tmp_path, capsys):

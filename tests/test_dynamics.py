@@ -7,12 +7,10 @@ from bfl.dynamics import (
     form_equivalence_residual,
     g_samples,
     rhs,
-    rhs_coupled,
-    rhs_tangent,
     tangent_of_coupled_residual,
     warn_if_near_boundary,
 )
-from bfl.lattice import Field, Grid, delta_g, dot, norm_linf, unit_field
+from bfl.lattice import Field, Grid, cross, delta_g, dminus, dot, dplus, norm_linf, unit_field
 from bfl.speed import make_constant, speed_from_name
 
 
@@ -39,7 +37,7 @@ def test_constant_tangent_is_equilibrium():
     g = Grid.make_window(0.0, 12, 0.3)
     u = unit_field(g, np.tile([0.0, 0.0, 1.0], (g.n_nodes, 1)))
     state = FlowState(0.0, u, make_constant(1.0))
-    assert norm_linf(rhs_tangent(state)) == 0.0
+    assert norm_linf(rhs(state)) == 0.0
 
 
 def test_great_circle_is_equilibrium():
@@ -47,7 +45,7 @@ def test_great_circle_is_equilibrium():
     # rounding of the stencil, a few ulps amplified by 1/h^2
     g = Grid.make_periodic(2 * np.pi, 32)
     state = FlowState(0.0, circle_tangents(g), make_constant(1.0))
-    assert norm_linf(rhs_tangent(state)) <= 1e-13
+    assert norm_linf(rhs(state)) <= 1e-13
 
 
 def test_helix_rhs_closed_form():
@@ -56,7 +54,7 @@ def test_helix_rhs_closed_form():
     alpha, k = np.pi / 4, 2
     u = helix_tangents(g, alpha, k)
     state = FlowState(0.0, u, make_constant(1.0))
-    out = rhs_tangent(state)
+    out = rhs(state)
     omega = np.cos(alpha) * (2 - 2 * np.cos(k * g.h)) / g.h ** 2
     e3 = np.tile([0.0, 0.0, 1.0], (g.n_nodes, 1))
     expected = omega * np.cross(u.values, e3)
@@ -69,7 +67,7 @@ def test_rhs_orthogonal_to_u_and_delta():
     u = random_unit(g, rng)
     speed = speed_from_name("sin:2,1,1")
     state = FlowState(0.0, u, speed)
-    out = rhs_tangent(state)
+    out = rhs(state)
     coeff = g_samples(state)
     delta = delta_g(coeff, u)
     assert np.max(np.abs(dot(out, u).values)) <= 1e-13 * max(1.0, norm_linf(out))
@@ -82,7 +80,7 @@ def test_straight_line_curve_is_static():
     g = Grid.make_window(0.0, 16, 0.25)
     gamma = Field(g, np.outer(g.nodes(), [1.0, 0.0, 0.0]))
     state = FlowState(0.0, gamma, make_constant(1.0), mode="curve")
-    assert norm_linf(rhs_coupled(state)) == 0.0
+    assert norm_linf(rhs(state)) == 0.0
 
 
 def test_unit_circle_translates_along_binormal():
@@ -90,7 +88,7 @@ def test_unit_circle_translates_along_binormal():
     x = g.nodes()
     gamma = Field(g, np.stack([np.cos(x), np.sin(x), np.zeros_like(x)], axis=1))
     state = FlowState(0.0, gamma, make_constant(1.0), mode="curve")
-    out = rhs_coupled(state).values
+    out = rhs(state).values
     # direction e3 at every node; the stencil magnitude is the discrete
     # curvature (2-2cos h)/h^2 times the chord factor sin(h)/h, -> 1 as h -> 0
     speed_mag = (2 - 2 * np.cos(g.h)) / g.h ** 2 * np.sin(g.h) / g.h
@@ -163,6 +161,16 @@ def test_boundary_proximity_warning():
 
 
 def test_rhs_dispatch():
+    # rhs applies the written formula of the state's form, to the byte
     g = Grid.make_periodic(2 * np.pi, 16)
-    state = FlowState(0.0, circle_tangents(g), make_constant(1.0))
-    assert np.array_equal(rhs(state).values, rhs_tangent(state).values)
+    u = circle_tangents(g)
+    state = FlowState(0.0, u, make_constant(1.0))
+    coeff = g_samples(state)
+    assert np.array_equal(rhs(state).values, cross(u, delta_g(coeff, u)).values)
+    x = g.nodes()
+    gamma = Field(g, np.stack([np.cos(x), np.sin(x), 0.3 * np.sin(2 * x)], axis=1))
+    state = FlowState(0.0, gamma, speed_from_name("coupled-tanh:1,0.5"), mode="curve")
+    coeff = g_samples(state)
+    u = dplus(gamma)
+    expected = coeff * cross(u, dminus(u))
+    assert np.array_equal(rhs(state).values, expected.values)

@@ -429,7 +429,7 @@ def test_stability_ratio_near_equilibrium_bounded():
     grid = Grid.make_periodic(2 * np.pi, 64)
     u0 = oracle_great_circle(grid)
     spec = IntegratorSpec(method="rotation", cfl=0.25, snapshot_stride=10 ** 6)
-    ratio = stability_probe(u0, 1e-3, make_constant(1.0), 0.5, spec)
+    ratio, = stability_probe(u0, [1e-3], make_constant(1.0), 0.5, spec)
     # measured 0.902; frozen empirical growth bound for this configuration
     assert ratio <= 1.1
 
@@ -447,7 +447,7 @@ def test_stability_sweep_matches_per_eps_probes():
     speed = build_speed(cfg, grid)
     state, _ = build_initial(cfg, grid, speed)
     spec = IntegratorSpec(method="rk4", cfl=0.25)
-    probes = [stability_probe(state.field, eps, speed, cfg.horizon, spec)
+    probes = [stability_probe(state.field, [eps], speed, cfg.horizon, spec)[0]
               for eps in eps_list]
     assert [row["ratio"] for row in sweep["rows"]] == probes
 
