@@ -12,6 +12,8 @@ compare H1 distances. Linear response means the amplification ratio is
 insensitive to eps.
 """
 
+from dataclasses import replace
+
 import numpy as np
 
 from bfl.config import ExperimentConfig
@@ -38,16 +40,14 @@ variable = ExperimentConfig(topology="periodic", length=TWO_PI, nodes=64,
                             speed="sin:2,1,1", method="rotation", cfl=0.25,
                             horizon=0.3)
 print()
-show(convergence_study(variable, 3, offset="node"),
+show(convergence_study(variable, 3),
      "variable g, node samples (first order)")
 print()
-show(convergence_study(variable, 3, offset="mid"),
+show(convergence_study(replace(variable, offset="mid"), 3),
      "variable g, midpoint samples (second order)")
 
 print("\nstability probe: helix base, g = 2 + sin x, T = 0.5")
-sweep = stability_sweep(variable.__class__(**{**variable.__dict__,
-                                              "horizon": 0.5}),
-                        [1e-2, 1e-3, 1e-4])
+sweep = stability_sweep(replace(variable, horizon=0.5), [1e-2, 1e-3, 1e-4])
 for row in sweep["rows"]:
     print(f"  eps = {row['eps']:7.1e}   H1 amplification {row['ratio']:.4f}")
 print(f"  spread (max-min)/mean: {sweep['spread']:.2%}  "

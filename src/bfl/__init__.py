@@ -27,7 +27,6 @@ from .interp import (
     piecewise_constant,
     piecewise_linear,
     resample,
-    sup_norm_linear,
 )
 from .lattice import (
     AlignmentError,
@@ -37,7 +36,6 @@ from .lattice import (
     RieszSolveError,
     cross,
     d2,
-    d3,
     delta_g,
     dminus,
     dot,
@@ -49,7 +47,6 @@ from .lattice import (
     norm_h1_dual,
     norm_linf,
     normalized,
-    riesz_representative,
     shift_minus,
     shift_plus,
     unit_drift,
@@ -92,7 +89,7 @@ __all__ = [
     "RieszSolveError", "SANDWICH_LOWER", "SANDWICH_UPPER",
     "SOBOLEV_EMBED_CONSTANT", "SpeedField", "TangentTrajectory",
     "anchor_dispersion", "basepoint_drift", "convergence_study", "cross",
-    "d2", "d3", "delta_g", "diagnose", "dminus", "dot", "dplus",
+    "d2", "delta_g", "diagnose", "dminus", "dot", "dplus",
     "dual_bound_margin", "energy", "energy_rate_residual", "evaluate",
     "evolve", "form_equivalence_residual", "frenet", "frenet_curve",
     "gamma_integral", "gradient_bound_margin", "helix_rotation_rate",
@@ -101,9 +98,9 @@ __all__ = [
     "normalized", "oracle_circle_curve", "oracle_great_circle",
     "oracle_helix", "oracle_soliton_curve", "parse_config", "peak_location",
     "piecewise_constant", "piecewise_linear", "reconstruct_curve",
-    "resample", "rhs", "riesz_representative", "run_identity_suite",
+    "resample", "rhs", "run_identity_suite",
     "sample",
     "serialize_config", "shift_minus", "shift_plus", "stability_probe",
-    "stability_sweep", "step", "sup_norm_linear", "tangent_mismatch",
+    "stability_sweep", "step", "tangent_mismatch",
     "unit_drift", "unit_field", "validate_bounds",
 ]

@@ -4,11 +4,11 @@ Subcommands:
 
     bfl identities [--seed S] [--trials N]
     bfl run -c FILE [-o DIR]
-    bfl converge -c FILE --levels K [--offset {node|mid}]
+    bfl converge -c FILE --levels K
     bfl stability -c FILE --eps LIST
 
 Exit codes: 0 pass, 2 numerical divergence, 3 acceptance-threshold failure,
-4 config error.
+4 config or usage error.
 """
 
 from __future__ import annotations
@@ -85,7 +85,7 @@ def cmd_run(args) -> int:
 def cmd_converge(args) -> int:
     cfg = _load_config(args.config)
     try:
-        study = convergence_study(cfg, args.levels, offset=args.offset)
+        study = convergence_study(cfg, args.levels)
     except RuntimeError as exc:
         print(f"divergence during study: {exc}", file=sys.stderr)
         return EXIT_DIVERGED
@@ -140,7 +140,6 @@ def make_parser() -> argparse.ArgumentParser:
     p_conv = sub.add_parser("converge", help="dyadic refinement study")
     p_conv.add_argument("-c", "--config", required=True)
     p_conv.add_argument("--levels", type=int, required=True)
-    p_conv.add_argument("--offset", choices=("node", "mid"), default=None)
     p_conv.set_defaults(fn=cmd_converge)
 
     p_stab = sub.add_parser("stability", help="perturbation amplification sweep")
@@ -153,7 +152,10 @@ def make_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = make_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # argparse exits 0 after --help, 2 on a usage error
+        return EXIT_OK if exc.code == 0 else EXIT_CONFIG
     try:
         return args.fn(args)
     except ConfigError as exc:

@@ -24,12 +24,14 @@ One experiment per file. Lines are ``key = value``; blank lines and
     seed = <int>
 
 A selector head takes no spaces and no argument may be empty; parse_config
-rejects a malformed selector (``bfl`` exits 4). Configs round-trip:
+rejects a malformed selector (``bfl`` exits 4), and any number, in a value
+or a selector argument, that is not finite. Configs round-trip:
 parse(serialize(cfg)) == cfg, with floats written in shortest round-trip form.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -87,6 +89,8 @@ def parse_config(text: str) -> ExperimentConfig:
         try:
             if key in _FLOAT_KEYS:
                 parsed = float(val)
+                if not math.isfinite(parsed):
+                    raise ValueError("not finite")
             elif key in _INT_KEYS:
                 parsed = int(val)
             elif key in _STR_KEYS:

@@ -68,8 +68,7 @@ def _restricted_gap(coarse, fine, grid) -> float:
     return float(np.max(np.abs(coarse.values - resample(fine, grid).values)))
 
 
-def convergence_study(cfg: ExperimentConfig, levels: int,
-                      offset: str | None = None) -> dict:
+def convergence_study(cfg: ExperimentConfig, levels: int) -> dict:
     """Dyadic refinement study; returns the table and the reference kind.
 
     Table rows carry h, the resolution, the final-time sup error and the
@@ -79,20 +78,19 @@ def convergence_study(cfg: ExperimentConfig, levels: int,
     """
     if levels < 3:
         raise ValueError("need at least 3 refinement levels")
-    base = cfg if offset is None else replace(cfg, offset=offset)
-    outcomes = [_run_level(refine(base, 2 ** j)) for j in range(levels)]
+    outcomes = [_run_level(refine(cfg, 2 ** j)) for j in range(levels)]
 
     diverged = [i for i, (_, res) in enumerate(outcomes) if res.status != "ok"]
     if diverged:
         raise RuntimeError(f"level {diverged[0]} diverged")
 
-    oracles = [continuum_oracle(base, grid) for grid, _ in outcomes]
+    oracles = [continuum_oracle(cfg, grid) for grid, _ in outcomes]
     errors = []
     if oracles[0] is not None:
         kind = "continuum closed form"
         for (_, res), oracle in zip(outcomes, oracles):
             errors.append(float(np.max(np.abs(res.final().values
-                                              - oracle(base.horizon)))))
+                                              - oracle(cfg.horizon)))))
     else:
         # consecutive-level differences: a single finest reference biases a
         # p-th order scheme's last measured order to log2((2^p m - ...)), e.g.
@@ -113,7 +111,7 @@ def convergence_study(cfg: ExperimentConfig, levels: int,
         order = None if j == 0 else math.log2(errors[j - 1] / err)
         rows.append({"level": j, "h": grid.h, "n_nodes": grid.n_nodes,
                      "error": err, "order": order})
-    return {"reference": kind, "offset": base.offset, "rows": rows}
+    return {"reference": kind, "offset": cfg.offset, "rows": rows}
 
 
 def stability_sweep(cfg: ExperimentConfig, eps_list) -> dict:

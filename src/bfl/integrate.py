@@ -3,14 +3,16 @@
 Methods:
 
 * ``rotation`` (default) - per-node exact rotations about w_i = -Delta_g u_i,
-  composed commutator-free to fourth order (four rotation-rate evaluations,
-  two rotations per step). Rotations are isometries, so |u_i| = 1 holds to
-  rounding regardless of dt. In curve mode the same composition rotates the
-  chords D+gamma and translates the base node with the same weights, and each
-  step rebuilds the curve from them; fourth order in time in both forms.
+  composed commutator-free to fourth order (four rotation-rate evaluations
+  and five rotations per step: three build the stages, two the update).
+  Rotations are isometries, so |u_i| = 1 holds to rounding regardless of
+  dt. In curve mode the same composition rotates the chords D+gamma and
+  translates the base node with the same weights, and each step rebuilds
+  the curve from them; fourth order in time in both forms.
 * ``rk4`` - classical Runge-Kutta; fourth order, O(dt^5) local norm drift.
 * ``projected_rk4`` - rk4 followed by renormalization of each u_i (or of
-  each chord of gamma).
+  each chord of gamma); a curve must start on unit chords, since the
+  projection would otherwise move it onto them in one step.
 
 Step size comes either fixed or from the stiffness rule dt = c h^2 / beta,
 since the right-hand side has spectral radius of order beta/h^2.
@@ -114,7 +116,7 @@ def _rotate_rows(v: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 def _rotation_rows(omega, t: float, u: np.ndarray, dt: float, move=_rotate_rows) -> np.ndarray:
     # commutator-free fourth-order composition of exact per-node rotations (or of
-    # move(u, w)): four rate evaluations, two moves, |u_i| kept to rounding at any dt
+    # move(u, w)): four rate evaluations, five moves, |u_i| kept to rounding at any dt
     w1 = omega(t, u)
     stage2 = move(u, 0.5 * dt * w1)
     w2 = omega(t + 0.5 * dt, stage2)
@@ -175,7 +177,8 @@ def _kernel(state: FlowState, spec: IntegratorSpec) -> Callable:
     coefficient sampler. Both forms apply D+(g D-.), so g_i weights the cell
     left of node i; a midpoint offset samples at x_i - h/2. A
     time-independent g is sampled once; every sample is bounds-validated
-    and checked positive when it is taken.
+    and checked positive when it is taken. ValueError for projected_rk4 on
+    a curve whose chords are not unit length.
     """
     grid, speed = state.grid, state.speed
     h, periodic, ext = grid.h, grid.periodic, state.field.extension
@@ -205,6 +208,9 @@ def _kernel(state: FlowState, spec: IntegratorSpec) -> Callable:
             return g * cross3(u, _dminus(u, h, periodic, "zero"))
 
         rebuild = partial(_rebuild_curve, h, periodic)
+        if spec.method == "projected_rk4" and state.drift() > 1e-10:
+            raise ValueError(f"projected_rk4 needs unit chords; |D+gamma| is off 1 "
+                             f"by {state.drift():.3e}")
         if spec.method == "rotation":
             curve = lambda y: rebuild(y[:, -1], y[:, :-1].T)
 
@@ -317,7 +323,5 @@ def evolve(state: FlowState, horizon: float, spec: IntegratorSpec) -> EvolveResu
         k += 1
         if k % spec.snapshot_stride == 0 or abs(t - horizon) <= landing:
             record(t, state.field.with_values(values(y)))
-    if result.times[-1] != t:
-        record(t, state.field.with_values(values(y)))
     result.steps_taken = k
     return result

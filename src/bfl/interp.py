@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import AlignmentError, Field, Grid, dplus, norm_h, norm_linf
+from .lattice import AlignmentError, Field, Grid, dplus, norm_h
 
 PIECEWISE_LINEAR = "piecewise-linear"
 PIECEWISE_CONSTANT = "piecewise-constant"
@@ -127,11 +127,6 @@ def interp_gap(v: Field) -> float:
     last difference is zero, so the identity still holds exactly.
     """
     return (v.grid.h / math.sqrt(3.0)) * norm_h(dplus(v))
-
-
-def sup_norm_linear(v: Field) -> float:
-    """Sup norm of the piecewise-linear lift; equals the node max."""
-    return norm_linf(v)
 
 
 def resample(v: Field, coarse: Grid) -> Field:

@@ -70,8 +70,6 @@ class Grid:
 
     @staticmethod
     def make_periodic(length: float, n_nodes: int, x0: float = 0.0) -> "Grid":
-        if n_nodes < 3:
-            raise ValueError("periodic grid needs N >= 3")
         return Grid(h=length / n_nodes, x0=x0, n_nodes=n_nodes,
                     periodic=True, length=length)
 
@@ -285,11 +283,6 @@ def d2(v: Field) -> Field:
     return dplus(dminus(v))
 
 
-def d3(v: Field) -> Field:
-    """Third difference D+ D- D+."""
-    return dplus(dminus(dplus(v)))
-
-
 # --------------------------------------------------------------------------
 # inner products and norms
 # --------------------------------------------------------------------------
@@ -396,30 +389,19 @@ def _riesz_matrix_solve(grid: Grid, rhs: np.ndarray) -> np.ndarray:
     return y - np.outer(z, vy / (1.0 + vz))
 
 
-def riesz_representative(v: Field) -> Field:
-    """w with (I - D+D-) w = v; the H1 representative of v's dual action.
-
-    The representative lives in the test space, whose H1 norm reads window
-    ghosts by constant extension, so w carries that policy regardless of
-    how v extends; only v's window values enter.
-    """
-    rhs = v.values.reshape(v.grid.n_nodes, -1)
-    w = _riesz_matrix_solve(v.grid, rhs).reshape(v.values.shape)
-    wf = Field(v.grid, w, "constant")
-    resid_vals = wf.values - d2(wf).values - v.values
-    scale = max(1.0, norm_linf(v))
-    worst = float(np.max(np.abs(resid_vals)))
-    if worst > _RIESZ_RESIDUAL_TOL * scale:
-        raise RieszSolveError(f"residual {worst:.3e} exceeds tolerance")
-    return wf
-
-
 def norm_h1_dual(v: Field) -> float:
     """Dual norm of the lattice H1 norm (the discrete H^-1 norm).
 
     Computed exactly on the finite grid as sqrt((v, w)_h) with w the Riesz
-    representative; on windows this is the windowed value, no claim is made
-    about the infinite-lattice norm.
+    representative, (I - D+D-) w = v. The representative lives in the test
+    space, whose H1 norm reads window ghosts by constant extension, so w
+    carries that policy regardless of how v extends; only v's window values
+    enter. On windows this is the windowed value, no claim is made about the
+    infinite-lattice norm.
     """
-    w = riesz_representative(v)
+    rhs = v.values.reshape(v.grid.n_nodes, -1)
+    w = Field(v.grid, _riesz_matrix_solve(v.grid, rhs).reshape(v.values.shape), "constant")
+    worst = float(np.max(np.abs(w.values - d2(w).values - v.values)))
+    if worst > _RIESZ_RESIDUAL_TOL * max(1.0, norm_linf(v)):
+        raise RieszSolveError(f"residual {worst:.3e} exceeds tolerance")
     return math.sqrt(max(inner_h(v, w), 0.0))

@@ -44,7 +44,6 @@ from .lattice import (
     cross,
     cross3,
     d2,
-    d3,
     dminus,
     dplus,
     magnitudes,
@@ -52,6 +51,7 @@ from .lattice import (
     normalized,
     unit_field,
 )
+from .reconstruct import gamma_integral
 from .speed import COUPLED, SPACE_TIME, SpeedField, _sample_at
 
 KAPPA_MIN = 1e-8
@@ -228,9 +228,9 @@ def energy_rate_residual(result: EvolveResult, speed: SpeedField) -> float:
     eps_t = 1e-6
     for t, f, g in zip(result.times, result.fields, result.g_samples):
         u = dplus(f) if result.mode == CURVE else f
-        energies.append(energy(u, g))
         dm = dminus(u)
         sq = np.einsum("ij,ij->i", dm.values, dm.values)
+        energies.append(grid.h * float(np.sum(g.values * sq)))  # energy(u, g)
         rate = 0.0
         # derivatives of g where its samples sit: the offset points, or the
         # nodes with the curve for a coupled g
@@ -240,7 +240,7 @@ def energy_rate_residual(result: EvolveResult, speed: SpeedField) -> float:
             gm = _sample_at(speed, t - eps_t, x, gamma_vals)
             rate += grid.h * float(np.sum((gp - gm) / (2 * eps_t) * sq))
         if speed.flavor == COUPLED and result.mode == CURVE:
-            vel = g * cross(u, dminus(u))
+            vel = g * cross(u, dm)
             grad_g = np.empty_like(f.values)
             for j in range(3):
                 shift = np.zeros(3)
@@ -284,7 +284,8 @@ class FrenetData:
 
 
 def frenet(gamma: Field) -> FrenetData:
-    """kappa_i = |D2 gamma_i| and tau_i = det(D+g, D2g, D3g)_i / kappa_i^2.
+    """kappa_i = |D2 gamma_i| and tau_i = det(D+g, D2g, D3g)_i / kappa_i^2,
+    with D2 = D+D- and D3 = D+D-D+.
 
     Torsion entries with kappa below ``KAPPA_MIN`` are flagged undefined and
     set to zero rather than clamped: torsion has no value at inflections.
@@ -304,7 +305,7 @@ def frenet(gamma: Field) -> FrenetData:
         tau_stencil[-2] = False                   # D3 reaches two nodes right
     first = dplus(gamma)
     second = d2(gamma)
-    third = d3(gamma)
+    third = dplus(dminus(first))
     kappa = np.where(valid, magnitudes(second), 0.0)
     det = np.einsum("ij,ij->i", np.cross(first.values, second.values), third.values)
     defined = tau_stencil & (kappa >= KAPPA_MIN)
@@ -354,7 +355,6 @@ def oracle_circle_curve(grid: Grid, k: int = 1) -> Field:
     """
     if not grid.periodic:
         raise ValueError("a closed circle curve needs a periodic grid")
-    from .reconstruct import gamma_integral
     gamma = gamma_integral(oracle_great_circle(grid, k), origin=0)
     centered = gamma.values - gamma.values.mean(axis=0)
     return Field(grid, centered)
@@ -438,8 +438,8 @@ def _unit_chord_curve(grid: Grid, chords: np.ndarray, rot: np.ndarray | None = N
     tangents = chords / np.linalg.norm(chords, axis=1)[:, None]
     if rot is not None:
         tangents = tangents @ rot.T
-    curve = np.vstack([np.zeros(3), np.cumsum(grid.h * tangents[:-1], axis=0)])
-    return Field(grid, curve), unit_field(grid, tangents)
+    u = unit_field(grid, tangents)
+    return gamma_integral(u, origin=0), u
 
 
 def _sech(z):

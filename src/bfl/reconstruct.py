@@ -25,11 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import chord_lengths
 from .lattice import Field, Grid, dplus
-
-RECONSTRUCTED = "reconstructed"
-DIRECT = "direct"
 
 # snapshots stacked per block of the Riemann sums
 _BLOCK = 16
@@ -69,11 +65,10 @@ class TangentTrajectory:
 
 @dataclass(frozen=True)
 class CurveTrajectory:
-    """Ordered curve snapshots with provenance (reconstructed or direct)."""
+    """Ordered curve snapshots."""
 
     times: tuple
     fields: tuple
-    provenance: str = RECONSTRUCTED
 
     def final(self) -> Field:
         return self.fields[-1]
@@ -166,7 +161,7 @@ def reconstruct_curve(traj: TangentTrajectory, anchor: int | None = None,
         block = np.stack([f.values for f in traj.fields[start:start + _BLOCK]])
         values = _left_sums(traj.grid.h, block, i0) + drift[start:start + _BLOCK, None, :]
         curves += [Field(traj.grid, v) for v in values]
-    return CurveTrajectory(traj.times, tuple(curves), provenance=RECONSTRUCTED)
+    return CurveTrajectory(traj.times, tuple(curves))
 
 
 def anchor_dispersion(traj: TangentTrajectory, anchors, origin: int | None = None) -> float:
@@ -185,11 +180,6 @@ def anchor_dispersion(traj: TangentTrajectory, anchors, origin: int | None = Non
         for j in range(i + 1, len(series)):
             worst = max(worst, float(np.max(np.abs(series[i] - series[j]))))
     return worst
-
-
-def chord_drift(gamma: Field) -> float:
-    """max | |D+gamma_i| - 1 | over the natural chords."""
-    return float(np.max(np.abs(chord_lengths(gamma) - 1.0)))
 
 
 def tangent_mismatch(gamma: Field, u: Field) -> float:

@@ -103,7 +103,8 @@ def _sample_at(speed: SpeedField, t: float, x: np.ndarray,
         vals = speed(t, x + speed.sampling_offset)
     vals = np.broadcast_to(np.asarray(vals, dtype=float), x.shape).copy()
     slack = _BOUND_SLACK * max(1.0, abs(speed.beta))
-    if np.any(vals < speed.alpha - slack) or np.any(vals > speed.beta + slack):
+    # written so that a NaN sample fails it
+    if not np.all((speed.alpha - slack <= vals) & (vals <= speed.beta + slack)):
         bad = int(np.argmax(np.maximum(speed.alpha - vals, vals - speed.beta)))
         raise CoefficientBoundError(
             f"sample {vals[bad]:.6g} at node {bad} (x = {x[bad]:.6g}) "
@@ -183,12 +184,15 @@ def validate_bounds(speed: SpeedField, grid: Grid, t_grid=(0.0,),
 # --------------------------------------------------------------------------
 
 def split_selector(spec: str) -> tuple[str, list[float]]:
-    """``head:a,b,...`` -> (head as written, float arguments, none empty)."""
+    """``head:a,b,...`` -> (head as written, finite float arguments, none empty)."""
     head, _, tail = spec.partition(":")
     try:
-        return head, [float(s) for s in tail.split(",")] if tail else []
+        args = [float(s) for s in tail.split(",")] if tail else []
     except ValueError as exc:
         raise ValueError(f"bad arguments in {spec!r}") from exc
+    if not all(np.isfinite(args)):
+        raise ValueError(f"non-finite argument in {spec!r}")
+    return head, args
 
 
 def speed_from_name(spec: str) -> SpeedField:

@@ -319,7 +319,8 @@ def test_cli_invalid_grid_exit_code(tmp_path, capsys, command, text):
 
 @pytest.mark.parametrize("key, selector", [
     ("initial", "great-circle"), ("initial", "helix:0.7,,2"),
-    ("initial", "helix :0.7,2"), ("initial", "wobble:1"), ("speed", "const:1,")])
+    ("initial", "helix :0.7,2"), ("initial", "wobble:1"), ("speed", "const:1,"),
+    ("speed", "const:inf"), ("speed", "sin:2,1,inf"), ("speed", "sintime:2,1,1,nan")])
 def test_cli_malformed_selector_exit_code(tmp_path, capsys, key, selector):
     old = {"initial": "initial = helix:0.7853981633974483,2",
            "speed": "speed = const:1"}[key]
@@ -329,6 +330,32 @@ def test_cli_malformed_selector_exit_code(tmp_path, capsys, key, selector):
     assert run_cli("converge", "-c", str(cfg_path), "--levels", "3") == 4
     assert run_cli("stability", "-c", str(cfg_path), "--eps", "1e-2,1e-3") == 4
     assert "config error" in capsys.readouterr().err
+
+
+def test_cli_non_finite_horizon_exit_code(tmp_path, capsys):
+    # T = inf or nan made the landing tolerance inf or nan: 0 steps, status ok
+    for value in ("inf", "nan"):
+        text = HELIX_CFG.replace("T = 0.05", f"T = {value}")
+        with pytest.raises(ConfigError, match="'T'"):
+            parse_config(text)
+        cfg_path = tmp_path / "bad.bfl"
+        cfg_path.write_text(text)
+        assert run_cli("run", "-c", str(cfg_path), "-o", str(tmp_path)) == 4
+    assert "config error" in capsys.readouterr().err
+
+
+def test_cli_usage_errors_exit_code(tmp_path, capsys):
+    # argparse exits 2 on a usage error, which bfl reserves for divergence
+    cfg_path = tmp_path / "helix.bfl"
+    cfg_path.write_text(HELIX_CFG)
+    assert run_cli("converge", "-c", str(cfg_path)) == 4
+    assert run_cli("converge", "-c", str(cfg_path), "--levels", "3", "--offset", "mid") == 4
+    assert run_cli("run") == 4
+    assert run_cli("transmogrify") == 4
+    capsys.readouterr()
+    assert run_cli("converge", "--help") == 0
+    out = capsys.readouterr().out
+    assert "--levels" in out and "--offset" not in out
 
 
 def test_cli_stability_rejects_zero_eps(tmp_path, capsys):

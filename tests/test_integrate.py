@@ -16,7 +16,7 @@ from bfl.lattice import (
     unit_drift,
     unit_field,
 )
-from bfl.probe import diagnose, oracle_circle_curve
+from bfl.probe import diagnose, oracle_circle_curve, oracle_soliton_curve
 from bfl.speed import make_constant, speed_from_name
 
 
@@ -246,12 +246,17 @@ def test_temporal_orders():
         assert all(3.7 <= o <= 4.3 for o in orders(helix, method)), method
     circle = FlowState(0.0, oracle_circle_curve(Grid.make_periodic(2 * np.pi, 16)),
                        speed, mode="curve")
-    for method in ("rotation", "rk4"):
+    # measured 3.98/3.97 for projected_rk4
+    for method in ("rotation", "rk4", "projected_rk4"):
         assert all(3.7 <= o <= 4.3 for o in orders(circle, method)), method
     # measured 4.07/3.96 (coupled-tanh) and 4.10/4.02 (sin) for rotation
     for name in ("coupled-tanh:1,0.5", "sin:2,1,1"):
         window = FlowState(0.0, window_curve(), speed_from_name(name), mode="curve")
         assert all(3.7 <= o <= 4.3 for o in orders(window, "rotation", 0.125)), name
+    # projected_rk4 needs unit chords, which the soliton has: measured 4.01/3.93
+    soliton, _ = oracle_soliton_curve(Grid.make_window(-20.0, 128, 0.3125), 1.0, 0.5)
+    window = FlowState(0.0, soliton, speed, mode="curve")
+    assert all(3.7 <= o <= 4.3 for o in orders(window, "projected_rk4"))
 
 
 # ------------------------------------------------------------------ evolve
@@ -387,7 +392,24 @@ def test_curve_rotation_stays_on_chords_with_variable_speed():
         assert res.status == "ok"
         return res.final()
 
-    rot = final("rotation", dt)
-    assert np.max(np.abs(chord_lengths(rot) - chord_lengths(gamma0))) <= 1e-10
-    # measured 5.2e-10 against rk4 at dt/16
-    assert np.max(np.abs(rot.values - final("rk4", dt / 16).values)) <= 1e-8
+    ref = final("rk4", dt / 16).values
+    # measured against rk4 at dt/16: 5.2e-10 for rotation, 5.8e-12 for
+    # projected_rk4, whose chord drift is 3.4e-15
+    for method in ("rotation", "projected_rk4"):
+        moved = final(method, dt)
+        assert np.max(np.abs(chord_lengths(moved) - chord_lengths(gamma0))) <= 1e-10, method
+        assert np.max(np.abs(moved.values - ref)) <= 1e-8, method
+
+
+def test_projected_rk4_refuses_curve_off_unit_chords():
+    # renormalizing chords of length 1.43-2.35 moved this curve by 1.10 in
+    # one step, where rotation and rk4 move it by 3.6e-3
+    state = FlowState(0.0, window_curve(), speed_from_name("sin:2,1,1"), mode="curve")
+    dt = 0.125 * state.grid.h ** 2 / state.speed.beta
+    for method in ("rotation", "rk4"):
+        moved = step(state, IntegratorSpec(method=method, dt=dt), dt).field
+        assert np.max(np.abs(moved.values - state.field.values)) <= 1e-2, method
+    with pytest.raises(ValueError, match="unit chords"):
+        step(state, IntegratorSpec(method="projected_rk4", dt=dt), dt)
+    with pytest.raises(ValueError, match="unit chords"):
+        evolve(state, 0.1, IntegratorSpec(method="projected_rk4", dt=dt))

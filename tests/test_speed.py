@@ -45,6 +45,11 @@ def test_sample_rejects_bound_violation():
     bad = SpeedField(SPACE_ONLY, lambda x: 2.0 + np.sin(x), alpha=1.5, beta=3.0)
     with pytest.raises(CoefficientBoundError):
         sample(bad, 0.0, g)
+    # a NaN sample compares false with both bounds and must still be refused
+    nan_at_0 = SpeedField(SPACE_ONLY, lambda x: np.where(x == 0.0, np.nan, 2.0),
+                          alpha=1.0, beta=3.0)
+    with pytest.raises(CoefficientBoundError, match="nan at node 0"):
+        sample(nan_at_0, 0.0, g)
 
 
 def test_offset_matters_only_for_varying_g():
