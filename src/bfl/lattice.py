@@ -70,6 +70,8 @@ class Grid:
 
     @staticmethod
     def make_periodic(length: float, n_nodes: int, x0: float = 0.0) -> "Grid":
+        if n_nodes < 3:
+            raise ValueError("periodic grid needs N >= 3")
         return Grid(h=length / n_nodes, x0=x0, n_nodes=n_nodes,
                     periodic=True, length=length)
 

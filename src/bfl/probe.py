@@ -228,9 +228,9 @@ def energy_rate_residual(result: EvolveResult, speed: SpeedField) -> float:
     eps_t = 1e-6
     for t, f, g in zip(result.times, result.fields, result.g_samples):
         u = dplus(f) if result.mode == CURVE else f
+        energies.append(energy(u, g))
         dm = dminus(u)
         sq = np.einsum("ij,ij->i", dm.values, dm.values)
-        energies.append(grid.h * float(np.sum(g.values * sq)))  # energy(u, g)
         rate = 0.0
         # derivatives of g where its samples sit: the offset points, or the
         # nodes with the curve for a coupled g

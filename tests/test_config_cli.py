@@ -308,7 +308,8 @@ T = 0.05
     ids=["run", "converge", "stability"])
 @pytest.mark.parametrize("text", [
     HELIX_CFG.replace("nodes = 32", "nodes = 2"),
-    WINDOW_CFG.replace("h = 0.3125", "h = -0.1")], ids=["nodes-2", "h-negative"])
+    HELIX_CFG.replace("nodes = 32", "nodes = 0"),
+    WINDOW_CFG.replace("h = 0.3125", "h = -0.1")], ids=["nodes-2", "nodes-0", "h-negative"])
 def test_cli_invalid_grid_exit_code(tmp_path, capsys, command, text):
     cfg_path = tmp_path / "bad.bfl"
     cfg_path.write_text(text)
