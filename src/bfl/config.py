@@ -21,18 +21,24 @@ One experiment per file. Lines are ``key = value``; blank lines and
     snapshot_stride = <int>
     probes = <comma list>        extras: margins, oracle (default margins)
     out = <path>                 output directory (optional)
-    seed = <int>
+    seed = <int>                 recorded in the report; feeds no computation
 
-A selector head takes no spaces and no argument may be empty; parse_config
-rejects a malformed selector (``bfl`` exits 4), and any number, in a value
-or a selector argument, that is not finite. Configs round-trip:
-parse(serialize(cfg)) == cfg, with floats written in shortest round-trip form.
+A selector head takes no spaces and no argument may be empty. parse_config
+raises ConfigError (``bfl`` exits 4) on an unknown or duplicate key, a value
+of the wrong type, any number that is not finite (in a value or a selector
+argument), T <= 0, an unknown probe, and anything the builders refuse:
+validate_config runs build_grid, build_speed and build_integrator and
+parses the initial selector, so each rule is stated once, by its builder.
+Only ``file:`` data is read later, by build_initial. Configs round-trip
+for every key, including one the topology ignores: parse(serialize(cfg))
+== cfg, with floats written in shortest round-trip form. A string value
+holds no ``#`` and no outer spaces, which the parser strips.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -71,7 +77,6 @@ class ExperimentConfig:
 _FLOAT_KEYS = {"length", "x0", "h", "dt", "cfl", "T"}
 _INT_KEYS = {"nodes", "intervals", "snapshot_stride", "seed"}
 _STR_KEYS = {"topology", "initial", "speed", "offset", "method", "out"}
-_KEY_TO_FIELD = {"T": "horizon"}
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -84,7 +89,10 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
         key, _, val = line.partition("=")
         key, val = key.strip(), val.strip()
-        if key in values:
+        if key not in _FLOAT_KEYS | _INT_KEYS | _STR_KEYS | {"probes"}:
+            raise ConfigError(f"line {lineno}: unknown key {key!r}")
+        name = "horizon" if key == "T" else key
+        if name in values:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         try:
             if key in _FLOAT_KEYS:
@@ -95,61 +103,38 @@ def parse_config(text: str) -> ExperimentConfig:
                 parsed = int(val)
             elif key in _STR_KEYS:
                 parsed = val
-            elif key == "probes":
-                parsed = tuple(p.strip() for p in val.split(",") if p.strip())
             else:
-                raise ConfigError(f"line {lineno}: unknown key {key!r}")
+                parsed = tuple(p.strip() for p in val.split(",") if p.strip())
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: bad value for {key!r}: {val!r}") from exc
-        values[_KEY_TO_FIELD.get(key, key)] = parsed
+        values[name] = parsed
     cfg = ExperimentConfig(**values)
     validate_config(cfg)
     return cfg
 
 
 def serialize_config(cfg: ExperimentConfig) -> str:
-    lines = ["topology = " + cfg.topology]
-    if cfg.topology == "periodic":
-        lines += [f"length = {cfg.length!r}", f"nodes = {cfg.nodes}"]
-    else:
-        lines += [f"x0 = {cfg.x0!r}", f"intervals = {cfg.intervals}",
-                  f"h = {cfg.h!r}"]
-    lines += [f"initial = {cfg.initial}", f"speed = {cfg.speed}",
-              f"offset = {cfg.offset}", f"method = {cfg.method}"]
-    if cfg.dt is not None:
-        lines.append(f"dt = {cfg.dt!r}")
-    if cfg.cfl is not None:
-        lines.append(f"cfl = {cfg.cfl!r}")
-    lines += [f"T = {cfg.horizon!r}",
-              f"snapshot_stride = {cfg.snapshot_stride}",
-              "probes = " + ",".join(cfg.probes)]
-    if cfg.out is not None:
-        lines.append(f"out = {cfg.out}")
-    lines.append(f"seed = {cfg.seed}")
+    """Every field that is not None, in declaration order; floats in shortest round-trip form."""
+    lines = []
+    for f in fields(cfg):
+        value = getattr(cfg, f.name)
+        if value is not None:
+            text = ",".join(value) if f.name == "probes" else value
+            lines.append(f"{'T' if f.name == 'horizon' else f.name} = {text}")
     return "\n".join(lines) + "\n"
 
 
 def validate_config(cfg: ExperimentConfig) -> None:
-    if cfg.topology == "periodic":
-        if cfg.length is None or cfg.nodes is None:
-            raise ConfigError("periodic topology needs length and nodes")
-    elif cfg.topology == "window":
-        if cfg.x0 is None or cfg.intervals is None or cfg.h is None:
-            raise ConfigError("window topology needs x0, intervals and h")
-    else:
-        raise ConfigError(f"unknown topology {cfg.topology!r}")
-    if (cfg.dt is None) == (cfg.cfl is None):
-        raise ConfigError("give exactly one of dt or cfl")
-    if cfg.offset not in ("node", "mid"):
-        raise ConfigError(f"unknown offset {cfg.offset!r}")
+    """ConfigError unless the builders accept cfg; the initial data is parsed, not built."""
     if cfg.horizon <= 0:
         raise ConfigError("horizon T must be positive")
     for p in cfg.probes:
         if p not in ("margins", "oracle"):
             raise ConfigError(f"unknown probe {p!r}")
+    build_speed(cfg, build_grid(cfg))
+    build_integrator(cfg)
     try:
         parse_initial(cfg.initial)
-        speed_from_name(cfg.speed)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -179,16 +164,25 @@ def parse_initial(selector: str) -> tuple[str, tuple]:
 # builders
 # --------------------------------------------------------------------------
 
+_GRID_KEYS = {"periodic": ("length", "nodes"), "window": ("x0", "intervals", "h")}
+
+
 def build_grid(cfg: ExperimentConfig) -> Grid:
+    keys = _GRID_KEYS.get(cfg.topology)
+    if keys is None:
+        raise ConfigError(f"unknown topology {cfg.topology!r}")
+    args = [getattr(cfg, k) for k in keys]
+    if None in args:
+        raise ConfigError(f"{cfg.topology} topology needs {', '.join(keys)}")
     try:
-        if cfg.topology == "periodic":
-            return Grid.make_periodic(cfg.length, cfg.nodes)
-        return Grid.make_window(cfg.x0, cfg.intervals, cfg.h)
+        return (Grid.make_periodic if cfg.topology == "periodic" else Grid.make_window)(*args)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
 
 def build_speed(cfg: ExperimentConfig, grid: Grid) -> SpeedField:
+    if cfg.offset not in ("node", "mid"):
+        raise ConfigError(f"unknown offset {cfg.offset!r}")
     try:
         speed = speed_from_name(cfg.speed)
     except ValueError as exc:

@@ -34,6 +34,7 @@ Inf aborts with the step index; the partial trajectory is kept and flagged.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable
@@ -41,8 +42,7 @@ from typing import Callable
 import numpy as np
 
 from .dynamics import TANGENT, FlowState, g_samples
-from .lattice import (_NEXT, _PREV, Field, _cross_turned, _delta_g, _dminus, _dplus, _norm2,
-                      _positive, cross3)
+from .lattice import _NEXT, _PREV, Field, _cross_turned, _delta_g, _dminus, _dplus, _norm2, cross3
 from .speed import COUPLED, _sample_at
 
 
@@ -68,8 +68,8 @@ class IntegratorSpec:
             raise ValueError(f"unknown method {self.method!r}")
         if (self.dt is None) == (self.cfl is None):
             raise ValueError("give exactly one of dt or cfl")
-        if self.dt is not None and not self.dt > 0:
-            raise ValueError("dt must be positive")
+        if self.dt is not None and not 0 < self.dt < math.inf:
+            raise ValueError("dt must be positive and finite")
         if self.cfl is not None and not 0 < self.cfl <= 4:
             raise ValueError("cfl safety factor out of range")
         if self.snapshot_stride < 1:
@@ -176,20 +176,19 @@ def _kernel(state: FlowState, spec: IntegratorSpec) -> Callable:
     Resolves once what every step reuses: the ghost policy and the
     coefficient sampler. Both forms apply D+(g D-.), so g_i weights the cell
     left of node i; a midpoint offset samples at x_i - h/2. A
-    time-independent g is sampled once; every sample is bounds-validated
-    and checked positive when it is taken. ValueError for projected_rk4 on
-    a curve whose chords are not unit length.
+    time-independent g is sampled once; _sample_at checks every sample
+    positive and within the declared bounds when it is taken, and reads y
+    only for a coupled g. ValueError for projected_rk4 on a curve whose
+    chords are not unit length.
     """
     grid, speed = state.grid, state.speed
     h, periodic, ext = grid.h, grid.periodic, state.field.extension
     x = grid.nodes()
-    if not speed.time_dependent:
-        g_fixed = _positive(_sample_at(speed, state.t, x))
-        coefficient = lambda t, y: g_fixed
-    elif speed.flavor == COUPLED:
-        coefficient = lambda t, y: _positive(_sample_at(speed, t, x, y))
+    if speed.time_dependent:
+        coefficient = lambda t, y: _sample_at(speed, t, x, y)
     else:
-        coefficient = lambda t, y: _positive(_sample_at(speed, t, x))
+        g_fixed = _sample_at(speed, state.t, x)
+        coefficient = lambda t, y: g_fixed
 
     if state.mode == TANGENT:
         def delta(t, u):
@@ -289,8 +288,11 @@ def evolve(state: FlowState, horizon: float, spec: IntegratorSpec) -> EvolveResu
 
     The last step is shortened to land exactly on the horizon. Marching
     backwards (horizon < t) flips the sign of the step. Divergence aborts
-    with a partial trajectory flagged "diverged".
+    with a partial trajectory flagged "diverged". ValueError for a
+    non-finite horizon or one equal to state.t.
     """
+    if not math.isfinite(horizon):
+        raise ValueError(f"horizon must be finite, got {horizon}")
     if horizon == state.t:
         raise ValueError("horizon coincides with the initial time")
     direction = 1.0 if horizon > state.t else -1.0

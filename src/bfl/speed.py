@@ -83,7 +83,7 @@ def make_constant(c: float, name: str = "") -> SpeedField:
 
 
 def sample(speed: SpeedField, t: float, grid: Grid, gamma: Field | None = None) -> Field:
-    """Sample g onto the grid at time t; validates every value in [alpha, beta].
+    """Sample g onto the grid at time t; every value must be positive and in [alpha, beta].
 
     Non-coupled flavors sample at x_i + sampling_offset. The coupled flavor
     requires gamma and samples at the nodes with the curve values.
@@ -103,8 +103,8 @@ def _sample_at(speed: SpeedField, t: float, x: np.ndarray,
         vals = speed(t, x + speed.sampling_offset)
     vals = np.broadcast_to(np.asarray(vals, dtype=float), x.shape).copy()
     slack = _BOUND_SLACK * max(1.0, abs(speed.beta))
-    # written so that a NaN sample fails it
-    if not np.all((speed.alpha - slack <= vals) & (vals <= speed.beta + slack)):
+    # written so that a NaN sample fails it; the slack never admits g <= 0
+    if not np.all((0.0 < vals) & (speed.alpha - slack <= vals) & (vals <= speed.beta + slack)):
         bad = int(np.argmax(np.maximum(speed.alpha - vals, vals - speed.beta)))
         raise CoefficientBoundError(
             f"sample {vals[bad]:.6g} at node {bad} (x = {x[bad]:.6g}) "

@@ -49,20 +49,71 @@ def test_config_round_trip():
     assert parse_config(serialize_config(cfg)) == cfg
     assert cfg.horizon == 0.05
     assert cfg.probes == ("margins", "oracle")
+    # x0 means nothing on a periodic grid, but the config still carries it
+    cfg = parse_config(HELIX_CFG + "x0 = 1.5\n")
+    assert cfg.x0 == 1.5
+    assert parse_config(serialize_config(cfg)) == cfg
+    full = ExperimentConfig(length=1.25, nodes=8, x0=-0.1, intervals=16, h=0.3,
+                            initial="great-circle:2", speed="sin:2,1,1", offset="mid",
+                            method="rk4", dt=1e-3, horizon=0.3, snapshot_stride=4,
+                            probes=("oracle",), out="results", seed=11)
+    assert parse_config(serialize_config(full)) == full
 
 
 def test_config_errors():
-    with pytest.raises(ConfigError):
-        parse_config("topology = periodic\nnodes = 8\n")  # missing length
-    with pytest.raises(ConfigError):
-        parse_config(HELIX_CFG + "dt = 0.1\n")  # both dt and cfl
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="periodic topology needs length, nodes"):
+        parse_config("topology = periodic\nnodes = 8\n")
+    for missing in ("x0", "intervals", "h"):
+        text = "".join(line + "\n" for line in WINDOW_CFG.splitlines()
+                       if not line.startswith(missing + " "))
+        with pytest.raises(ConfigError, match="window topology needs x0, intervals, h"):
+            parse_config(text)
+    with pytest.raises(ConfigError, match="exactly one of dt or cfl"):
+        parse_config(HELIX_CFG + "dt = 0.1\n")
+    with pytest.raises(ConfigError, match="line 8: unknown key 'wibble'"):
         parse_config(HELIX_CFG.replace("cfl = 0.25", "wibble = 3"))
-    with pytest.raises(ConfigError):
-        parse_config(HELIX_CFG + "nodes = 9\n")  # duplicate key
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="line 1: unknown key 'frob'"):
+        parse_config("frob = 1\n")
+    with pytest.raises(ConfigError, match="line 13: duplicate key 'nodes'"):
+        parse_config(HELIX_CFG + "nodes = 9\n")
+    # T is stored as the horizon field, and a second T must not overwrite it
+    with pytest.raises(ConfigError, match="line 13: duplicate key 'T'"):
+        parse_config(HELIX_CFG + "T = 1.0\n")
+    with pytest.raises(ConfigError, match="unknown probe 'plots'"):
         parse_config(HELIX_CFG.replace("probes = margins,oracle",
                                        "probes = plots"))
+
+
+@pytest.mark.parametrize("old, new, message", [
+    ("method = rotation", "method = euler", "unknown method 'euler'"),
+    ("cfl = 0.25", "cfl = 5", "cfl safety factor out of range"),
+    ("cfl = 0.25", "dt = 0", "dt must be positive"),
+    ("snapshot_stride = 5", "snapshot_stride = 0", "snapshot_stride must be >= 1"),
+    ("nodes = 32", "nodes = 2", "N >= 3"),
+    ("T = 0.05", "T = 0", "horizon T must be positive"),
+    ("T = 0.05", "T = -1", "horizon T must be positive"),
+    ("seed = 3", "offset = left", "unknown offset 'left'"),
+    ("speed = const:1", "speed = coupled-tanh:1,0.5\noffset = mid",
+     "coupled coefficients sample at nodes only"),
+], ids=["method", "cfl", "dt", "stride", "nodes", "T-zero", "T-negative", "offset",
+        "coupled-mid"])
+def test_builder_rules_apply_at_parse_time(old, new, message):
+    with pytest.raises(ConfigError, match=message):
+        parse_config(HELIX_CFG.replace(old, new))
+
+
+@pytest.mark.parametrize("rows, message", [
+    (np.ones((32, 2)), "expected rows of ux,uy,uz"),
+    (np.vstack([np.zeros((1, 3)), np.ones((31, 3))]), "zero tangent row"),
+], ids=["two-columns", "zero-row"])
+def test_initial_file_rejects_bad_rows(tmp_path, rows, message):
+    path = tmp_path / "u0.csv"
+    np.savetxt(path, rows, delimiter=",")
+    cfg = parse_config(HELIX_CFG.replace("initial = helix:0.7853981633974483,2",
+                                         f"initial = file:{path}"))
+    grid = build_grid(cfg)
+    with pytest.raises(ConfigError, match=message):
+        build_initial(cfg, grid, build_speed(cfg, grid))
 
 
 def test_builders_produce_runnable_state():
@@ -281,6 +332,20 @@ def test_cli_run_divergence_exit_code(tmp_path, capsys):
     cfg_path = tmp_path / "bad.bfl"
     cfg_path.write_text(bad)
     assert run_cli("run", "-c", str(cfg_path), "-o", str(tmp_path)) == 2
+    capsys.readouterr()
+    assert run_cli("converge", "-c", str(cfg_path), "--levels", "3") == 2
+    assert "divergence during study" in capsys.readouterr().err
+    assert run_cli("stability", "-c", str(cfg_path), "--eps", "1e-2,1e-3") == 2
+    assert "divergence during sweep" in capsys.readouterr().err
+
+
+def test_cli_identities_threshold_exit_code(monkeypatch, capsys):
+    monkeypatch.setattr("bfl.cli.run_identity_suite",
+                        lambda seed, trials: {"integration_by_parts": 1e-3})
+    assert run_cli("identities", "--trials", "1") == 3
+    captured = capsys.readouterr()
+    assert "FAIL" in captured.out
+    assert "exceeded" in captured.err
 
 
 def test_cli_config_error_exit_code(tmp_path, capsys):
@@ -457,6 +522,13 @@ def test_console_entry_point():
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert "pass" in proc.stdout
+
+
+def test_public_names_resolve_without_duplicates():
+    names = bfl.__all__
+    assert len(set(names)) == len(names)
+    assert all(hasattr(bfl, name) for name in names)
+    assert len(names) <= 75
 
 
 def test_identity_suite_determinism():

@@ -7,6 +7,7 @@ from bfl.config import ExperimentConfig, build_speed
 from bfl.dynamics import FlowState, chord_lengths, g_samples, rhs
 from bfl.integrate import IntegratorSpec, evolve, rotate, step
 from bfl.lattice import (
+    CoefficientBoundError,
     Field,
     Grid,
     delta_g,
@@ -17,7 +18,7 @@ from bfl.lattice import (
     unit_field,
 )
 from bfl.probe import diagnose, oracle_circle_curve, oracle_soliton_curve
-from bfl.speed import make_constant, speed_from_name
+from bfl.speed import SPACE_ONLY, SPACE_TIME, SpeedField, make_constant, speed_from_name
 
 
 def helix_setup(n=64, alpha=np.pi / 4, k=2, l=2 * np.pi):
@@ -60,6 +61,10 @@ def test_spec_validation():
         IntegratorSpec()
     with pytest.raises(ValueError):
         IntegratorSpec(dt=0.1, snapshot_stride=0)
+    # an infinite step would cross any horizon in one step and report ok
+    for dt in (math.inf, math.nan, 0.0, -0.1):
+        with pytest.raises(ValueError, match="dt must be positive and finite"):
+            IntegratorSpec(dt=dt)
 
 
 def test_cfl_step_resolution():
@@ -280,6 +285,30 @@ def test_evolve_lands_exactly_on_horizon():
     res = evolve(state, 0.05, IntegratorSpec(method="rotation", dt=0.004, snapshot_stride=3))
     assert res.times[-1] == pytest.approx(0.05, abs=1e-15)
     assert res.steps_taken == 13  # 12 full steps + a shortened one
+
+
+@pytest.mark.parametrize("horizon", [math.inf, -math.inf, math.nan])
+def test_evolve_rejects_non_finite_horizon(horizon):
+    # the landing tolerance scales with |horizon|: inf or nan would end the
+    # march after 0 steps with status ok
+    state = circle_state(n=16)
+    with pytest.raises(ValueError, match="horizon must be finite"):
+        evolve(state, horizon, IntegratorSpec(cfl=0.25))
+
+
+def test_evolve_refuses_zero_coefficient_inside_the_bound_slack():
+    # alpha = 1e-12 lies inside the 1e-9 bound slack, so only the positivity
+    # test in the sampler refuses g = 0
+    grid, u0, _, _ = helix_setup(n=16)
+    fixed = SpeedField(SPACE_ONLY, lambda x: np.where(x == 0.0, 0.0, 1.0),
+                       alpha=1e-12, beta=1.0)
+    with pytest.raises(CoefficientBoundError, match="at node 0"):
+        evolve(FlowState(0.0, u0, fixed), 0.01, IntegratorSpec(cfl=0.25))
+    vanishing = SpeedField(SPACE_TIME, lambda t, x: np.full_like(x, float(t < 0.004)),
+                           alpha=1e-12, beta=1.0)
+    for method in ("rotation", "rk4", "projected_rk4"):
+        res = evolve(FlowState(0.0, u0, vanishing), 0.01, IntegratorSpec(method=method, cfl=0.25))
+        assert res.status == "diverged" and res.failed_step == 1
 
 
 def test_snapshot_stride_and_g_samples_recorded():

@@ -50,6 +50,11 @@ def test_sample_rejects_bound_violation():
                           alpha=1.0, beta=3.0)
     with pytest.raises(CoefficientBoundError, match="nan at node 0"):
         sample(nan_at_0, 0.0, g)
+    # alpha = 1e-12 lies inside the 1e-9 bound slack; g = 0 must still be refused
+    zero_at_0 = SpeedField(SPACE_ONLY, lambda x: np.where(x == 0.0, 0.0, 0.5),
+                           alpha=1e-12, beta=1.0)
+    with pytest.raises(CoefficientBoundError, match="0 at node 0"):
+        sample(zero_at_0, 0.0, g)
 
 
 def test_offset_matters_only_for_varying_g():
