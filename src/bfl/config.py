@@ -164,18 +164,19 @@ def parse_initial(selector: str) -> tuple[str, tuple]:
 # builders
 # --------------------------------------------------------------------------
 
-_GRID_KEYS = {"periodic": ("length", "nodes"), "window": ("x0", "intervals", "h")}
+_TOPOLOGIES = {"periodic": (Grid.make_periodic, ("length", "nodes")),
+               "window": (Grid.make_window, ("x0", "intervals", "h"))}
 
 
 def build_grid(cfg: ExperimentConfig) -> Grid:
-    keys = _GRID_KEYS.get(cfg.topology)
-    if keys is None:
+    if cfg.topology not in _TOPOLOGIES:
         raise ConfigError(f"unknown topology {cfg.topology!r}")
+    make, keys = _TOPOLOGIES[cfg.topology]
     args = [getattr(cfg, k) for k in keys]
     if None in args:
         raise ConfigError(f"{cfg.topology} topology needs {', '.join(keys)}")
     try:
-        return (Grid.make_periodic if cfg.topology == "periodic" else Grid.make_window)(*args)
+        return make(*args)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 

@@ -105,7 +105,9 @@ def _sample_at(speed: SpeedField, t: float, x: np.ndarray,
     slack = _BOUND_SLACK * max(1.0, abs(speed.beta))
     # written so that a NaN sample fails it; the slack never admits g <= 0
     if not np.all((0.0 < vals) & (speed.alpha - slack <= vals) & (vals <= speed.beta + slack)):
-        bad = int(np.argmax(np.maximum(speed.alpha - vals, vals - speed.beta)))
+        # a non-positive (or NaN) sample is named first: the slack may admit others
+        bad = int(np.argmax(np.where(vals > 0, np.maximum(speed.alpha - vals, vals - speed.beta),
+                                     np.inf)))
         raise CoefficientBoundError(
             f"sample {vals[bad]:.6g} at node {bad} (x = {x[bad]:.6g}) "
             f"violates declared bounds [{speed.alpha:g}, {speed.beta:g}]")

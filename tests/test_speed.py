@@ -50,10 +50,12 @@ def test_sample_rejects_bound_violation():
                           alpha=1.0, beta=3.0)
     with pytest.raises(CoefficientBoundError, match="nan at node 0"):
         sample(nan_at_0, 0.0, g)
-    # alpha = 1e-12 lies inside the 1e-9 bound slack; g = 0 must still be refused
-    zero_at_0 = SpeedField(SPACE_ONLY, lambda x: np.where(x == 0.0, 0.0, 0.5),
-                           alpha=1e-12, beta=1.0)
-    with pytest.raises(CoefficientBoundError, match="0 at node 0"):
+    # alpha = 1e-12 lies inside the 1e-9 bound slack; g = 0 must still be refused,
+    # and named rather than the sample at node 5, above beta but inside the slack
+    values = np.full(16, 0.5)
+    values[0], values[5] = 0.0, 1.0 + 5e-10
+    zero_at_0 = SpeedField(SPACE_ONLY, lambda x: values, alpha=1e-12, beta=1.0)
+    with pytest.raises(CoefficientBoundError, match="sample 0 at node 0 "):
         sample(zero_at_0, 0.0, g)
 
 
