@@ -41,7 +41,10 @@ def _load_config(path: str):
 
 
 def cmd_identities(args) -> int:
-    results = run_identity_suite(seed=args.seed, trials=args.trials)
+    try:
+        results = run_identity_suite(seed=args.seed, trials=args.trials)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     width = max(len(k) for k in results)
     for name, worst in sorted(results.items()):
         status = "pass" if worst <= IDENTITY_THRESHOLD else "FAIL"

@@ -16,6 +16,7 @@ One experiment per file. Lines are ``key = value``; blank lines and
             | coupled-tanh:<a>,<b>
     offset = node | mid          g sampled at x_i, or at x_i - h/2 (default node)
     method = rotation | rk4 | projected_rk4
+                                 default rotation, for tangent data only
     dt = <float>  OR  cfl = <float>    (exactly one)
     T = <float>                  horizon
     snapshot_stride = <int>
@@ -26,13 +27,15 @@ One experiment per file. Lines are ``key = value``; blank lines and
 A selector head takes no spaces and no argument may be empty. parse_config
 raises ConfigError (``bfl`` exits 4) on an unknown or duplicate key, a value
 of the wrong type, any number that is not finite (in a value or a selector
-argument), T <= 0, an unknown probe, and anything the builders refuse:
-validate_config runs build_grid, build_speed and build_integrator and
-parses the initial selector, so each rule is stated once, by its builder.
-Only ``file:`` data is read later, by build_initial. Configs round-trip
-for every key, including one the topology ignores: parse(serialize(cfg))
-== cfg, with floats written in shortest round-trip form. A string value
-holds no ``#`` and no outer spaces, which the parser strips.
+argument), T <= 0, an unknown probe, ``coupled-*`` (curve) data with
+method = rotation, and anything the builders refuse: validate_config runs
+build_grid, build_speed and build_integrator and parses the initial
+selector, so each rule is stated once, by its builder. Only ``file:`` data
+is read later, by build_initial. Configs round-trip for every key,
+including one the topology ignores: parse(serialize(cfg)) == cfg, with
+floats written in shortest round-trip form. serialize_config refuses a
+string value that holds ``#`` or a line break or has outer whitespace,
+which the parser would cut or strip.
 """
 
 from __future__ import annotations
@@ -114,13 +117,24 @@ def parse_config(text: str) -> ExperimentConfig:
 
 
 def serialize_config(cfg: ExperimentConfig) -> str:
-    """Every field that is not None, in declaration order; floats in shortest round-trip form."""
+    """Every field that is not None, in declaration order; floats in shortest round-trip form.
+
+    ConfigError for a string value or probe name that parse_config would
+    read back as something else: one holding ``#`` or a line break, or one
+    with leading or trailing whitespace.
+    """
     lines = []
     for f in fields(cfg):
         value = getattr(cfg, f.name)
-        if value is not None:
-            text = ",".join(value) if f.name == "probes" else value
-            lines.append(f"{'T' if f.name == 'horizon' else f.name} = {text}")
+        if value is None:
+            continue
+        for text in value if f.name == "probes" else (value,):
+            if isinstance(text, str) and ("#" in text or text != text.strip()
+                                          or len(text.splitlines()) > 1):
+                raise ConfigError(f"{f.name} value {text!r} would not parse back: "
+                                  "it holds '#', a line break or outer whitespace")
+        text = ",".join(value) if f.name == "probes" else value
+        lines.append(f"{'T' if f.name == 'horizon' else f.name} = {text}")
     return "\n".join(lines) + "\n"
 
 
@@ -134,9 +148,12 @@ def validate_config(cfg: ExperimentConfig) -> None:
     build_speed(cfg, build_grid(cfg))
     build_integrator(cfg)
     try:
-        parse_initial(cfg.initial)
+        head, _ = parse_initial(cfg.initial)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    if head.startswith("coupled-") and cfg.method == "rotation":
+        raise ConfigError(f"{head} data is a curve, which method = rotation cannot step; "
+                          "use rk4 or projected_rk4")
 
 
 # argument types per initial-data head; int marks a wavenumber

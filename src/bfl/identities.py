@@ -169,7 +169,13 @@ IDENTITIES = {
 
 
 def run_identity_suite(seed: int = 0, trials: int = 1000) -> dict[str, float]:
-    """Worst relative residual per identity over the randomized trials."""
+    """Worst relative residual per identity over the randomized trials.
+
+    ValueError unless trials >= 1: with no trial every worst residual
+    would read 0 and the suite would pass without checking anything.
+    """
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
     rng = np.random.default_rng(seed)
     cells = [(periodic, h) for periodic in (True, False) for h in _SPACINGS]
     worst = {name: 0.0 for name in IDENTITIES}

@@ -6,13 +6,12 @@ Methods:
   composed commutator-free to fourth order (four rotation-rate evaluations
   and five rotations per step: three build the stages, two the update).
   Rotations are isometries, so |u_i| = 1 holds to rounding regardless of
-  dt. In curve mode the same composition rotates the chords D+gamma and
-  translates the base node with the same weights, and each step rebuilds
-  the curve from them; fourth order in time in both forms.
+  dt. Tangent data only: a curve is stepped with rk4 or projected_rk4.
 * ``rk4`` - classical Runge-Kutta; fourth order, O(dt^5) local norm drift.
-* ``projected_rk4`` - rk4 followed by renormalization of each u_i (or of
-  each chord of gamma); a curve must start on unit chords, since the
-  projection would otherwise move it onto them in one step.
+* ``projected_rk4`` - rk4 followed by a projection: each u_i renormalized,
+  or each chord D+gamma rescaled to its length in the state the run started
+  from (the flow keeps every chord length, not necessarily 1), with the
+  curve rebuilt from its base node.
 
 Step size comes either fixed or from the stiffness rule dt = c h^2 / beta,
 since the right-hand side has spectral radius of order beta/h^2.
@@ -25,8 +24,7 @@ evolve() marches with a fixed step, shortens the last step to land exactly
 on the horizon, and stores a snapshot (state plus the coefficient samples
 used) every ``snapshot_stride`` steps. Between snapshots it steps raw
 arrays: tangents as C-ordered (3, n) rows (node axis last), transposed once
-on entry, curves as (n, 3) values, which a rotation step marches as
-(3, n + 1) rows [chords | base node]. Every in-kernel |w|^2 is summed as
+on entry, curves as (n, 3) values. Every in-kernel |w|^2 is summed as
 (x^2 + z^2) + y^2, the order of numpy's einsum on (n, 3) rows, so no byte
 depends on the layout. Fields are built only for stored snapshots. A NaN or
 Inf aborts with the step index; the partial trajectory is kept and flagged.
@@ -43,7 +41,7 @@ import numpy as np
 
 from .dynamics import TANGENT, FlowState, g_samples
 from .lattice import _NEXT, _PREV, Field, _cross_turned, _delta_g, _dminus, _dplus, _norm2, cross3
-from .speed import COUPLED, _sample_at
+from .speed import _sample_at
 
 
 class DivergenceError(RuntimeError):
@@ -114,33 +112,18 @@ def _rotate_rows(v: np.ndarray, w: np.ndarray) -> np.ndarray:
     return out
 
 
-def _rotation_rows(omega, t: float, u: np.ndarray, dt: float, move=_rotate_rows) -> np.ndarray:
-    # commutator-free fourth-order composition of exact per-node rotations (or of
-    # move(u, w)): four rate evaluations, five moves, |u_i| kept to rounding at any dt
+def _rotation_rows(omega, t: float, u: np.ndarray, dt: float) -> np.ndarray:
+    # commutator-free fourth-order composition of exact per-node rotations:
+    # four rate evaluations, five rotations, |u_i| kept to rounding at any dt
     w1 = omega(t, u)
-    stage2 = move(u, 0.5 * dt * w1)
+    stage2 = _rotate_rows(u, 0.5 * dt * w1)
     w2 = omega(t + 0.5 * dt, stage2)
-    w3 = omega(t + 0.5 * dt, move(u, 0.5 * dt * w2))
-    stage4 = move(stage2, dt * w3 - 0.5 * dt * w1)
+    w3 = omega(t + 0.5 * dt, _rotate_rows(u, 0.5 * dt * w2))
+    stage4 = _rotate_rows(stage2, dt * w3 - 0.5 * dt * w1)
     w4 = omega(t + dt, stage4)
     half_a = (dt / 12.0) * (3.0 * w1 + 2.0 * w2 + 2.0 * w3 - w4)
     half_b = (dt / 12.0) * (-w1 + 2.0 * w2 + 2.0 * w3 + 3.0 * w4)
-    return move(move(u, half_a), half_b)
-
-
-def _move_curve(y: np.ndarray, w: np.ndarray) -> np.ndarray:
-    # y = [chords | base node] as (3, n + 1) rows: rotate the chords, translate the base
-    return np.concatenate([_rotate_rows(y[:, :-1], w[:, :-1]), y[:, -1:] + w[:, -1:]], axis=1)
-
-
-def _rebuild_curve(h: float, periodic: bool, base: np.ndarray,
-                   u_vals: np.ndarray) -> np.ndarray:
-    if periodic:
-        # the exact flow conserves the mean tangent (cyclic telescoping);
-        # share the rounding-level closure defect over all chords instead of
-        # dumping it into the wrap chord, where it seeds a seam instability
-        u_vals = u_vals - u_vals.mean(axis=0)
-    return np.vstack([base, base + np.cumsum(h * u_vals[:-1], axis=0)])
+    return _rotate_rows(_rotate_rows(u, half_a), half_b)
 
 
 # --------------------------------------------------------------------------
@@ -156,14 +139,21 @@ def _rk4(deriv, project, t: float, y: np.ndarray, dt: float) -> np.ndarray:
     return y_new if project is None else project(y_new)
 
 
-def _unit_chords(chords, rebuild, periodic: bool, gamma: np.ndarray) -> np.ndarray:
-    # renormalize each chord and rebuild from the base node
-    u_vals = chords(gamma).T
-    mags = np.linalg.norm(u_vals, axis=1)
-    if not periodic:
-        mags[-1] = 1.0  # ghosted last chord carries no information
-        u_vals[-1] = u_vals[-2]
-    return rebuild(gamma[0], u_vals / mags[:, None])
+def _restore_chords(chords, h: float, periodic: bool, lengths: np.ndarray,
+                    gamma: np.ndarray) -> np.ndarray:
+    # rescale each chord to its starting length (a chord that starts at length 0
+    # stays 0) and rebuild from the base node; a window's last chord reads the
+    # ghost node and builds nothing
+    u_vals = chords(gamma).T[:len(lengths)]
+    scale = np.divide(lengths, np.linalg.norm(u_vals, axis=1),
+                      out=np.zeros_like(lengths), where=lengths > 0)
+    u_vals = u_vals * scale[:, None]
+    if periodic:
+        # the exact flow conserves the mean tangent (cyclic telescoping);
+        # share the rounding-level closure defect over all chords instead of
+        # dumping it into the wrap chord, where it seeds a seam instability
+        u_vals = (u_vals - u_vals.mean(axis=0))[:-1]
+    return np.vstack([gamma[:1], gamma[:1] + np.cumsum(h * u_vals, axis=0)])
 
 
 # --------------------------------------------------------------------------
@@ -173,13 +163,13 @@ def _unit_chords(chords, rebuild, periodic: bool, gamma: np.ndarray) -> np.ndarr
 def _kernel(state: FlowState, spec: IntegratorSpec) -> Callable:
     """advance(t, y, dt): one step of the state's flow on raw node values y.
 
-    Resolves once what every step reuses: the ghost policy and the
-    coefficient sampler. Both forms apply D+(g D-.), so g_i weights the cell
-    left of node i; a midpoint offset samples at x_i - h/2. A
-    time-independent g is sampled once; _sample_at checks every sample
-    positive and within the declared bounds when it is taken, and reads y
-    only for a coupled g. ValueError for projected_rk4 on a curve whose
-    chords are not unit length.
+    Resolves once what every step reuses: the ghost policy, the coefficient
+    sampler and, for a curve, the chord lengths of the state, which
+    projected_rk4 restores after every step. Both forms apply D+(g D-.), so
+    g_i weights the cell left of node i; a midpoint offset samples at
+    x_i - h/2. A time-independent g is sampled once; _sample_at checks every
+    sample positive and within the declared bounds when it is taken, and
+    reads y only for a coupled g. ValueError for rotation on a curve.
     """
     grid, speed = state.grid, state.speed
     h, periodic, ext = grid.h, grid.periodic, state.field.extension
@@ -199,35 +189,21 @@ def _kernel(state: FlowState, spec: IntegratorSpec) -> Callable:
         deriv = lambda t, u: cross3(u, delta(t, u))
         project = lambda u: u / np.sqrt(_norm2(u))
     else:
+        if spec.method == "rotation":
+            raise ValueError("rotation steps tangent data only; "
+                             "step a curve with rk4 or projected_rk4")
+
         def chords(gamma):
             return _dplus(gamma.T, h, periodic, ext)
 
-        def velocity(g, u):
+        def deriv(t, gamma):
             # g (u ^ D-u) with u = D+gamma as (3, n) rows; the chords extend by zero
-            return g * cross3(u, _dminus(u, h, periodic, "zero"))
+            g, u = coefficient(t, gamma), chords(gamma)
+            return (g * cross3(u, _dminus(u, h, periodic, "zero"))).T
 
-        rebuild = partial(_rebuild_curve, h, periodic)
-        if spec.method == "projected_rk4" and state.drift() > 1e-10:
-            raise ValueError(f"projected_rk4 needs unit chords; |D+gamma| is off 1 "
-                             f"by {state.drift():.3e}")
-        if spec.method == "rotation":
-            curve = lambda y: rebuild(y[:, -1], y[:, :-1].T)
-
-            def rate(t, y):
-                # rotation rate -Delta_g u of the chords, velocity of the base node;
-                # only a coupled g reads the curve, so only it pays for the rebuild
-                u = y[:, :-1]
-                g = coefficient(t, curve(y) if speed.flavor == COUPLED else None)
-                return np.concatenate([-_delta_g(g, u, h, periodic, "zero"),
-                                       velocity(g, u)[:, :1]], axis=1)
-
-            def advance(t, gamma, dt):
-                y = np.concatenate([chords(gamma), gamma[:1].T], axis=1)
-                return curve(_rotation_rows(rate, t, y, dt, _move_curve))
-
-            return advance
-        deriv = lambda t, gamma: velocity(coefficient(t, gamma), chords(gamma)).T
-        project = partial(_unit_chords, chords, rebuild, periodic)
+        lengths = np.linalg.norm(chords(state.field.values).T, axis=1)
+        project = partial(_restore_chords, chords, h, periodic,
+                          lengths if periodic else lengths[:-1])
     return partial(_rk4, deriv, None if spec.method == "rk4" else project)
 
 

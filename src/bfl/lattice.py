@@ -128,8 +128,9 @@ class Field:
         if arr.shape[0] != self.grid.n_nodes:
             raise AlignmentError(
                 f"{arr.shape[0]} values for a grid of {self.grid.n_nodes} nodes")
-        # NaN and Inf propagate through the sum, so one reduction suffices
-        if not math.isfinite(float(arr.sum())):
+        # NaN and Inf propagate through the sum, so one reduction finds them;
+        # finite entries can overflow it, so a non-finite sum is confirmed
+        if not math.isfinite(float(arr.sum())) and not np.isfinite(arr).all():
             raise ValueError("field contains non-finite entries")
         if self.extension not in ("constant", "zero"):
             raise ValueError(f"unknown extension policy {self.extension!r}")

@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -139,7 +140,7 @@ def test_offset_mid_moves_samples():
 
 
 def test_initial_selectors():
-    base = parse_config(HELIX_CFG)
+    base = parse_config(HELIX_CFG.replace("method = rotation", "method = projected_rk4"))
     for sel, mode in [("great-circle:1", "tangent"),
                       ("coupled-circle", "curve"),
                       ("coupled-circle:2", "curve")]:
@@ -505,11 +506,65 @@ def test_cli_run_coupled_soliton_window(tmp_path, capsys):
 def test_mid_offset_rejected_for_coupled_speed(tmp_path):
     cfg = WINDOW_CFG.replace("initial = soliton:1,0.5",
                              "initial = coupled-soliton:1,0.5").replace(
-        "speed = const:1", "speed = coupled-tanh:1,0.5")
+        "speed = const:1", "speed = coupled-tanh:1,0.5").replace(
+        "method = rotation", "method = projected_rk4")
     parsed = parse_config(cfg)
-    from dataclasses import replace
     with pytest.raises(ConfigError):
         build_speed(replace(parsed, offset="mid"), build_grid(parsed))
+
+
+COUPLED_ROTATION_CFG = """\
+topology = periodic
+length = 6.283185307179586
+nodes = 32
+initial = coupled-circle:1
+speed = coupled-tanh:1,0.5
+method = rotation
+cfl = 0.25
+T = 0.05
+"""
+
+
+@pytest.mark.parametrize("text", [
+    COUPLED_ROTATION_CFG, COUPLED_ROTATION_CFG.replace("method = rotation\n", ""),
+    COUPLED_ROTATION_CFG.replace("coupled-circle:1", "coupled-soliton:1,0.5")],
+    ids=["rotation", "default-method", "coupled-soliton"])
+def test_rotation_refuses_curve_data_at_parse_time(tmp_path, capsys, text):
+    with pytest.raises(ConfigError, match="projected_rk4"):
+        parse_config(text)
+    cfg_path = tmp_path / "circle.bfl"
+    cfg_path.write_text(text)
+    assert run_cli("run", "-c", str(cfg_path), "-o", str(tmp_path)) == 4
+    assert run_cli("converge", "-c", str(cfg_path), "--levels", "3") == 4
+    err = capsys.readouterr().err
+    assert "config error" in err and "rk4 or projected_rk4" in err
+    assert not (tmp_path / "circle.csv").exists()
+    # either rk4 scheme steps the same data
+    for method in ("rk4", "projected_rk4"):
+        cfg = parse_config(text.replace("method = rotation\n", "") + f"method = {method}\n")
+        assert cfg.method == method
+
+
+@pytest.mark.parametrize("field, value", [
+    ("out", "res#1"), ("out", " x "), ("out", "x\n"), ("out", "a\nnodes = 9"),
+    ("initial", "helix:0.5,2 "), ("probes", ("margins", "oracle#")),
+    ("probes", (" oracle",)), ("probes", ("oracle\nseed = 4",))],
+    ids=["out-hash", "out-spaces", "out-newline", "out-injected-key", "initial-space",
+         "probe-hash", "probe-space", "probe-injected-key"])
+def test_serialize_refuses_strings_that_would_not_parse_back(field, value):
+    cfg = parse_config(HELIX_CFG)
+    with pytest.raises(ConfigError, match="would not parse back"):
+        serialize_config(replace(cfg, **{field: value}))
+
+
+def test_cli_identities_refuses_no_trials(capsys):
+    for trials in (0, -3):
+        with pytest.raises(ValueError, match="trials must be >= 1"):
+            run_identity_suite(seed=0, trials=trials)
+        assert run_cli("identities", "--trials", str(trials)) == 4
+        captured = capsys.readouterr()
+        assert "pass" not in captured.out
+        assert "trials must be >= 1" in captured.err
 
 
 def test_console_entry_point():

@@ -252,13 +252,14 @@ def test_temporal_orders():
     circle = FlowState(0.0, oracle_circle_curve(Grid.make_periodic(2 * np.pi, 16)),
                        speed, mode="curve")
     # measured 3.98/3.97 for projected_rk4
-    for method in ("rotation", "rk4", "projected_rk4"):
+    for method in ("rk4", "projected_rk4"):
         assert all(3.7 <= o <= 4.3 for o in orders(circle, method)), method
-    # measured 4.07/3.96 (coupled-tanh) and 4.10/4.02 (sin) for rotation
+    # chords of length 1.43-2.35, which projected_rk4 keeps: measured
+    # 4.02/3.99 (coupled-tanh) and 4.12/3.98 (sin)
     for name in ("coupled-tanh:1,0.5", "sin:2,1,1"):
         window = FlowState(0.0, window_curve(), speed_from_name(name), mode="curve")
-        assert all(3.7 <= o <= 4.3 for o in orders(window, "rotation", 0.125)), name
-    # projected_rk4 needs unit chords, which the soliton has: measured 4.01/3.93
+        assert all(3.7 <= o <= 4.3 for o in orders(window, "projected_rk4", 0.125)), name
+    # the soliton's chords are unit length: measured 4.01/3.93
     soliton, _ = oracle_soliton_curve(Grid.make_window(-20.0, 128, 0.3125), 1.0, 0.5)
     window = FlowState(0.0, soliton, speed, mode="curve")
     assert all(3.7 <= o <= 4.3 for o in orders(window, "projected_rk4"))
@@ -397,17 +398,19 @@ def test_coupled_circle_rk4_keeps_chords():
     assert np.max(np.abs(res.final().values[:, :2] - gamma0.values[:, :2])) <= 1e-10
 
 
-def test_curve_rotation_step_preserves_chords_exactly():
+def test_curve_projected_rk4_keeps_starting_chords():
+    # the circle's chords are 2 sin(h/2) / h = 0.99929, not 1; the projection
+    # keeps them (measured drift 1.7e-15)
     grid = Grid.make_periodic(2 * np.pi, 48)
     x = grid.nodes()
     gamma0 = Field(grid, np.stack([np.cos(x), np.sin(x), np.zeros_like(x)], axis=1))
     state = FlowState(0.0, gamma0, speed_from_name("coupled-tanh:1,0.5"), mode="curve")
-    res = evolve(state, 0.2, IntegratorSpec(method="rotation", cfl=0.25,
+    res = evolve(state, 0.2, IntegratorSpec(method="projected_rk4", cfl=0.25,
                                             snapshot_stride=100))
     assert np.max(np.abs(chord_lengths(res.final()) - chord_lengths(gamma0))) <= 1e-13
 
 
-def test_curve_rotation_stays_on_chords_with_variable_speed():
+def test_curve_projected_rk4_stays_on_chords_with_variable_speed():
     # a space-varying g deforms the circle; an explicit midpoint rotation
     # (|R(iy)|^2 = 1 + y^4/4) drifted 0.75 off its chords here by t = 2
     grid = Grid.make_periodic(2 * np.pi, 32)
@@ -422,23 +425,34 @@ def test_curve_rotation_stays_on_chords_with_variable_speed():
         return res.final()
 
     ref = final("rk4", dt / 16).values
-    # measured against rk4 at dt/16: 5.2e-10 for rotation, 5.8e-12 for
-    # projected_rk4, whose chord drift is 3.4e-15
-    for method in ("rotation", "projected_rk4"):
-        moved = final(method, dt)
-        assert np.max(np.abs(chord_lengths(moved) - chord_lengths(gamma0))) <= 1e-10, method
-        assert np.max(np.abs(moved.values - ref)) <= 1e-8, method
+    # measured against rk4 at dt/16: 5.8e-12, with chord drift 1.6e-15
+    moved = final("projected_rk4", dt)
+    assert np.max(np.abs(chord_lengths(moved) - chord_lengths(gamma0))) <= 1e-10
+    assert np.max(np.abs(moved.values - ref)) <= 1e-8
 
 
-def test_projected_rk4_refuses_curve_off_unit_chords():
-    # renormalizing chords of length 1.43-2.35 moved this curve by 1.10 in
-    # one step, where rotation and rk4 move it by 3.6e-3
+def test_projected_rk4_keeps_curve_chords_off_unit_length():
+    # chords of length 1.43-2.35: renormalizing them to 1 moved this curve by
+    # 1.10 in one step; restoring their own lengths moves it as rk4 does. A
+    # repeated node is a chord of length 0, which stays 0.
+    curve = window_curve()
+    repeated = Field(curve.grid, np.vstack([curve.values[:5], curve.values[4:-1]]))
+    for gamma in (curve, repeated):
+        state = FlowState(0.0, gamma, speed_from_name("sin:2,1,1"), mode="curve")
+        dt = 0.125 * state.grid.h ** 2 / state.speed.beta
+        rk = step(state, IntegratorSpec(method="rk4", dt=dt), dt).field
+        proj = step(state, IntegratorSpec(method="projected_rk4", dt=dt), dt).field
+        assert np.max(np.abs(rk.values - gamma.values)) <= 1e-2
+        # the projection moves the rk4 step by its O(dt^5) chord drift: measured
+        # 1.9e-8 and 2.0e-8
+        assert np.max(np.abs(proj.values - rk.values)) <= 1e-7
+        assert np.max(np.abs(chord_lengths(proj) - chord_lengths(gamma))) <= 1e-13
+
+
+def test_rotation_refuses_curve_data():
     state = FlowState(0.0, window_curve(), speed_from_name("sin:2,1,1"), mode="curve")
-    dt = 0.125 * state.grid.h ** 2 / state.speed.beta
-    for method in ("rotation", "rk4"):
-        moved = step(state, IntegratorSpec(method=method, dt=dt), dt).field
-        assert np.max(np.abs(moved.values - state.field.values)) <= 1e-2, method
-    with pytest.raises(ValueError, match="unit chords"):
-        step(state, IntegratorSpec(method="projected_rk4", dt=dt), dt)
-    with pytest.raises(ValueError, match="unit chords"):
-        evolve(state, 0.1, IntegratorSpec(method="projected_rk4", dt=dt))
+    spec = IntegratorSpec(method="rotation", cfl=0.125)
+    with pytest.raises(ValueError, match="tangent data only"):
+        step(state, spec, 1e-4)
+    with pytest.raises(ValueError, match="tangent data only"):
+        evolve(state, 0.1, spec)

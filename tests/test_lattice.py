@@ -76,6 +76,22 @@ def test_field_alignment_and_finiteness():
         Field(g, np.full((8, 3), np.nan))
 
 
+# the one-sum check overflows on these entries; numpy warns about the sum,
+# and the field stands unless an entry is non-finite
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_field_accepts_finite_entries_whose_sum_overflows():
+    g = periodic(n=4)
+    big = np.full((4, 3), 1e308)
+    assert np.array_equal(Field(g, big).values, big)
+    assert np.array_equal(Field(g, -big).values, -big)
+    for bad in (np.inf, -np.inf, np.nan):
+        vals = big.copy()
+        vals[2, 1] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            Field(g, vals)
+
+
 def test_field_values_are_c_ordered_whatever_the_input():
     # reductions over node values sum in a layout-dependent order, so a
     # field's diagnostics must not depend on how its input was laid out
