@@ -29,7 +29,6 @@ from .lattice import (
     dplus,
     magnitudes,
     norm_linf,
-    unit_drift,
 )
 from .speed import COUPLED, SpeedField, sample
 
@@ -60,12 +59,6 @@ class FlowState:
 
     def advanced(self, t: float, field: Field) -> "FlowState":
         return replace(self, t=t, field=field)
-
-    def drift(self) -> float:
-        """Deviation of the constrained quantity from 1: |u_i| or |D+gamma_i|."""
-        if self.mode == TANGENT:
-            return unit_drift(self.field)
-        return float(np.max(np.abs(chord_lengths(self.field) - 1.0)))
 
 
 def chord_lengths(gamma: Field) -> np.ndarray:

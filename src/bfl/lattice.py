@@ -352,44 +352,64 @@ def _delta_g(g: np.ndarray, vals: np.ndarray, h: float, periodic: bool,
 
 _RIESZ_RESIDUAL_TOL = 1e-10
 
+# the window sweeps restart their scale once the weights grow by this factor,
+# so that weights times data stay finite
+_SEGMENT_GROWTH = 2.0 ** 64
+
 
 def _riesz_matrix_solve(grid: Grid, rhs: np.ndarray) -> np.ndarray:
-    """Solve (I - D+D-) w = rhs columnwise; rhs has shape (n, k)."""
-    # imported here: dual norms are scipy's only use, and runs that never
-    # take one skip the import's cost
-    from scipy.linalg import solve_banded, solveh_banded
+    """Solve (I - D+D-) w = rhs along the last (node) axis."""
+    n, h = grid.n_nodes, grid.h
+    if grid.periodic:
+        # circulant, so the Fourier modes diagonalize it
+        k = np.arange(n // 2 + 1)
+        eig = 1.0 + (2.0 - 2.0 * np.cos(2.0 * np.pi * k / n)) / h ** 2
+        return np.fft.irfft(np.fft.rfft(rhs) / eig, n)
+    return _neumann_solve(h, rhs)
 
-    n = grid.n_nodes
-    inv_h2 = 1.0 / grid.h ** 2
-    if not grid.periodic:
-        # window: I - D+D- with constant-extension ghosts is I plus the
-        # Neumann second-difference matrix; symmetric positive definite.
-        ab = np.zeros((2, n))
-        ab[0, 1:] = -inv_h2                     # superdiagonal
-        ab[1, :] = 1.0 + 2.0 * inv_h2
-        ab[1, 0] = ab[1, -1] = 1.0 + inv_h2
-        return solveh_banded(ab, rhs)
-    # periodic: cyclic tridiagonal via the rank-one corner correction
-    # (two banded solves, Sherman-Morrison).
-    diag = np.full(n, 1.0 + 2.0 * inv_h2)
-    off = -inv_h2
-    gamma = -diag[0]
-    dmod = diag.copy()
-    dmod[0] -= gamma
-    dmod[-1] -= off * off / gamma
-    ab = np.zeros((3, n))
-    ab[0, 1:] = off
-    ab[1, :] = dmod
-    ab[2, :-1] = off
-    u = np.zeros((n, 1))
-    u[0, 0] = gamma
-    u[-1, 0] = off
-    stacked = np.hstack([rhs, u])
-    sol = solve_banded((1, 1), ab, stacked)
-    y, z = sol[:, :-1], sol[:, -1]
-    vy = y[0, :] + (off / gamma) * y[-1, :]
-    vz = z[0] + (off / gamma) * z[-1]
-    return y - np.outer(z, vy / (1.0 + vz))
+
+def _neumann_solve(h: float, rhs: np.ndarray) -> np.ndarray:
+    """Thomas elimination for the window's I - D+D-, in closed form.
+
+    With constant-extension ghosts the matrix is I plus the Neumann second
+    difference: 1 + 2s on the diagonal, 1 + s in the two corners, -s off it,
+    s = 1/h^2. With rho + 1/rho = 2 + h^2 and 0 < rho < 1 the pivots are
+    s q_{i+1}/q_i for the weights q_i = rho^-i (1 + rho^(2i+1)) / (1 + rho),
+    the last one s (q_n - q_{n-1})/q_{n-1} from the corner row. Both sweeps
+    are then cumulative sums scaled by q, taken in segments over which q
+    grows by at most _SEGMENT_GROWTH; each segment carries its neighbor's
+    end value in.
+    """
+    n = rhs.shape[-1]
+    rho = 1.0 / (1.0 + 0.5 * h * h + h * math.sqrt(1.0 + 0.25 * h * h))
+    step = max(1, int(math.log(_SEGMENT_GROWTH) / -math.log(rho)))
+    grow = rho ** -np.arange(min(step, n) + 1.0)          # rho^-k
+    tail = 1.0 + rho ** np.arange(1.0, 2.0 * n + 2.0, 2.0)  # q_i (1 + rho) rho^i
+    bounds = list(range(0, n, step)) + [n]
+    segments = list(zip(bounds[:-1], bounds[1:]))
+    ups = [grow[:e - b] * (tail[b:e] / tail[b]) for b, e in segments]   # q_i / q_b
+    w = np.empty(rhs.shape)
+
+    # forward: T_i = q_i y_i / q_b = T_{i-1} + (q_i / q_b) r_i on [b, e)
+    for (b, e), up in zip(segments, ups):
+        np.multiply(rhs[..., b:e], up, out=w[..., b:e])
+        if b:
+            w[..., b] += w[..., b - 1] * (tail[b - step] / (grow[step] * tail[b]))
+        np.cumsum(w[..., b:e], axis=-1, out=w[..., b:e])
+
+    # backward: V_i = q_e w_i / q_i = V_{i+1} + q_e y_i / (s q_{i+1}) on [b, e),
+    # the sum running from e - 1 down to b
+    for (b, e), up in zip(reversed(segments), reversed(ups)):
+        down = grow[e - b - 1::-1] * (h * h * tail[e] / tail[b + 1:e + 1])
+        if e == n:
+            down[-1] = h * h / (1.0 - rho * tail[n - 1] / tail[n])
+        seg = w[..., b:e]
+        seg *= down / up
+        if e < n:
+            seg[..., -1] += w[..., e]
+        np.cumsum(seg[..., ::-1], axis=-1, out=seg[..., ::-1])
+        seg *= tail[b:e] / (grow[e - b:0:-1] * tail[e])
+    return w
 
 
 def norm_h1_dual(v: Field) -> float:
@@ -402,8 +422,7 @@ def norm_h1_dual(v: Field) -> float:
     enter. On windows this is the windowed value, no claim is made about the
     infinite-lattice norm.
     """
-    rhs = v.values.reshape(v.grid.n_nodes, -1)
-    w = Field(v.grid, _riesz_matrix_solve(v.grid, rhs).reshape(v.values.shape), "constant")
+    w = Field(v.grid, _riesz_matrix_solve(v.grid, v.values.T).T, "constant")
     worst = float(np.max(np.abs(w.values - d2(w).values - v.values)))
     if worst > _RIESZ_RESIDUAL_TOL * max(1.0, norm_linf(v)):
         raise RieszSolveError(f"residual {worst:.3e} exceeds tolerance")

@@ -1,8 +1,9 @@
 """Diagnostics, bound monitors, discrete Frenet geometry and exact oracles.
 
-Monitored quantities per snapshot: the unit (or arc-length) drift, the
-weighted gradient energy h sum g |D-u|^2, |D+u|_h, |du/dt|_h and its dual
-norm, |Delta_g u|_h, and the signed margins of the two a-priori bounds
+Monitored quantities per snapshot: the unit drift (for a curve, the chord
+lengths' drift from the first snapshot's), the weighted gradient energy
+h sum g |D-u|^2, |D+u|_h, |du/dt|_h and its dual norm, |Delta_g u|_h, and
+the signed margins of the two a-priori bounds
 
     |D+u(t)|_h   <= sqrt(beta/alpha) |D+u0|_h exp(beta1 t / (2 alpha))
     |du/dt|_dual <= beta sqrt(beta/alpha) |D+u0|_h exp(beta1 t / (2 alpha))
@@ -116,11 +117,14 @@ def diagnose(result: EvolveResult, speed: SpeedField,
     tolerance raises RieszSolveError.
     """
     records = []
+    # a curve flow keeps each chord's starting length, not length 1
+    lengths = chord_lengths(result.fields[0]) if result.mode == CURVE else 1.0
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, len(result.times), _BLOCK):
             times = result.times[start:start + _BLOCK]
             fields = result.fields[start:start + _BLOCK]
-            rows = _diagnose_block(result.mode, fields, result.g_samples[start:start + _BLOCK])
+            rows = _diagnose_block(result.mode, fields, result.g_samples[start:start + _BLOCK],
+                                   lengths)
             for t, f, (drift, energy_now, grad, rhs, rhs_dual, delta) in zip(times, fields, rows):
                 margin_row = {}
                 if margins and result.mode == TANGENT:
@@ -141,20 +145,21 @@ def diagnose(result: EvolveResult, speed: SpeedField,
     return records
 
 
-def _diagnose_block(mode: str, fields, g_fields) -> list[tuple]:
+def _diagnose_block(mode: str, fields, g_fields, lengths) -> list[tuple]:
     """(drift, energy, grad, rhs, rhs_dual, delta) rows for a block of snapshots.
 
-    The block is stacked component-major as (3, B, n), so the lattice's row
-    operators run on it unchanged, and each snapshot is reduced in the order
-    the Field-level norms take on its (n, 3) values: |v_i|^2 for the drift,
-    the energy and the residual scale by the lattice's row norm, the h-norms
-    by sums over C-ordered (B, n, 3) copies. One banded solve serves every
-    dual norm. Rows stop before the first snapshot whose g has a
-    non-positive sample or whose values are not all finite; each residual is
-    checked against its own snapshot's scale.
+    The drift is max_i | |u_i| - lengths_i |, with u = D+gamma for a curve
+    (a window drops its ghost chord). The block is stacked component-major
+    as (3, B, n), so the lattice's row operators run on it unchanged, and
+    each snapshot is reduced in the order the Field-level norms take on its
+    (n, 3) values: |v_i|^2 for the drift, the energy and the residual scale
+    by the lattice's row norm, the h-norms by sums over C-ordered (B, n, 3)
+    copies. One Riesz solve serves every dual norm. Rows stop before the
+    first snapshot whose g has a non-positive sample or whose values are not
+    all finite; each residual is checked against its own snapshot's scale.
     """
     grid, ext = fields[0].grid, fields[0].extension
-    h, periodic, n = grid.h, grid.periodic, grid.n_nodes
+    h, periodic = grid.h, grid.periodic
     g = np.stack([s.values for s in g_fields])
     u = np.stack([f.values.T for f in fields], axis=1)
     if mode == CURVE:
@@ -162,7 +167,7 @@ def _diagnose_block(mode: str, fields, g_fields) -> list[tuple]:
     mags = np.sqrt(_norm2(u))
     if mode == CURVE and not periodic:
         mags = mags[:, :-1]
-    drift = np.max(np.abs(mags - 1.0), axis=1)
+    drift = np.max(np.abs(mags - lengths), axis=1)
     energies = h * np.sum(g * _norm2(_dminus(u, h, periodic, ext)), axis=1)
     delta = _delta_g(g, u, h, periodic, ext)
     du = cross3(u, delta)
@@ -171,13 +176,14 @@ def _diagnose_block(mode: str, fields, g_fields) -> list[tuple]:
     rhs = _root(h * _sums(du_rows * du_rows))
     delta_rows = _rows(delta)
     delta_norm = _root(h * _sums(delta_rows * delta_rows))
-    # a non-finite column must not reach the solve: scipy rejects it
+    # rows stop before the first snapshot with a non-positive g or a
+    # non-finite column, so only the kept snapshots reach the solve
     good = np.all(g > 0.0, axis=1) & np.isfinite(drift + energies + grad + rhs + delta_norm)
     k = len(fields) if good.all() else int(np.argmin(good))
     if k == 0:
         return []
     du = du[:, :k]
-    w = _riesz_matrix_solve(grid, du.reshape(3 * k, n).T).T.reshape(3, k, n)
+    w = _riesz_matrix_solve(grid, du)
     resid = w - _dplus(_dminus(w, h, periodic, "constant"), h, periodic, "zero") - du
     worst = np.max(np.abs(resid), axis=(0, 2))
     scale = np.maximum(1.0, np.max(np.sqrt(_norm2(du)), axis=1))

@@ -236,8 +236,9 @@ def speed_from_name(spec: str) -> SpeedField:
             sq = np.einsum("ij,ij->i", gamma, gamma)
             return a + b * np.tanh(sq)
 
-        # sup_s 2 sqrt(s) sech^2(s) < 1.1, so 1.1|b| dominates |grad_gamma g|
+        # |grad_gamma g| = |b| 2 sqrt(s) sech^2(s) at s = |gamma|^2, whose sup
+        # is 1.113116 at s = 0.52181, so 1.1132|b| dominates it
         return SpeedField(COUPLED, fn,
                           alpha=min(a, a + b), beta=max(a, a + b),
-                          beta1=0.0, beta_prime=1.1 * abs(b), name=spec)
+                          beta1=0.0, beta_prime=1.1132 * abs(b), name=spec)
     raise ValueError(f"unknown coefficient selector {spec!r}")

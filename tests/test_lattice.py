@@ -248,31 +248,52 @@ def test_dual_norm_dominates_sampled_duality_quotients(make_grid):
         assert inner_h(v, u) / norm_h1(u) <= dual * (1 + 1e-10)
 
 
-def test_scipy_loads_only_for_dual_norms():
-    # importing bfl and its CLI must not import scipy; the first dual norm
-    # does, and agrees with a dense solve of (I - D+D-) w = v
+def test_dual_norms_never_load_scipy(tmp_path):
+    # neither importing bfl and its CLI, nor `bfl run` with margins on a
+    # periodic and a window config, nor a dual norm imports scipy; each dual
+    # norm agrees with a dense solve of (I - D+D-) w = v, on a periodic grid
+    # of odd and of even n, a window, and a window long and coarse enough
+    # that its sweeps run in several segments
     script = textwrap.dedent("""
         import sys
         import bfl, bfl.cli
         assert "scipy" not in sys.modules, "scipy imported with bfl"
+        out = sys.argv[1]
+        grids = ("topology = periodic\\nlength = 6.283185307179586\\nnodes = 64\\n"
+                 "initial = helix:0.7853981633974483,2\\nspeed = sin:2,1,1\\n",
+                 "topology = window\\nx0 = -20.0\\nintervals = 512\\nh = 0.078125\\n"
+                 "initial = soliton:1.0,0.5\\nspeed = const:1\\n")
+        for i, grid in enumerate(grids):
+            path = f"{out}/{i}.bfl"
+            with open(path, "w") as fh:
+                fh.write(grid + "method = rotation\\ncfl = 0.25\\nT = 0.05\\n"
+                         "snapshot_stride = 10\\nprobes = margins\\n")
+            assert bfl.cli.main(["run", "-c", path, "-o", out]) == 0
+        assert "scipy" not in sys.modules, "bfl run imported scipy"
         import numpy as np
         from bfl.lattice import Field, Grid, norm_h1_dual
-        n = 9
-        g = Grid.make_periodic(2.0, n)
-        v = np.random.default_rng(3).normal(size=(n, 3))
-        lap = (np.roll(np.eye(n), 1, axis=1) - 2.0 * np.eye(n)
-               + np.roll(np.eye(n), -1, axis=1)) / g.h ** 2
-        w = np.linalg.solve(np.eye(n) - lap, v)
-        dense = np.sqrt(g.h * np.sum(v * w))
-        dual = norm_h1_dual(Field(g, v))
-        assert abs(dual - dense) <= 1e-12 * dense, (dual, dense)
-        assert "scipy" in sys.modules, "dual norm ran without scipy"
+        rng = np.random.default_rng(3)
+        for g in (Grid.make_periodic(2.0, 9), Grid.make_periodic(2.0, 10),
+                  Grid.make_periodic(7.0, 33), Grid.make_window(-1.0, 24, 0.17),
+                  Grid.make_window(0.0, 799, 2.0)):
+            n = g.n_nodes
+            lap = (np.eye(n, k=1) - 2.0 * np.eye(n) + np.eye(n, k=-1)) / g.h ** 2
+            if g.periodic:
+                lap[0, -1] = lap[-1, 0] = 1.0 / g.h ** 2
+            else:
+                lap[0, 0] = lap[-1, -1] = -1.0 / g.h ** 2
+            v = rng.normal(size=(n, 3))
+            w = np.linalg.solve(np.eye(n) - lap, v)
+            dense = np.sqrt(g.h * np.sum(v * w))
+            dual = norm_h1_dual(Field(g, v))
+            assert abs(dual - dense) <= 1e-12 * dense, (n, dual, dense)
+        assert "scipy" not in sys.modules, "a dual norm imported scipy"
     """)
     src = str(Path(bfl.__file__).resolve().parents[1])
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
-                          text=True, env={**os.environ, "PYTHONPATH": path},
-                          timeout=120)
+    proc = subprocess.run([sys.executable, "-c", script, str(tmp_path)],
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path}, timeout=120)
     assert proc.returncode == 0, proc.stderr
 
 

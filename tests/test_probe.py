@@ -4,7 +4,7 @@ import pytest
 import bfl.probe
 from bfl.config import ExperimentConfig, build_grid, build_initial, build_speed
 from bfl.convergence import convergence_study, stability_sweep
-from bfl.dynamics import CURVE, TANGENT, FlowState, g_samples
+from bfl.dynamics import CURVE, TANGENT, FlowState, chord_lengths, g_samples
 from bfl.integrate import EvolveResult, IntegratorSpec, evolve
 from bfl.lattice import (
     Field,
@@ -123,6 +123,19 @@ def test_diagnose_curve_mode_skips_margins():
     assert recs[-1].unit_drift <= 1e-10
 
 
+def test_diagnose_curve_drift_against_starting_chords():
+    # sampled circle: chords 2 sin(h/2)/h = 0.99929, which projected_rk4 keeps
+    grid = Grid.make_periodic(2 * np.pi, 48)
+    x = grid.nodes()
+    gamma0 = Field(grid, np.stack([np.cos(x), np.sin(x), np.zeros_like(x)], axis=1))
+    speed = speed_from_name("coupled-tanh:1,0.5")
+    res = evolve(FlowState(0.0, gamma0, speed, mode=CURVE), 0.5,
+                 IntegratorSpec(method="projected_rk4", cfl=0.25, snapshot_stride=20))
+    assert abs(chord_lengths(gamma0)[0] - 0.99929) < 1e-5
+    assert len(res.times) > 2
+    assert max(r.unit_drift for r in diagnose(res, speed)) <= 1e-13
+
+
 # ------------------------------------------------ blocked diagnostics pins
 
 def reference_diagnose_one(result, speed, t, f, g, grad0, margins, oracle):
@@ -134,7 +147,7 @@ def reference_diagnose_one(result, speed, t, f, g, grad0, margins, oracle):
             drift_vals = magnitudes(u)
             if not f.grid.periodic:
                 drift_vals = drift_vals[:-1]
-            drift = float(np.max(np.abs(drift_vals - 1.0)))
+            drift = float(np.max(np.abs(drift_vals - chord_lengths(result.fields[0]))))
         else:
             u = f
             drift = unit_drift(f)

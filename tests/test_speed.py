@@ -125,6 +125,16 @@ def test_selector_bounds_are_certified():
     assert s.beta1 == pytest.approx(1.0)
 
 
+def test_coupled_tanh_gradient_bound_pinned_by_dense_scan():
+    # |grad_gamma (a + b tanh |gamma|^2)| = |b| 2 sqrt(s) sech^2(s), s = |gamma|^2
+    s = np.linspace(0.0, 10.0, 1_000_001)
+    sup = float(np.max(2.0 * np.sqrt(s) / np.cosh(s) ** 2))
+    assert sup == pytest.approx(1.113116, abs=1e-6)
+    for b in (0.5, -0.25, 2.0):
+        declared = speed_from_name(f"coupled-tanh:3,{b}").beta_prime / abs(b)
+        assert sup <= declared <= sup * (1 + 1e-4)
+
+
 def test_selector_rejects_nonpositive():
     with pytest.raises(ValueError):
         speed_from_name("sin:1,2,1")
