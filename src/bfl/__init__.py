@@ -62,7 +62,6 @@ from .probe import (
     frenet,
     frenet_curve,
     gradient_bound_margin,
-    helix_rotation_rate,
     oracle_circle_curve,
     oracle_great_circle,
     oracle_helix,
@@ -92,7 +91,7 @@ __all__ = [
     "d2", "delta_g", "diagnose", "dminus", "dot", "dplus",
     "dual_bound_margin", "energy", "energy_rate_residual", "evaluate",
     "evolve", "form_equivalence_residual", "frenet", "frenet_curve",
-    "gamma_integral", "gradient_bound_margin", "helix_rotation_rate",
+    "gamma_integral", "gradient_bound_margin",
     "inner_h", "interp_gap", "l2_norm_linear", "magnitudes",
     "make_constant", "norm_h", "norm_h1", "norm_h1_dual", "norm_linf",
     "normalized", "oracle_circle_curve", "oracle_great_circle",

@@ -23,11 +23,12 @@ on the sphere (at cfl = 1 the energy of a variable-g helix blows up).
 evolve() marches with a fixed step, shortens the last step to land exactly
 on the horizon, and stores a snapshot (state plus the coefficient samples
 used) every ``snapshot_stride`` steps. Between snapshots it steps raw
-arrays: tangents as C-ordered (3, n) rows (node axis last), transposed once
-on entry, curves as (n, 3) values. Every in-kernel |w|^2 is summed as
-(x^2 + z^2) + y^2, the order of numpy's einsum on (n, 3) rows, so no byte
-depends on the layout. Fields are built only for stored snapshots. A NaN or
-Inf aborts with the step index; the partial trajectory is kept and flagged.
+arrays, tangents and curves alike as C-ordered (3, n) rows (node axis
+last), transposed once on entry and once per stored snapshot. Every
+in-kernel |w|^2 is summed as (x^2 + z^2) + y^2, the order of numpy's einsum
+on (n, 3) rows, so no byte depends on the layout. Fields are built only for
+stored snapshots. A NaN or Inf aborts with the step index; the partial
+trajectory is kept and flagged.
 """
 
 from __future__ import annotations
@@ -39,9 +40,9 @@ from typing import Callable
 
 import numpy as np
 
-from .dynamics import TANGENT, FlowState, g_samples
+from .dynamics import TANGENT, FlowState, chord_lengths, g_samples
 from .lattice import _NEXT, _PREV, Field, _cross_turned, _delta_g, _dminus, _dplus, _norm2, cross3
-from .speed import _sample_at
+from .speed import COUPLED, _sample_at
 
 
 class DivergenceError(RuntimeError):
@@ -139,21 +140,19 @@ def _rk4(deriv, project, t: float, y: np.ndarray, dt: float) -> np.ndarray:
     return y_new if project is None else project(y_new)
 
 
-def _restore_chords(chords, h: float, periodic: bool, lengths: np.ndarray,
+def _restore_chords(h: float, periodic: bool, ext: str, lengths: np.ndarray,
                     gamma: np.ndarray) -> np.ndarray:
     # rescale each chord to its starting length (a chord that starts at length 0
     # stays 0) and rebuild from the base node; a window's last chord reads the
     # ghost node and builds nothing
-    u_vals = chords(gamma).T[:len(lengths)]
-    scale = np.divide(lengths, np.linalg.norm(u_vals, axis=1),
-                      out=np.zeros_like(lengths), where=lengths > 0)
-    u_vals = u_vals * scale[:, None]
+    u = _dplus(gamma, h, periodic, ext)[:, :len(lengths)]
+    u *= np.divide(lengths, np.sqrt(_norm2(u)), out=np.zeros_like(lengths), where=lengths > 0)
     if periodic:
         # the exact flow conserves the mean tangent (cyclic telescoping);
         # share the rounding-level closure defect over all chords instead of
         # dumping it into the wrap chord, where it seeds a seam instability
-        u_vals = (u_vals - u_vals.mean(axis=0))[:-1]
-    return np.vstack([gamma[:1], gamma[:1] + np.cumsum(h * u_vals, axis=0)])
+        u = (u - u.mean(axis=1, keepdims=True))[:, :-1]
+    return np.concatenate([gamma[:, :1], gamma[:, :1] + np.cumsum(h * u, axis=1)], axis=1)
 
 
 # --------------------------------------------------------------------------
@@ -161,21 +160,23 @@ def _restore_chords(chords, h: float, periodic: bool, lengths: np.ndarray,
 # --------------------------------------------------------------------------
 
 def _kernel(state: FlowState, spec: IntegratorSpec) -> Callable:
-    """advance(t, y, dt): one step of the state's flow on raw node values y.
+    """advance(t, y, dt): one step of the state's flow on (3, n) rows y.
 
     Resolves once what every step reuses: the ghost policy, the coefficient
-    sampler and, for a curve, the chord lengths of the state, which
-    projected_rk4 restores after every step. Both forms apply D+(g D-.), so
-    g_i weights the cell left of node i; a midpoint offset samples at
-    x_i - h/2. A time-independent g is sampled once; _sample_at checks every
-    sample positive and within the declared bounds when it is taken, and
-    reads y only for a coupled g. ValueError for rotation on a curve.
+    sampler and, for a curve, the state's chord_lengths (the lengths diagnose
+    measures drift against), which projected_rk4 restores after every step.
+    Both forms apply D+(g D-.), so g_i weights the cell left of node i; a
+    midpoint offset samples at x_i - h/2. A time-independent g is sampled
+    once; _sample_at checks every sample when it is taken. Only a coupled g
+    reads y, as a C-ordered (n, 3) copy. ValueError for rotation on a curve.
     """
     grid, speed = state.grid, state.speed
     h, periodic, ext = grid.h, grid.periodic, state.field.extension
     x = grid.nodes()
-    if speed.time_dependent:
-        coefficient = lambda t, y: _sample_at(speed, t, x, y)
+    if speed.flavor == COUPLED:
+        coefficient = lambda t, y: _sample_at(speed, t, x, np.ascontiguousarray(y.T))
+    elif speed.time_dependent:
+        coefficient = lambda t, y: _sample_at(speed, t, x)
     else:
         g_fixed = _sample_at(speed, state.t, x)
         coefficient = lambda t, y: g_fixed
@@ -193,25 +194,13 @@ def _kernel(state: FlowState, spec: IntegratorSpec) -> Callable:
             raise ValueError("rotation steps tangent data only; "
                              "step a curve with rk4 or projected_rk4")
 
-        def chords(gamma):
-            return _dplus(gamma.T, h, periodic, ext)
-
         def deriv(t, gamma):
-            # g (u ^ D-u) with u = D+gamma as (3, n) rows; the chords extend by zero
-            g, u = coefficient(t, gamma), chords(gamma)
-            return (g * cross3(u, _dminus(u, h, periodic, "zero"))).T
+            # g (u ^ D-u) with u = D+gamma; the chords extend by zero
+            u = _dplus(gamma, h, periodic, ext)
+            return coefficient(t, gamma) * cross3(u, _dminus(u, h, periodic, "zero"))
 
-        lengths = np.linalg.norm(chords(state.field.values).T, axis=1)
-        project = partial(_restore_chords, chords, h, periodic,
-                          lengths if periodic else lengths[:-1])
+        project = partial(_restore_chords, h, periodic, ext, chord_lengths(state.field))
     return partial(_rk4, deriv, None if spec.method == "rk4" else project)
-
-
-def _march_start(state: FlowState):
-    """The array the kernel marches, and the map from it back to node values."""
-    if state.mode == TANGENT:
-        return np.ascontiguousarray(state.field.values.T), np.transpose
-    return state.field.values, lambda y: y
 
 
 def _checked_step(advance: Callable, t: float, y: np.ndarray, dt: float) -> np.ndarray:
@@ -234,9 +223,9 @@ def step(state: FlowState, spec: IntegratorSpec, dt: float) -> FlowState:
 
     Raises DivergenceError if the update produces NaN or Inf.
     """
-    y, values = _march_start(state)
+    y = np.ascontiguousarray(state.field.values.T)
     y = _checked_step(_kernel(state, spec), state.t, y, dt)
-    return state.advanced(state.t + dt, state.field.with_values(values(y)))
+    return state.advanced(state.t + dt, state.field.with_values(y.T))
 
 
 @dataclass
@@ -285,7 +274,7 @@ def evolve(state: FlowState, horizon: float, spec: IntegratorSpec) -> EvolveResu
     record(state.t, state.field)
     advance = _kernel(state, spec)
     k = 0
-    t, (y, values) = state.t, _march_start(state)
+    t, y = state.t, np.ascontiguousarray(state.field.values.T)
     tol = 1e-14 * max(1.0, abs(horizon))
     landing = 1e-13 * max(1.0, abs(horizon))
     while direction * (horizon - t) > tol:
@@ -300,6 +289,6 @@ def evolve(state: FlowState, horizon: float, spec: IntegratorSpec) -> EvolveResu
         t = t + step_dt
         k += 1
         if k % spec.snapshot_stride == 0 or abs(t - horizon) <= landing:
-            record(t, state.field.with_values(values(y)))
+            record(t, state.field.with_values(y.T))
     result.steps_taken = k
     return result

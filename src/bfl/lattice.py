@@ -352,6 +352,20 @@ def _delta_g(g: np.ndarray, vals: np.ndarray, h: float, periodic: bool,
 
 _RIESZ_RESIDUAL_TOL = 1e-10
 
+# applying I - D+D- to w in floating point leaves about eps (1 + 4/h^2) max|v|
+# even for the exact w (measured 0.01-1.13 times that, h = 0.1 to 0.0005)
+_RIESZ_ROUNDING = 4.0 * np.finfo(float).eps
+
+
+def _riesz_residual_bound(h: float, scale):
+    """Largest residual a correct Riesz solve leaves for a right-hand side
+    whose largest node magnitude is ``scale``: 1e-10 max(1, scale), or the
+    operator's rounding floor 4 eps (1 + 4/h^2) max(1, scale) where that is
+    larger (below h = 0.006)."""
+    floor = _RIESZ_ROUNDING * (1.0 + 4.0 / h ** 2)
+    return max(_RIESZ_RESIDUAL_TOL, floor) * np.maximum(1.0, scale)
+
+
 # the window sweeps restart their scale once the weights grow by this factor,
 # so that weights times data stay finite
 _SEGMENT_GROWTH = 2.0 ** 64
@@ -424,6 +438,6 @@ def norm_h1_dual(v: Field) -> float:
     """
     w = Field(v.grid, _riesz_matrix_solve(v.grid, v.values.T).T, "constant")
     worst = float(np.max(np.abs(w.values - d2(w).values - v.values)))
-    if worst > _RIESZ_RESIDUAL_TOL * max(1.0, norm_linf(v)):
+    if worst > _riesz_residual_bound(v.grid.h, norm_linf(v)):
         raise RieszSolveError(f"residual {worst:.3e} exceeds tolerance")
     return math.sqrt(max(inner_h(v, w), 0.0))

@@ -33,7 +33,6 @@ import numpy as np
 from .dynamics import CURVE, TANGENT, FlowState, chord_lengths
 from .integrate import EvolveResult, IntegratorSpec, _rk4, evolve
 from .lattice import (
-    _RIESZ_RESIDUAL_TOL,
     Field,
     Grid,
     RieszSolveError,
@@ -42,6 +41,7 @@ from .lattice import (
     _dplus,
     _norm2,
     _riesz_matrix_solve,
+    _riesz_residual_bound,
     cross,
     cross3,
     d2,
@@ -53,7 +53,7 @@ from .lattice import (
     unit_field,
 )
 from .reconstruct import gamma_integral
-from .speed import COUPLED, SPACE_TIME, SpeedField, _sample_at
+from .speed import COUPLED, SPACE_TIME, SpeedField, _curve_gradient, _sample_at
 
 KAPPA_MIN = 1e-8
 
@@ -114,7 +114,7 @@ def diagnose(result: EvolveResult, speed: SpeedField,
     Rows stop before the first snapshot whose coefficient samples include a
     non-positive value or whose diagnostics are not all finite, since the
     snapshot just before a divergence can overflow. A Riesz residual above
-    tolerance raises RieszSolveError.
+    the bound norm_h1_dual also applies raises RieszSolveError.
     """
     records = []
     # a curve flow keeps each chord's starting length, not length 1
@@ -186,13 +186,13 @@ def _diagnose_block(mode: str, fields, g_fields, lengths) -> list[tuple]:
     w = _riesz_matrix_solve(grid, du)
     resid = w - _dplus(_dminus(w, h, periodic, "constant"), h, periodic, "zero") - du
     worst = np.max(np.abs(resid), axis=(0, 2))
-    scale = np.maximum(1.0, np.max(np.sqrt(_norm2(du)), axis=1))
+    bound = _riesz_residual_bound(h, np.max(np.sqrt(_norm2(du)), axis=1))
     rhs_dual = _root(h * _sums(du_rows[:k] * _rows(w)))
     for i in range(k):
         if not math.isfinite(worst[i]):
             k = i
             break
-        if worst[i] > _RIESZ_RESIDUAL_TOL * scale[i]:
+        if worst[i] > bound[i]:
             raise RieszSolveError(f"residual {worst[i]:.3e} exceeds tolerance")
         if not math.isfinite(rhs_dual[i]):
             k = i
@@ -247,13 +247,7 @@ def energy_rate_residual(result: EvolveResult, speed: SpeedField) -> float:
             rate += grid.h * float(np.sum((gp - gm) / (2 * eps_t) * sq))
         if speed.flavor == COUPLED and result.mode == CURVE:
             vel = g * cross(u, dm)
-            grad_g = np.empty_like(f.values)
-            for j in range(3):
-                shift = np.zeros(3)
-                shift[j] = eps_t
-                gp = _sample_at(speed, t, x, gamma_vals + shift)
-                gm = _sample_at(speed, t, x, gamma_vals - shift)
-                grad_g[:, j] = (gp - gm) / (2 * eps_t)
+            grad_g = _curve_gradient(speed, t, x, gamma_vals, eps_t)
             rate += grid.h * float(np.sum(
                 np.einsum("ij,ij->i", vel.values, grad_g) * sq))
         rates.append(rate)
@@ -366,18 +360,14 @@ def oracle_circle_curve(grid: Grid, k: int = 1) -> Field:
     return Field(grid, centered)
 
 
-def helix_rotation_rate(grid: Grid, alpha: float, k: int) -> float:
-    """Exact lattice precession rate cos(a) (2 - 2 cos kh) / h^2."""
-    return math.cos(alpha) * (2.0 - 2.0 * math.cos(k * grid.h)) / grid.h ** 2
-
-
 def oracle_helix(grid: Grid, alpha: float, k: int):
-    """Helix tangents u0, the closed-form evolution t -> values, and omega_h."""
+    """Helix tangents u0, the closed-form evolution t -> values, and the
+    exact lattice precession rate omega_h = cos(a) (2 - 2 cos kh) / h^2."""
     if grid.periodic:
         windings = k * grid.length / (2 * math.pi)
         if abs(windings - round(windings)) > 1e-9:
             raise ValueError("helix wavenumber incompatible with the period")
-    omega = helix_rotation_rate(grid, alpha, k)
+    omega = math.cos(alpha) * (2.0 - 2.0 * math.cos(k * grid.h)) / grid.h ** 2
     closed_form = helix_tangents(grid.nodes(), alpha, k, omega)
     return unit_field(grid, closed_form(0.0)), closed_form, omega
 

@@ -114,6 +114,18 @@ def _sample_at(speed: SpeedField, t: float, x: np.ndarray,
     return vals
 
 
+def _curve_gradient(speed: SpeedField, t: float, x: np.ndarray, gamma: np.ndarray,
+                    eps: float) -> np.ndarray:
+    """Gradient of a coupled g in the curve values, (n, 3): central
+    differences over shifts of +-eps along each axis."""
+    grad = np.empty_like(gamma)
+    for j in range(3):
+        shift = np.zeros(3)
+        shift[j] = eps
+        grad[:, j] = (speed(t, x, gamma + shift) - speed(t, x, gamma - shift)) / (2 * eps)
+    return grad
+
+
 @dataclass
 class BoundsReport:
     """Worst margins from a dense spot check of the declared bounds."""
@@ -122,7 +134,7 @@ class BoundsReport:
     lower_margin: float          # min g - alpha
     upper_margin: float          # beta - max g
     dt_margin: float | None      # beta1 - max |finite-difference dg/dt|
-    dx_margin: float | None      # beta_prime - max |finite-difference dg/dx|
+    dx_margin: float | None      # beta_prime - max |finite-difference dg/dx or grad_gamma g|
     flags: list = field(default_factory=list)
 
 
@@ -130,9 +142,11 @@ def validate_bounds(speed: SpeedField, grid: Grid, t_grid=(0.0,),
                     gamma: Field | None = None) -> BoundsReport:
     """Dense spot check of alpha <= g <= beta and the derivative bounds.
 
-    Samples 10 points per cell at every listed time; finite-difference
-    estimates of dg/dt and dg/dx must respect beta1 and beta_prime within
-    5%. Violations are reported, not raised: the caller decides.
+    Samples 10 points per cell at every listed time (a coupled g at the
+    nodes, with the curve); finite-difference estimates of dg/dt and of dg/dx,
+    or of a coupled g's gradient in the curve values, must respect beta1 and
+    beta_prime within 5%. Violations are reported, not raised: the caller
+    decides.
     """
     n_cells = grid.n_nodes if grid.periodic else grid.n_nodes - 1
     xs = grid.x0 + np.linspace(0.0, n_cells * grid.h, n_cells * 10, endpoint=False)
@@ -158,8 +172,11 @@ def validate_bounds(speed: SpeedField, grid: Grid, t_grid=(0.0,),
         if speed.flavor in (SPACE_TIME, COUPLED):
             vp = np.broadcast_to(np.asarray(speed(t + eps_t, xs, gamma_vals), float), xs.shape)
             dt_worst = max(dt_worst, float(np.max(np.abs(vp - vals))) / eps_t)
-        if speed.flavor != CONSTANT and speed.flavor != COUPLED:
-            vx = np.broadcast_to(np.asarray(speed(t, xs + eps_x, gamma_vals), float), xs.shape)
+        if speed.flavor == COUPLED:
+            grad = _curve_gradient(speed, t, xs, gamma_vals, eps_x)
+            dx_worst = max(dx_worst, float(np.max(np.sqrt(np.einsum("ij,ij->i", grad, grad)))))
+        elif speed.flavor != CONSTANT:
+            vx = np.broadcast_to(np.asarray(speed(t, xs + eps_x), float), xs.shape)
             dx_worst = max(dx_worst, float(np.max(np.abs(vx - vals))) / eps_x)
 
     flags = []
@@ -173,7 +190,7 @@ def validate_bounds(speed: SpeedField, grid: Grid, t_grid=(0.0,),
         dt_margin = speed.beta1 * 1.05 - dt_worst
         if dt_margin < 0:
             flags.append(f"time-derivative bound exceeded by {-dt_margin:.3g}")
-    if speed.flavor in (SPACE_ONLY, SPACE_TIME):
+    if speed.flavor != CONSTANT:
         dx_margin = speed.beta_prime * 1.05 - dx_worst
         if dx_margin < 0:
             flags.append(f"space-derivative bound exceeded by {-dx_margin:.3g}")

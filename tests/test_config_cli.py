@@ -583,7 +583,7 @@ def test_public_names_resolve_without_duplicates():
     names = bfl.__all__
     assert len(set(names)) == len(names)
     assert all(hasattr(bfl, name) for name in names)
-    assert len(names) <= 75
+    assert len(names) <= 74
 
 
 def test_identity_suite_determinism():

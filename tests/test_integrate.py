@@ -12,6 +12,7 @@ from bfl.lattice import (
     Grid,
     delta_g,
     dminus,
+    dplus,
     magnitudes,
     norm_linf,
     unit_drift,
@@ -142,6 +143,20 @@ def reference_rk4_step(state, dt):
     return y + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
 
 
+def reference_projected_curve_step(state, dt):
+    # the rk4 step, each chord rescaled to its length in the starting state,
+    # a closed curve's chords shifted by their mean (taken along the node
+    # axis of a (3, n) copy), the curve rebuilt from its base node
+    moved = state.field.with_values(reference_rk4_step(state, dt))
+    lengths = chord_lengths(state.field)
+    chords = dplus(moved)
+    chords = chords.values[:len(lengths)] * (lengths / magnitudes(chords)[:len(lengths)])[:, None]
+    if state.grid.periodic:
+        chords = (chords - np.ascontiguousarray(chords.T).mean(axis=1))[:-1]
+    base = moved.values[:1]
+    return np.vstack([base, base + np.cumsum(state.grid.h * chords, axis=0)])
+
+
 def reference_rotate(vectors, rotvecs):
     # the (n, 3) Rodrigues body the row kernel replaced: einsum for |w|^2,
     # np.where for the small-angle factors, np.cross for the products
@@ -220,9 +235,12 @@ def test_curve_rk4_step_equals_field_level_reference(periodic):
         gamma0 = oracle_circle_curve(Grid.make_periodic(2 * np.pi, 24))
     else:
         gamma0 = window_curve()
-    state = FlowState(0.0, gamma0, speed_from_name("coupled-tanh:1,0.5"), mode="curve")
-    new = step(state, IntegratorSpec(method="rk4", dt=1e-3), 1e-3)
-    assert np.array_equal(new.field.values, reference_rk4_step(state, 1e-3))
+    for name in ("coupled-tanh:1,0.5", "sin:2,1,1", "sintime:2,1,1,3"):
+        state = FlowState(0.0, gamma0, speed_from_name(name), mode="curve")
+        for method, reference in (("rk4", reference_rk4_step),
+                                  ("projected_rk4", reference_projected_curve_step)):
+            new = step(state, IntegratorSpec(method=method, dt=1e-3), 1e-3)
+            assert np.array_equal(new.field.values, reference(state, 1e-3)), (name, method)
 
 
 def test_temporal_orders():

@@ -28,7 +28,6 @@ from bfl.probe import (
     frenet,
     frenet_curve,
     gradient_bound_margin,
-    helix_rotation_rate,
     oracle_great_circle,
     oracle_helix,
     oracle_soliton_curve,
@@ -262,6 +261,29 @@ def test_diagnose_checks_each_riesz_residual_against_its_own_scale(monkeypatch):
         diagnose(both, speed)                      # 3e-10 > 1e-10 * 1
 
 
+def test_riesz_residual_bound_admits_the_rounding_floor(monkeypatch):
+    # a correct solve leaves a residual near eps (1 + 4/h^2) max|v|, which
+    # passes 1e-10 max|v| below h = 0.006; at h = 0.001 this window field
+    # left 5.4e-10 and the helix's du/dt 7.2e-10, and both used to raise
+    window = Grid.make_window(-2.0, 4000, 0.001)
+    x = window.nodes()
+    v = Field(window, np.stack([np.sin(2 * x), np.cos(3 * x), np.exp(-x ** 2)], axis=1))
+    assert norm_h1_dual(v) > 0.0
+    grid = Grid.make_periodic(2 * np.pi, 6283)     # h = 2 pi / 6283, about 0.001
+    helix, _, _ = oracle_helix(grid, np.pi / 4, 2)  # |du| = 2
+    speed = make_constant(1.0)
+    g = g_samples(FlowState(0.0, helix, speed))
+    result = EvolveResult(TANGENT, [0.0], [helix], [g])
+    (row,) = diagnose(result, speed)
+    assert row.rhs_dual_norm == norm_h1_dual(cross(helix, delta_g(g, helix)))
+    # the floor is 4 eps (1 + 4/h^2) 2 = 7.1e-9: a wrong solve still raises
+    solve = bfl.probe._riesz_matrix_solve
+    monkeypatch.setattr(bfl.probe, "_riesz_matrix_solve",
+                        lambda grid, rhs: solve(grid, rhs) + 1e-8)
+    with pytest.raises(RieszSolveError):
+        diagnose(result, speed)
+
+
 # ------------------------------------------------------------- energy law
 
 @pytest.mark.parametrize("offset", ["node", "mid"])
@@ -337,7 +359,7 @@ def test_helix_degenerates_to_great_circle():
 
 def test_helix_rate_formula_value():
     grid = Grid.make_periodic(2 * np.pi, 64)
-    omega = helix_rotation_rate(grid, np.pi / 4, 2)
+    _, _, omega = oracle_helix(grid, np.pi / 4, 2)
     expected = (np.sqrt(2) / 2) * (2 - 2 * np.cos(2 * grid.h)) / grid.h ** 2
     assert omega == pytest.approx(expected, rel=1e-15)
 

@@ -3,6 +3,7 @@ import pytest
 
 from bfl.lattice import CoefficientBoundError, Field, Grid
 from bfl.speed import (
+    COUPLED,
     SpeedField,
     SPACE_ONLY,
     make_constant,
@@ -133,6 +134,23 @@ def test_coupled_tanh_gradient_bound_pinned_by_dense_scan():
     for b in (0.5, -0.25, 2.0):
         declared = speed_from_name(f"coupled-tanh:3,{b}").beta_prime / abs(b)
         assert sup <= declared <= sup * (1 + 1e-4)
+
+
+def test_validate_coupled_curve_gradient_bound():
+    # on a circle of radius sqrt(0.52), |gamma|^2 = 0.52 sits at the sup:
+    # |grad_gamma g| = 1.11312 |b| at every node
+    grid = Grid.make_periodic(2 * np.pi, 64)
+    x = grid.nodes()
+    circle = Field(grid, np.sqrt(0.52) * np.stack([np.cos(x), np.sin(x), 0 * x], axis=1))
+    tanh = speed_from_name("coupled-tanh:1,0.5")
+    rep = validate_bounds(tanh, grid, gamma=circle)
+    assert rep.ok
+    assert rep.dx_margin == pytest.approx(1.05 * 1.1132 * 0.5 - 1.11312 * 0.5, abs=1e-5)
+    low = SpeedField(COUPLED, tanh.fn, alpha=1.0, beta=1.5, beta_prime=0.9 * 0.5)
+    rep = validate_bounds(low, grid, gamma=circle)
+    assert not rep.ok
+    assert rep.dx_margin == pytest.approx(1.05 * 0.45 - 1.11312 * 0.5, abs=1e-5)
+    assert any("space-derivative" in f for f in rep.flags)
 
 
 def test_selector_rejects_nonpositive():
