@@ -13,7 +13,10 @@ time-dependent base-point drift:
   exact time integration; the trapezoid rule on stored snapshots and the
   integrator error are the only sources of anchor dispersion, so the
   dispersion shrinks under refinement and doubles as a consistency check.
-* reconstruct_curve: gamma(t) = gamma_integral(u(t)) + c(t).
+* reconstruct_curve: gamma(t) = gamma_integral(u(t)) + c(t). The drift of
+  every snapshot is computed up front; curve k is summed from tangent k
+  only when `fields[k]` is read, so a reconstruction holds no second
+  trajectory.
 
 Snapshot spacing bounds the reconstruction accuracy at O(dt_snap^2)
 (trapezoid on stored data).
@@ -27,7 +30,7 @@ import numpy as np
 
 from .lattice import Field, Grid, dplus
 
-# snapshots stacked per block of the Riemann sums
+# snapshots stacked per block of the drift's spatial sums
 _BLOCK = 16
 
 
@@ -40,14 +43,10 @@ class TangentTrajectory:
     g_samples: tuple
 
     def __post_init__(self):
-        t = np.asarray(self.times)
-        if len(t) < 2 or np.any(np.diff(t) <= 0):
-            raise ValueError("need at least two strictly increasing snapshot times")
+        _check_snapshots(self.times, self.fields, self.g_samples)
         grid = self.fields[0].grid
         if any(f.grid != grid for f in self.fields):
             raise ValueError("snapshots on mismatched grids")
-        if len(self.fields) != len(t) or len(self.g_samples) != len(t):
-            raise ValueError("times, fields and g samples must align")
 
     @property
     def grid(self) -> Grid:
@@ -65,13 +64,45 @@ class TangentTrajectory:
 
 @dataclass(frozen=True)
 class CurveTrajectory:
-    """Ordered curve snapshots."""
+    """Ordered curve snapshots; `fields` is any sequence of Fields, one per time."""
 
     times: tuple
     fields: tuple
 
+    def __post_init__(self):
+        _check_snapshots(self.times, self.fields)
+
     def final(self) -> Field:
         return self.fields[-1]
+
+
+def _check_snapshots(times, *series) -> None:
+    """At least two strictly increasing times and one entry per time in each series."""
+    t = np.asarray(times)
+    if len(t) < 2 or np.any(np.diff(t) <= 0):
+        raise ValueError("need at least two strictly increasing snapshot times")
+    if any(len(s) != len(t) for s in series):
+        raise ValueError("need one snapshot per snapshot time")
+
+
+class _CurvesOnAccess:
+    """Read-only sequence whose item k, built each time it is read, is the
+    left sum of tangent k from the origin plus drift[k]."""
+
+    __slots__ = ("_grid", "_tangents", "_drift", "_origin")
+
+    def __init__(self, grid: Grid, tangents: tuple, drift: np.ndarray, origin: int):
+        self._grid, self._tangents, self._drift, self._origin = grid, tangents, drift, origin
+
+    def __len__(self) -> int:
+        return len(self._tangents)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return tuple(self[j] for j in range(*k.indices(len(self))))
+        u = self._tangents[k]
+        return Field(self._grid, _left_sums(self._grid.h, u.values, self._origin)
+                     + self._drift[k])
 
 
 def default_origin(grid: Grid) -> int:
@@ -102,10 +133,10 @@ def _checked_origin(grid: Grid, origin: int | None) -> int:
 
 
 def _left_sums(h: float, vals: np.ndarray, i0: int) -> np.ndarray:
-    """gamma_integral on values whose node axis is the second to last (any leading axes)."""
-    prefix = np.cumsum(h * vals, axis=-2)
-    prefix = np.concatenate([np.zeros_like(prefix[..., :1, :]), prefix], axis=-2)
-    return prefix[..., :-1, :] - prefix[..., i0:i0 + 1, :]
+    """gamma_integral on (n, k) values."""
+    prefix = np.cumsum(h * vals, axis=0)
+    prefix = np.concatenate([np.zeros_like(prefix[:1]), prefix])
+    return prefix[:-1] - prefix[i0:i0 + 1]
 
 
 def basepoint_drift(traj: TangentTrajectory, anchor: int | None = None,
@@ -156,12 +187,7 @@ def reconstruct_curve(traj: TangentTrajectory, anchor: int | None = None,
     """gamma(t_k) = gamma_integral(u(t_k)) + c(t_k), origin pinned at zero."""
     drift = basepoint_drift(traj, anchor=anchor, origin=origin)
     i0 = _checked_origin(traj.grid, origin)
-    curves = []
-    for start in range(0, len(traj.fields), _BLOCK):
-        block = np.stack([f.values for f in traj.fields[start:start + _BLOCK]])
-        values = _left_sums(traj.grid.h, block, i0) + drift[start:start + _BLOCK, None, :]
-        curves += [Field(traj.grid, v) for v in values]
-    return CurveTrajectory(traj.times, tuple(curves))
+    return CurveTrajectory(traj.times, _CurvesOnAccess(traj.grid, traj.fields, drift, i0))
 
 
 def anchor_dispersion(traj: TangentTrajectory, anchors, origin: int | None = None) -> float:

@@ -4,6 +4,9 @@ CSV: comma separated, '.' decimal, one header row, LF line endings, floats
 in shortest round-trip form, so identical (config, seed) runs produce
 byte-identical files. The column schema is versioned and echoed in the JSON
 report.
+
+JSON: indented two spaces, keys sorted, one final LF. It is streamed to the
+file as it is encoded, so writing a report never holds its whole text in memory.
 """
 
 from __future__ import annotations
@@ -79,5 +82,6 @@ def build_report(cfg: ExperimentConfig, records: list[DiagnosticsRecord],
 
 
 def write_json(path, report: dict) -> None:
-    Path(path).write_text(json.dumps(report, indent=2, sort_keys=True) + "\n",
-                          newline="\n")
+    with open(path, "w", newline="\n") as fh:
+        json.dump(report, fh, indent=2, sort_keys=True)
+        fh.write("\n")

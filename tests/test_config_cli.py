@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -25,7 +26,7 @@ from bfl.config import (
 )
 from bfl.convergence import continuum_oracle, convergence_study
 from bfl.identities import run_identity_suite
-from bfl.report import render_csv
+from bfl.report import render_csv, write_json
 from bfl.probe import diagnose
 
 
@@ -292,6 +293,25 @@ def test_csv_rendering_deterministic():
     assert header[:3] == ["t", "unit_drift", "energy"]
     assert "margin_gradient_bound" in header
     assert "\r" not in text1
+
+
+def test_write_json_streams_the_report_text(tmp_path):
+    # a report the size of a long run's: 2,000 rows of full-precision floats
+    rng = np.random.default_rng(18)
+    report = {"schema": "bfl-run-json-1", "status": "ok", "exit_code": 0,
+              "rows": [dict(zip("abcdefgh", map(float, row)))
+                       for row in rng.normal(size=(2000, 8))]}
+    path = tmp_path / "report.json"
+    tracemalloc.start()
+    try:
+        write_json(path, report)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    data = path.read_bytes()
+    assert data == (json.dumps(report, indent=2, sort_keys=True) + "\n").encode()
+    # encoding the whole text before writing it peaks above the output size
+    assert peak < len(data), f"peak {peak} B for {len(data)} B of JSON"
 
 
 # ------------------------------------------------------------- CLI

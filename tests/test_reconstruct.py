@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -237,6 +238,13 @@ def test_reconstruction_equals_per_snapshot_reference(name, anchor, origin):
     assert len(curves.fields) == len(want)
     for c, w in zip(curves.fields, want):
         assert c.values.tobytes() == w.tobytes()
+    # curves built on access: a negative index, a slice and final()
+    assert curves.fields[-1].values.tobytes() == want[-1].tobytes()
+    assert curves.final().values.tobytes() == want[-1].tobytes()
+    sliced = curves.fields[3:30:9]
+    assert len(sliced) == len(want[3:30:9])
+    for c, w in zip(sliced, want[3:30:9]):
+        assert c.values.tobytes() == w.tobytes()
 
 
 def test_anchor_dispersion_shrinks_under_refinement():
@@ -276,9 +284,50 @@ def test_anchor_dispersion_shrinks_with_snapshot_spacing_at_mid_offset():
     assert disps[1] < disps[0] / 10
 
 
+def test_reconstruction_holds_no_second_trajectory():
+    # 520 snapshots of a precessing helix on 512 nodes: 6.4 MB of tangents;
+    # building every curve up front would allocate as much again
+    grid = Grid.make_periodic(2 * np.pi, 512)
+    x = grid.nodes()
+    ones = Field(grid, np.ones(grid.n_nodes))
+    times = tuple(0.01 * k for k in range(520))
+    fields = tuple(unit_field(grid, np.stack(
+        [0.6 * np.cos(2 * x + t), 0.6 * np.sin(2 * x + t), np.full_like(x, 0.8)], axis=1))
+        for t in times)
+    traj = TangentTrajectory(times, fields, (ones,) * len(times))
+    nbytes = sum(f.values.nbytes for f in fields)
+    tracemalloc.start()
+    try:
+        curves = reconstruct_curve(traj, anchor=100)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.1 * nbytes, f"peak {peak} B for {nbytes} B of tangents"
+    assert len(curves.fields) == len(times)
+    assert tangent_mismatch(curves.final(), fields[-1]) <= 1e-12
+
+
 def test_curve_trajectory_container():
     grid = Grid.make_periodic(2 * np.pi, 16)
     u = circle_field(grid)
     gamma = gamma_integral(u)
     ct = CurveTrajectory((0.0, 1.0), (gamma, gamma))
     assert ct.final() is gamma
+
+
+@pytest.mark.parametrize("times, count", [
+    ((0.0, 1.0, 2.0), 1),   # fewer snapshots than times
+    ((0.0, 1.0), 3),        # more snapshots than times
+    ((1.0, 0.0), 2),        # decreasing
+    ((0.0, 0.0), 2),        # repeated
+    ((0.0,), 1),            # a single snapshot
+])
+def test_trajectories_refuse_misaligned_snapshots(times, count):
+    # one rule for both containers: aligned lengths, strictly increasing times
+    grid = Grid.make_periodic(2 * np.pi, 16)
+    u = circle_field(grid)
+    ones = Field(grid, np.ones(grid.n_nodes))
+    with pytest.raises(ValueError, match="snapshot time"):
+        CurveTrajectory(times, (gamma_integral(u),) * count)
+    with pytest.raises(ValueError, match="snapshot time"):
+        TangentTrajectory(times, (u,) * count, (ones,) * count)
