@@ -98,21 +98,52 @@ def _as_values(values) -> np.ndarray:
 _NEXT, _PREV = np.array([1, 2, 0]), np.array([2, 0, 1])
 
 
-def cross3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Vector product of (3, n) arrays, node axis last (faster than np.cross)."""
-    return _cross_turned(a.take(_NEXT, axis=0), a.take(_PREV, axis=0), b)
+# Operators that form intermediates take ``out`` as a stack of arrays shaped
+# like their result: the result is written to out[0], the intermediates to
+# the rest, and nothing else is allocated. Without ``out`` they keep their
+# operator spelling, which the steppers call: at n = 64 a ufunc call with an
+# ``out`` keyword costs about 250 ns more than the allocation it saves.
+
+def cross3(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Vector product of (3, n) arrays, node axis last (faster than np.cross).
+
+    ``out``: optional stack of four; out[2] and out[3] take a's turned rows.
+    """
+    if out is None:
+        return _cross_turned(a.take(_NEXT, axis=0), a.take(_PREV, axis=0), b)
+    return _cross_turned(a.take(_NEXT, axis=0, out=out[2], mode="wrap"),
+                         a.take(_PREV, axis=0, out=out[3], mode="wrap"), b, out[:2])
 
 
-def _cross_turned(a_next: np.ndarray, a_prev: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a ^ b from a's cyclic row permutations (a_y, a_z, a_x) and (a_z, a_x, a_y)."""
-    return a_next * b.take(_PREV, axis=0) - a_prev * b.take(_NEXT, axis=0)
+def _cross_turned(a_next: np.ndarray, a_prev: np.ndarray, b: np.ndarray,
+                  out: np.ndarray | None = None) -> np.ndarray:
+    """a ^ b from a's cyclic row permutations (a_y, a_z, a_x) and (a_z, a_x, a_y).
+
+    ``out``: optional stack of two; out[1] takes the subtracted product.
+    """
+    if out is None:
+        return a_next * b.take(_PREV, axis=0) - a_prev * b.take(_NEXT, axis=0)
+    # take's default mode copies through a buffer of its own when given out
+    left = np.multiply(a_next, b.take(_PREV, axis=0, out=out[0], mode="wrap"), out=out[0])
+    right = np.multiply(a_prev, b.take(_NEXT, axis=0, out=out[1], mode="wrap"), out=out[1])
+    return np.subtract(left, right, out=out[0])
 
 
-def _norm2(v: np.ndarray) -> np.ndarray:
+def _norm2(v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """|v|^2 over the component axis 0 of a (3, ...) array, summed as
-    (x^2 + z^2) + y^2: the order of magnitudes()' einsum on (n, 3) rows."""
-    sq = v * v
-    return (sq[0] + sq[2]) + sq[1]
+    (x^2 + z^2) + y^2: the order of magnitudes()' einsum on (n, 3) rows.
+
+    ``out``: optional stack of three, an array shaped like v; it takes the
+    squares.
+    """
+    if out is None:
+        sq = v * v
+        return (sq[0] + sq[2]) + sq[1]
+    sq = np.multiply(v, v, out=out)
+    total = sq[0]
+    total += sq[2]
+    total += sq[1]
+    return total
 
 
 @dataclass(frozen=True)
@@ -228,13 +259,17 @@ def normalized(v: Field) -> Field:
 # axis, so (n,) scalars and (3, n) vectors share one path
 # --------------------------------------------------------------------------
 
-def _shifted(vals: np.ndarray, side: int, periodic: bool, extension: str) -> np.ndarray:
+def _shifted(vals: np.ndarray, side: int, periodic: bool, extension: str,
+             out: np.ndarray | None = None) -> np.ndarray:
     """Node i picks up the value at node i + side (side = +1 or -1); node axis last.
 
     The one value read past an end comes from the periodic wrap or, on a
-    window, from the extension tag: the edge value or zero.
+    window, from the extension tag: the edge value or zero. ``out``, here and
+    in the difference operators below, is an optional array for the result;
+    it must not overlap ``vals``.
     """
-    out = np.empty_like(vals)
+    if out is None:
+        out = np.empty_like(vals)
     constant = extension == "constant"
     if side > 0:
         out[..., :-1] = vals[..., 1:]
@@ -245,17 +280,19 @@ def _shifted(vals: np.ndarray, side: int, periodic: bool, extension: str) -> np.
     return out
 
 
-def _dplus(vals: np.ndarray, h: float, periodic: bool, extension: str) -> np.ndarray:
+def _dplus(vals: np.ndarray, h: float, periodic: bool, extension: str,
+           out: np.ndarray | None = None) -> np.ndarray:
     """(v_{i+1} - v_i)/h along the last (node) axis."""
-    out = _shifted(vals, +1, periodic, extension)
+    out = _shifted(vals, +1, periodic, extension, out)
     out -= vals
     out /= h
     return out
 
 
-def _dminus(vals: np.ndarray, h: float, periodic: bool, extension: str) -> np.ndarray:
+def _dminus(vals: np.ndarray, h: float, periodic: bool, extension: str,
+            out: np.ndarray | None = None) -> np.ndarray:
     """(v_i - v_{i-1})/h along the last (node) axis."""
-    out = _shifted(vals, -1, periodic, extension)
+    out = _shifted(vals, -1, periodic, extension, out)
     np.subtract(vals, out, out=out)
     out /= h
     return out
@@ -339,11 +376,14 @@ def _positive(g: np.ndarray) -> np.ndarray:
 
 
 def _delta_g(g: np.ndarray, vals: np.ndarray, h: float, periodic: bool,
-             extension: str) -> np.ndarray:
+             extension: str, out: np.ndarray | None = None) -> np.ndarray:
     """delta_g on raw node values, node axis last; the inner difference reads
     ghosts by ``extension``, the outer one differences a zero-extended
-    product."""
-    return _dplus(g * _dminus(vals, h, periodic, extension), h, periodic, "zero")
+    product. ``out``: optional stack of two; out[1] takes the product g D-v."""
+    if out is None:
+        return _dplus(g * _dminus(vals, h, periodic, extension), h, periodic, "zero")
+    flux = np.multiply(g, _dminus(vals, h, periodic, extension, out[1]), out=out[1])
+    return _dplus(flux, h, periodic, "zero", out[0])
 
 
 # --------------------------------------------------------------------------
@@ -371,18 +411,25 @@ def _riesz_residual_bound(h: float, scale):
 _SEGMENT_GROWTH = 2.0 ** 64
 
 
-def _riesz_matrix_solve(grid: Grid, rhs: np.ndarray) -> np.ndarray:
-    """Solve (I - D+D-) w = rhs along the last (node) axis."""
+def _riesz_matrix_solve(grid: Grid, rhs: np.ndarray,
+                        out: np.ndarray | None = None) -> np.ndarray:
+    """Solve (I - D+D-) w = rhs along the last (node) axis.
+
+    ``out``: optional array for w on a window. A periodic w is always a new
+    array, since numpy's rfft and irfft take no ``out`` before numpy 2.0.
+    """
     n, h = grid.n_nodes, grid.h
     if grid.periodic:
         # circulant, so the Fourier modes diagonalize it
         k = np.arange(n // 2 + 1)
         eig = 1.0 + (2.0 - 2.0 * np.cos(2.0 * np.pi * k / n)) / h ** 2
-        return np.fft.irfft(np.fft.rfft(rhs) / eig, n)
-    return _neumann_solve(h, rhs)
+        spectrum = np.fft.rfft(rhs)
+        spectrum /= eig
+        return np.fft.irfft(spectrum, n)
+    return _neumann_solve(h, rhs, out)
 
 
-def _neumann_solve(h: float, rhs: np.ndarray) -> np.ndarray:
+def _neumann_solve(h: float, rhs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Thomas elimination for the window's I - D+D-, in closed form.
 
     With constant-extension ghosts the matrix is I plus the Neumann second
@@ -392,7 +439,7 @@ def _neumann_solve(h: float, rhs: np.ndarray) -> np.ndarray:
     the last one s (q_n - q_{n-1})/q_{n-1} from the corner row. Both sweeps
     are then cumulative sums scaled by q, taken in segments over which q
     grows by at most _SEGMENT_GROWTH; each segment carries its neighbor's
-    end value in.
+    end value in. ``out``: optional array for w; it must not overlap rhs.
     """
     n = rhs.shape[-1]
     rho = 1.0 / (1.0 + 0.5 * h * h + h * math.sqrt(1.0 + 0.25 * h * h))
@@ -402,7 +449,7 @@ def _neumann_solve(h: float, rhs: np.ndarray) -> np.ndarray:
     bounds = list(range(0, n, step)) + [n]
     segments = list(zip(bounds[:-1], bounds[1:]))
     ups = [grow[:e - b] * (tail[b:e] / tail[b]) for b, e in segments]   # q_i / q_b
-    w = np.empty(rhs.shape)
+    w = np.empty(rhs.shape) if out is None else out
 
     # forward: T_i = q_i y_i / q_b = T_{i-1} + (q_i / q_b) r_i on [b, e)
     for (b, e), up in zip(segments, ups):

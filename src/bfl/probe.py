@@ -57,9 +57,15 @@ from .speed import COUPLED, SPACE_TIME, SpeedField, _curve_gradient, _sample_at
 
 KAPPA_MIN = 1e-8
 
-# snapshots stacked per diagnostics block; 16 keeps the block's arrays near
-# 1 MiB at n = 513
+# snapshots stacked per diagnostics block
 _BLOCK = 16
+
+# rows of diagnose's work array, each room for one (3, _BLOCK, n) stack. An
+# operator's out stack takes consecutive rows: _delta_g's _DELTA and _DU,
+# cross3's _DU, _A, _B and the last row. At n = 513 the array holds 1.7 MiB,
+# allocated once per diagnose call.
+_G, _U, _DU_ROWS, _ROWS, _DELTA, _DU, _A, _B = range(8)
+_SLOTS = 9
 
 
 # --------------------------------------------------------------------------
@@ -117,14 +123,19 @@ def diagnose(result: EvolveResult, speed: SpeedField,
     the bound norm_h1_dual also applies raises RieszSolveError.
     """
     records = []
+    if not result.fields:
+        return records
     # a curve flow keeps each chord's starting length, not length 1
     lengths = chord_lengths(result.fields[0]) if result.mode == CURVE else 1.0
+    # one work array serves every block, so no block allocates or frees a stack
+    width = min(_BLOCK, len(result.times))
+    work = np.empty((_SLOTS, 3 * width * result.grid.n_nodes))
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, len(result.times), _BLOCK):
             times = result.times[start:start + _BLOCK]
             fields = result.fields[start:start + _BLOCK]
             rows = _diagnose_block(result.mode, fields, result.g_samples[start:start + _BLOCK],
-                                   lengths)
+                                   lengths, work)
             for t, f, (drift, energy_now, grad, rhs, rhs_dual, delta) in zip(times, fields, rows):
                 margin_row = {}
                 if margins and result.mode == TANGENT:
@@ -145,7 +156,7 @@ def diagnose(result: EvolveResult, speed: SpeedField,
     return records
 
 
-def _diagnose_block(mode: str, fields, g_fields, lengths) -> list[tuple]:
+def _diagnose_block(mode: str, fields, g_fields, lengths, work: np.ndarray) -> list[tuple]:
     """(drift, energy, grad, rhs, rhs_dual, delta) rows for a block of snapshots.
 
     The drift is max_i | |u_i| - lengths_i |, with u = D+gamma for a curve
@@ -154,40 +165,57 @@ def _diagnose_block(mode: str, fields, g_fields, lengths) -> list[tuple]:
     each snapshot is reduced in the order the Field-level norms take on its
     (n, 3) values: |v_i|^2 for the drift, the energy and the residual scale
     by the lattice's row norm, the h-norms by sums over C-ordered (B, n, 3)
-    copies. One Riesz solve serves every dual norm. Rows stop before the
-    first snapshot whose g has a non-positive sample or whose values are not
-    all finite; each residual is checked against its own snapshot's scale.
+    copies. One Riesz solve serves every dual norm. Every array of B
+    snapshots is a leading slice of a row of ``work`` (diagnose's work
+    array), laid out as a new C-ordered array would be, and the operators
+    write into it through their ``out``; only a periodic Riesz solve
+    allocates (rfft/irfft take no ``out``). Rows stop before the first
+    snapshot whose g has a non-positive sample or whose values are not all
+    finite; each residual is checked against its own snapshot's scale.
     """
     grid, ext = fields[0].grid, fields[0].extension
-    h, periodic = grid.h, grid.periodic
-    g = np.stack([s.values for s in g_fields])
-    u = np.stack([f.values.T for f in fields], axis=1)
+    h, periodic, n = grid.h, grid.periodic, grid.n_nodes
+    stack = (3, len(fields), n)
+    g = np.stack([s.values for s in g_fields], out=_room(work, _G, stack[1:]))
+    u = np.stack([f.values.T for f in fields], axis=1,
+                 out=_room(work, _A if mode == CURVE else _U, stack))
     if mode == CURVE:
-        u, ext = _dplus(u, h, periodic, ext), "zero"
-    mags = np.sqrt(_norm2(u))
+        u, ext = _dplus(u, h, periodic, ext, _room(work, _U, stack)), "zero"
+    mags = _norm2(u, _room(work, _A, stack))
+    mags = np.sqrt(mags, out=mags)
     if mode == CURVE and not periodic:
         mags = mags[:, :-1]
-    drift = np.max(np.abs(mags - lengths), axis=1)
-    energies = h * np.sum(g * _norm2(_dminus(u, h, periodic, ext)), axis=1)
-    delta = _delta_g(g, u, h, periodic, ext)
-    du = cross3(u, delta)
-    du_rows = _rows(du)
-    grad = _root(h * _sums(_rows(_dplus(u, h, periodic, ext)) ** 2))
-    rhs = _root(h * _sums(du_rows * du_rows))
-    delta_rows = _rows(delta)
-    delta_norm = _root(h * _sums(delta_rows * delta_rows))
+    drift = np.max(np.abs(np.subtract(mags, lengths, out=mags), out=mags), axis=1)
+    squares = _norm2(_dminus(u, h, periodic, ext, _room(work, _A, stack)),
+                     _room(work, _B, stack))
+    energies = h * np.sum(np.multiply(g, squares, out=squares), axis=1)
+    delta = _delta_g(g, u, h, periodic, ext, _room(work, _DELTA, stack, 2))
+    du = cross3(u, delta, _room(work, _DU, stack, 4))
+    du_rows = _rows(du, _room(work, _DU_ROWS, stack[1:] + (3,)))
+    rows = _rows(_dplus(u, h, periodic, ext, _room(work, _A, stack)),
+                 _room(work, _ROWS, stack[1:] + (3,)))
+    grad = _root(h * _sums(np.multiply(rows, rows, out=rows)))
+    rhs = _root(h * _sums(np.multiply(du_rows, du_rows, out=rows)))
+    rows = _rows(delta, rows)
+    delta_norm = _root(h * _sums(np.multiply(rows, rows, out=rows)))
     # rows stop before the first snapshot with a non-positive g or a
     # non-finite column, so only the kept snapshots reach the solve
     good = np.all(g > 0.0, axis=1) & np.isfinite(drift + energies + grad + rhs + delta_norm)
     k = len(fields) if good.all() else int(np.argmin(good))
     if k == 0:
         return []
-    du = du[:, :k]
-    w = _riesz_matrix_solve(grid, du)
-    resid = w - _dplus(_dminus(w, h, periodic, "constant"), h, periodic, "zero") - du
-    worst = np.max(np.abs(resid), axis=(0, 2))
-    bound = _riesz_residual_bound(h, np.max(np.sqrt(_norm2(du)), axis=1))
-    rhs_dual = _root(h * _sums(du_rows[:k] * _rows(w)))
+    du, kept = du[:, :k], (3, k, n)
+    # u is spent, so w takes its row
+    w = _riesz_matrix_solve(grid, du, _room(work, _U, kept))
+    resid = _dplus(_dminus(w, h, periodic, "constant", _room(work, _A, kept)),
+                   h, periodic, "zero", _room(work, _B, kept))
+    resid = np.subtract(w, resid, out=resid)
+    resid -= du
+    worst = np.max(np.abs(resid, out=resid), axis=(0, 2))
+    scale = _norm2(du, _room(work, _A, kept))
+    bound = _riesz_residual_bound(h, np.max(np.sqrt(scale, out=scale), axis=1))
+    rows = _rows(w, _room(work, _ROWS, kept[1:] + (3,)))
+    rhs_dual = _root(h * _sums(np.multiply(du_rows[:k], rows, out=rows)))
     for i in range(k):
         if not math.isfinite(worst[i]):
             k = i
@@ -201,9 +229,21 @@ def _diagnose_block(mode: str, fields, g_fields, lengths) -> list[tuple]:
     return list(zip(*(c.tolist() for c in columns)))
 
 
-def _rows(v: np.ndarray) -> np.ndarray:
-    """(3, B, n) -> C-ordered (B, n, 3): each snapshot laid out as its Field values."""
-    return np.ascontiguousarray(np.moveaxis(v, 0, -1))
+def _room(work: np.ndarray, row: int, shape: tuple, count: int | None = None) -> np.ndarray:
+    """A C-ordered array of ``shape`` over the leading entries of work[row]; with
+    a ``count``, that many such arrays on consecutive rows, stacked as an
+    operator's ``out``. A block shorter than the rows were sized for takes
+    leading slices of them."""
+    size = math.prod(shape)
+    if count is None:
+        return work[row, :size].reshape(shape)
+    return work[row:row + count, :size].reshape((count,) + shape)
+
+
+def _rows(v: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """(3, B, n) -> C-ordered (B, n, 3) in out: each snapshot laid out as its Field values."""
+    np.copyto(out, np.moveaxis(v, 0, -1))
+    return out
 
 
 def _sums(rows: np.ndarray) -> np.ndarray:

@@ -5,13 +5,17 @@ in shortest round-trip form, so identical (config, seed) runs produce
 byte-identical files. The column schema is versioned and echoed in the JSON
 report.
 
-JSON: indented two spaces, keys sorted, one final LF. It is streamed to the
-file as it is encoded, so writing a report never holds its whole text in memory.
+JSON: indented two spaces, keys sorted, one final LF. It is streamed as it
+is encoded, so writing a report never holds its whole text in memory, into a
+temporary file beside the target that replaces the target only once the
+whole report is written: a report that fails to encode leaves any earlier
+file at that path as it was.
 """
 
 from __future__ import annotations
 
 import json
+import os
 from pathlib import Path
 
 from .config import ExperimentConfig, serialize_config
@@ -82,6 +86,13 @@ def build_report(cfg: ExperimentConfig, records: list[DiagnosticsRecord],
 
 
 def write_json(path, report: dict) -> None:
-    with open(path, "w", newline="\n") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", newline="\n") as fh:
+            json.dump(report, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise

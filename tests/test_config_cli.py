@@ -314,6 +314,16 @@ def test_write_json_streams_the_report_text(tmp_path):
     assert peak < len(data), f"peak {peak} B for {len(data)} B of JSON"
 
 
+def test_write_json_keeps_the_earlier_report_when_encoding_fails(tmp_path):
+    path = tmp_path / "report.json"
+    write_json(path, {"status": "ok", "rows": [{"t": 0.0}]})
+    before = path.read_bytes()
+    with pytest.raises(TypeError):
+        write_json(path, {"status": "ok", "rows": [{"t": 0.0}], "extra": object()})
+    assert path.read_bytes() == before
+    assert list(tmp_path.iterdir()) == [path]
+
+
 # ------------------------------------------------------------- CLI
 
 def run_cli(*argv):

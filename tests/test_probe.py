@@ -1,3 +1,7 @@
+import platform
+import sys
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -196,6 +200,14 @@ def diagnose_case(name):
         speed = make_constant(1.0)
         state, spec, horizon = FlowState(0.0, u0, speed), IntegratorSpec(dt=5e-3), 0.18
         oracle = None
+    elif name == "window-curve":
+        # the coupled soliton: a window's ghost chord is dropped from the drift
+        grid = Grid.make_window(-20.0, 256, 40.0 / 256)
+        gamma0, _ = oracle_soliton_curve(grid, 1.0, 0.5)
+        speed = speed_from_name("coupled-tanh:1,0.5")
+        state = FlowState(0.0, gamma0, speed, mode=CURVE)
+        spec, horizon = IntegratorSpec(method="rk4", dt=5e-3), 0.18
+        oracle = None
     else:
         grid = Grid.make_periodic(2 * np.pi, 48)
         speed = speed_from_name("coupled-tanh:1,0.5")
@@ -207,7 +219,7 @@ def diagnose_case(name):
     return res, speed, oracle
 
 
-@pytest.mark.parametrize("name", ["helix", "soliton", "curve"])
+@pytest.mark.parametrize("name", ["helix", "soliton", "curve", "window-curve"])
 def test_diagnose_equals_field_level_reference(name):
     res, speed, oracle = diagnose_case(name)
     got = diagnose(res, speed, oracle=oracle)
@@ -218,6 +230,55 @@ def test_diagnose_equals_field_level_reference(name):
                     "rhs_dual_norm", "delta_norm", "bound_margins", "oracle_error"):
             assert getattr(g, key) == getattr(w, key), key
     assert render_csv(got) == render_csv(want)  # signed zeros and reprs too
+
+
+@pytest.mark.parametrize("name", ["helix", "soliton", "curve", "window-curve"])
+def test_diagnose_repeats_its_records(name):
+    # every call writes its blocks into work arrays of its own
+    res, speed, oracle = diagnose_case(name)
+    first = diagnose(res, speed, oracle=oracle)
+    second = diagnose(res, speed, oracle=oracle)
+    assert first == second
+    assert render_csv(first) == render_csv(second)
+
+
+def soliton_trajectory():
+    """The run benchmark's 513-node window soliton, 201 snapshots: 13 blocks."""
+    grid = Grid.make_window(-20.0, 512, 0.078125)
+    _, u0 = oracle_soliton_curve(grid, 1.0, 0.5)
+    speed = make_constant(1.0)
+    res = evolve(FlowState(0.0, u0, speed), 0.3, IntegratorSpec(method="rk4", dt=1.5e-3))
+    assert res.status == "ok" and len(res.times) == 201
+    return res, speed
+
+
+def test_diagnose_memory_stays_within_one_block_workspace():
+    res, speed = soliton_trajectory()
+    tracemalloc.start()
+    try:
+        records = diagnose(res, speed)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(records) == 201
+    # the work array holds 1.7 MiB; blocks that each allocated their own
+    # arrays peaked at 1.91 MiB on this run and 2.17 MiB on 657 snapshots
+    assert peak <= 2.25 * 2 ** 20, f"peak {peak / 2 ** 20:.2f} MiB"
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux") or platform.libc_ver()[0] != "glibc",
+                    reason="page-fault counts depend on glibc's allocator")
+def test_diagnose_takes_few_page_faults_when_warm():
+    # blocks that each allocate and free their own arrays fault those pages
+    # in again: about 7,300 minor faults per call on this trajectory
+    import resource
+
+    res, speed = soliton_trajectory()
+    diagnose(res, speed)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    diagnose(res, speed)
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    assert faults < 1000, f"{faults} minor page faults"
 
 
 @pytest.mark.parametrize("k", [0, 16, 20])
@@ -253,7 +314,7 @@ def test_diagnose_checks_each_riesz_residual_against_its_own_scale(monkeypatch):
     solve = bfl.probe._riesz_matrix_solve
     # a constant offset of 3e-10 in w leaves a residual of 3e-10 in every snapshot
     monkeypatch.setattr(bfl.probe, "_riesz_matrix_solve",
-                        lambda grid, rhs: solve(grid, rhs) + 3e-10)
+                        lambda *args: solve(*args) + 3e-10)
     alone = EvolveResult(TANGENT, [0.0], [helix], [g])
     assert len(diagnose(alone, speed)) == 1        # 3e-10 <= 1e-10 * 8
     both = EvolveResult(TANGENT, [0.0, 0.1], [helix, circle], [g, g])
@@ -279,7 +340,7 @@ def test_riesz_residual_bound_admits_the_rounding_floor(monkeypatch):
     # the floor is 4 eps (1 + 4/h^2) 2 = 7.1e-9: a wrong solve still raises
     solve = bfl.probe._riesz_matrix_solve
     monkeypatch.setattr(bfl.probe, "_riesz_matrix_solve",
-                        lambda grid, rhs: solve(grid, rhs) + 1e-8)
+                        lambda *args: solve(*args) + 1e-8)
     with pytest.raises(RieszSolveError):
         diagnose(result, speed)
 
