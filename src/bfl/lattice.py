@@ -100,33 +100,31 @@ _NEXT, _PREV = np.array([1, 2, 0]), np.array([2, 0, 1])
 
 # Operators that form intermediates take ``out`` as a stack of arrays shaped
 # like their result: the result is written to out[0], the intermediates to
-# the rest, and nothing else is allocated. Without ``out`` they keep their
-# operator spelling, which the steppers call: at n = 64 a ufunc call with an
-# ``out`` keyword costs about 250 ns more than the allocation it saves.
+# the rest, and nothing else is allocated. Without ``out`` every slot is None,
+# so each numpy call allocates its own result, as the steppers' small rows
+# want; both ways run the same float operations in one order.
 
-def cross3(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def cross3(a: np.ndarray, b: np.ndarray, out=None) -> np.ndarray:
     """Vector product of (3, n) arrays, node axis last (faster than np.cross).
 
     ``out``: optional stack of four; out[2] and out[3] take a's turned rows.
     """
-    if out is None:
-        return _cross_turned(a.take(_NEXT, axis=0), a.take(_PREV, axis=0), b)
-    return _cross_turned(a.take(_NEXT, axis=0, out=out[2], mode="wrap"),
-                         a.take(_PREV, axis=0, out=out[3], mode="wrap"), b, out[:2])
+    left, right, a_next, a_prev = (None,) * 4 if out is None else out
+    return _cross_turned(a.take(_NEXT, axis=0, out=a_next, mode="wrap"),
+                         a.take(_PREV, axis=0, out=a_prev, mode="wrap"), b, (left, right))
 
 
 def _cross_turned(a_next: np.ndarray, a_prev: np.ndarray, b: np.ndarray,
-                  out: np.ndarray | None = None) -> np.ndarray:
+                  out=None) -> np.ndarray:
     """a ^ b from a's cyclic row permutations (a_y, a_z, a_x) and (a_z, a_x, a_y).
 
     ``out``: optional stack of two; out[1] takes the subtracted product.
     """
-    if out is None:
-        return a_next * b.take(_PREV, axis=0) - a_prev * b.take(_NEXT, axis=0)
+    left, right = (None, None) if out is None else out
     # take's default mode copies through a buffer of its own when given out
-    left = np.multiply(a_next, b.take(_PREV, axis=0, out=out[0], mode="wrap"), out=out[0])
-    right = np.multiply(a_prev, b.take(_NEXT, axis=0, out=out[1], mode="wrap"), out=out[1])
-    return np.subtract(left, right, out=out[0])
+    left = np.multiply(a_next, b.take(_PREV, axis=0, out=left, mode="wrap"), out=left)
+    right = np.multiply(a_prev, b.take(_NEXT, axis=0, out=right, mode="wrap"), out=right)
+    return np.subtract(left, right, out=left)
 
 
 def _norm2(v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -136,9 +134,6 @@ def _norm2(v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     ``out``: optional stack of three, an array shaped like v; it takes the
     squares.
     """
-    if out is None:
-        sq = v * v
-        return (sq[0] + sq[2]) + sq[1]
     sq = np.multiply(v, v, out=out)
     total = sq[0]
     total += sq[2]
@@ -380,10 +375,9 @@ def _delta_g(g: np.ndarray, vals: np.ndarray, h: float, periodic: bool,
     """delta_g on raw node values, node axis last; the inner difference reads
     ghosts by ``extension``, the outer one differences a zero-extended
     product. ``out``: optional stack of two; out[1] takes the product g D-v."""
-    if out is None:
-        return _dplus(g * _dminus(vals, h, periodic, extension), h, periodic, "zero")
-    flux = np.multiply(g, _dminus(vals, h, periodic, extension, out[1]), out=out[1])
-    return _dplus(flux, h, periodic, "zero", out[0])
+    result, flux = (None, None) if out is None else out
+    flux = np.multiply(g, _dminus(vals, h, periodic, extension, flux), out=flux)
+    return _dplus(flux, h, periodic, "zero", result)
 
 
 # --------------------------------------------------------------------------

@@ -9,13 +9,17 @@ JSON: indented two spaces, keys sorted, one final LF. It is streamed as it
 is encoded, so writing a report never holds its whole text in memory, into a
 temporary file beside the target that replaces the target only once the
 whole report is written: a report that fails to encode leaves any earlier
-file at that path as it was.
+file at that path as it was. A symlinked path is resolved and its target
+replaced; an earlier report's permission bits carry over to the new file,
+but not its owner or group, since the new file belongs to the writer. A
+process killed mid-write leaves its hidden .<name>.<pid>.tmp file behind.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import shutil
 from pathlib import Path
 
 from .config import ExperimentConfig, serialize_config
@@ -86,12 +90,14 @@ def build_report(cfg: ExperimentConfig, records: list[DiagnosticsRecord],
 
 
 def write_json(path, report: dict) -> None:
-    path = Path(path)
+    path = Path(os.path.realpath(path))
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "w", newline="\n") as fh:
             json.dump(report, fh, indent=2, sort_keys=True)
             fh.write("\n")
+        if path.exists():
+            shutil.copymode(path, tmp)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)

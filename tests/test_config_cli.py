@@ -1,6 +1,7 @@
 import json
 import os
 import re
+import stat
 import subprocess
 import sys
 import tracemalloc
@@ -322,6 +323,18 @@ def test_write_json_keeps_the_earlier_report_when_encoding_fails(tmp_path):
         write_json(path, {"status": "ok", "rows": [{"t": 0.0}], "extra": object()})
     assert path.read_bytes() == before
     assert list(tmp_path.iterdir()) == [path]
+
+
+def test_write_json_writes_through_a_symlink_and_keeps_the_mode(tmp_path):
+    path, link = tmp_path / "report.json", tmp_path / "latest.json"
+    write_json(path, {"status": "ok"})
+    os.chmod(path, 0o640)
+    link.symlink_to(path.name)
+    write_json(link, {"status": "diverged"})
+    assert link.is_symlink()
+    assert json.loads(path.read_text()) == {"status": "diverged"}
+    assert stat.S_IMODE(path.stat().st_mode) == 0o640
+    assert sorted(tmp_path.iterdir()) == [link, path]
 
 
 # ------------------------------------------------------------- CLI

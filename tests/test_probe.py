@@ -230,16 +230,10 @@ def test_diagnose_equals_field_level_reference(name):
                     "rhs_dual_norm", "delta_norm", "bound_margins", "oracle_error"):
             assert getattr(g, key) == getattr(w, key), key
     assert render_csv(got) == render_csv(want)  # signed zeros and reprs too
-
-
-@pytest.mark.parametrize("name", ["helix", "soliton", "curve", "window-curve"])
-def test_diagnose_repeats_its_records(name):
     # every call writes its blocks into work arrays of its own
-    res, speed, oracle = diagnose_case(name)
-    first = diagnose(res, speed, oracle=oracle)
-    second = diagnose(res, speed, oracle=oracle)
-    assert first == second
-    assert render_csv(first) == render_csv(second)
+    again = diagnose(res, speed, oracle=oracle)
+    assert again == got
+    assert render_csv(again) == render_csv(want)
 
 
 def soliton_trajectory():
