@@ -25,7 +25,7 @@ u0 = oracle_great_circle(grid)
 T = 1.0
 
 res = evolve(FlowState(0.0, u0, make_constant(1.0)), T,
-             IntegratorSpec(method="rotation", cfl=0.25, snapshot_stride=10))
+             IntegratorSpec(method="projected_rk4", cfl=0.25, snapshot_stride=10))
 traj = TangentTrajectory.from_result(res)
 
 # The drift has a closed form here: the anchor velocity u ^ D-u equals

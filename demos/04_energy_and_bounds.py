@@ -23,7 +23,7 @@ u0, _, _ = oracle_helix(grid, np.pi / 4, 2)
 print("space-only coefficient g(x) = 2 + sin x: exact conservation")
 speed = speed_from_name("sin:2,1,1")
 res = evolve(FlowState(0.0, u0, speed), 1.0,
-             IntegratorSpec(method="rotation", cfl=0.25, snapshot_stride=400))
+             IntegratorSpec(method="projected_rk4", cfl=0.25, snapshot_stride=400))
 recs = diagnose(res, speed)
 e0 = recs[0].energy
 for r in recs:
@@ -33,7 +33,7 @@ for r in recs:
 print("\ntime-dependent coefficient g(t,x) = 2 + sin(x) cos(t):")
 speed_t = speed_from_name("sintime:2,1,1,1")
 res_t = evolve(FlowState(0.0, u0, speed_t), 1.0,
-               IntegratorSpec(method="rotation", cfl=0.25, snapshot_stride=50))
+               IntegratorSpec(method="projected_rk4", cfl=0.25, snapshot_stride=50))
 resid = energy_rate_residual(res_t, speed_t)
 print(f"  |dE/dt - h sum (dg/dt)|D-u|^2| <= {resid:.2e} across snapshots "
       "(snapshot-quadrature accuracy)")

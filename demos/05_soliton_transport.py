@@ -29,7 +29,7 @@ print(f"torsion through the core: {np.mean(data0.tau.values[core]):.4f} "
       f"(prescribed tau0 = {tau0})")
 
 res = evolve(FlowState(0.0, u0, make_constant(1.0)), T,
-             IntegratorSpec(method="rotation", cfl=0.25, snapshot_stride=150))
+             IntegratorSpec(method="projected_rk4", cfl=0.25, snapshot_stride=150))
 curves = reconstruct_curve(TangentTrajectory.from_result(res))
 
 print("\npeak position along the run:")

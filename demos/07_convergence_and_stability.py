@@ -32,12 +32,12 @@ def show(study, label):
 
 helix = ExperimentConfig(topology="periodic", length=TWO_PI, nodes=32,
                          initial="helix:0.7853981633974483,2", speed="const:1",
-                         method="rotation", cfl=0.25, horizon=1.0)
+                         method="projected_rk4", cfl=0.25, horizon=1.0)
 show(convergence_study(helix, 4), "helix vs continuum solution, g = 1")
 
 variable = ExperimentConfig(topology="periodic", length=TWO_PI, nodes=64,
                             initial="helix:0.7853981633974483,2",
-                            speed="sin:2,1,1", method="rotation", cfl=0.25,
+                            speed="sin:2,1,1", method="projected_rk4", cfl=0.25,
                             horizon=0.3)
 print()
 show(convergence_study(variable, 3),

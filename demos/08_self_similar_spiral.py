@@ -26,7 +26,7 @@ grid = Grid.make_window(-30.0, 600, 0.1)
 gamma0, u0 = frenet_curve(grid, lambda x: a + 0.0 * x, lambda x: x / 2.0)
 
 state = FlowState(1.0, u0, make_constant(1.0))
-res = evolve(state, 2.0, IntegratorSpec(method="rotation", cfl=0.25,
+res = evolve(state, 2.0, IntegratorSpec(method="projected_rk4", cfl=0.25,
                                         snapshot_stride=100))
 
 mid = grid.n_nodes // 2

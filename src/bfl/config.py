@@ -15,8 +15,9 @@ One experiment per file. Lines are ``key = value``; blank lines and
     speed = const:<c> | sin:<a>,<b>,<k> | sintime:<a>,<b>,<k>,<w>
             | coupled-tanh:<a>,<b>
     offset = node | mid          g sampled at x_i, or at x_i - h/2 (default node)
-    method = rotation | rk4 | projected_rk4
-                                 default rotation, for tangent data only
+    method = projected_rk4 | rk4 | rotation
+                                 default projected_rk4; rotation steps
+                                 tangent data only
     dt = <float>  OR  cfl = <float>    (exactly one)
     T = <float>                  horizon
     snapshot_stride = <int>
@@ -67,7 +68,7 @@ class ExperimentConfig:
     initial: str = "great-circle:1"
     speed: str = "const:1"
     offset: str = "node"
-    method: str = "rotation"
+    method: str = IntegratorSpec.method
     dt: float | None = None
     cfl: float | None = None
     horizon: float = 1.0

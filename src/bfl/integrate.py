@@ -2,16 +2,16 @@
 
 Methods:
 
-* ``rotation`` (default) - per-node exact rotations about w_i = -Delta_g u_i,
+* ``rotation`` - per-node exact rotations about w_i = -Delta_g u_i,
   composed commutator-free to fourth order (four rotation-rate evaluations
   and five rotations per step: three build the stages, two the update).
   Rotations are isometries, so |u_i| = 1 holds to rounding regardless of
   dt. Tangent data only: a curve is stepped with rk4 or projected_rk4.
 * ``rk4`` - classical Runge-Kutta; fourth order, O(dt^5) local norm drift.
-* ``projected_rk4`` - rk4 followed by a projection: each u_i renormalized,
-  or each chord D+gamma rescaled to its length in the state the run started
-  from (the flow keeps every chord length, not necessarily 1), with the
-  curve rebuilt from its base node.
+* ``projected_rk4`` (default) - rk4 followed by a projection: each u_i
+  renormalized, or each chord D+gamma rescaled to its length in the state
+  the run started from (the flow keeps every chord length, not necessarily
+  1), with the curve rebuilt from its base node. It steps both forms.
 
 Step size comes either fixed or from the stiffness rule dt = c h^2 / beta,
 since the right-hand side has spectral radius of order beta/h^2.
@@ -57,7 +57,7 @@ class DivergenceError(RuntimeError):
 class IntegratorSpec:
     """Method plus step-size policy plus snapshot cadence."""
 
-    method: str = "rotation"
+    method: str = "projected_rk4"
     dt: float | None = None       # fixed step, exclusive with cfl
     cfl: float | None = None      # dt = cfl * h^2 / beta
     snapshot_stride: int = 1

@@ -584,10 +584,12 @@ def stability_probe(u0: Field, eps_list, speed: SpeedField, horizon: float,
     one ratio per eps in eps_list, every one measured against one base run."""
     perturbed = [perturbed_initial_data(u0, eps) for eps in eps_list]
     base = evolve(FlowState(0.0, u0, speed), horizon, spec)
+    if base.status != "ok":
+        raise RuntimeError("stability probe run diverged")
     ratios = []
     for u0_tilde in perturbed:
         pert = evolve(FlowState(0.0, u0_tilde, speed), horizon, spec)
-        if base.status != "ok" or pert.status != "ok":
+        if pert.status != "ok":
             raise RuntimeError("stability probe run diverged")
         num = norm_h1(base.final() - pert.final())
         den = norm_h1(u0 - u0_tilde)

@@ -161,7 +161,7 @@ def test_criterion_02_norm_sandwich_sharp_constants():
 def test_criterion_03_exact_semidiscrete_helix():
     t0 = time.time()
     grid, state, closed_form, omega = helix_state(64, make_constant(1.0))
-    res = evolve(state, 1.0, IntegratorSpec(method="rotation", dt=1e-3,
+    res = evolve(state, 1.0, IntegratorSpec(method="projected_rk4", dt=1e-3,
                                             snapshot_stride=10 ** 9))
     err = float(np.max(np.abs(res.final().values - closed_form(1.0))))
 
@@ -174,7 +174,7 @@ def test_criterion_03_exact_semidiscrete_helix():
     orders = [math.log2(rk_errors[i] / rk_errors[i + 1]) for i in range(2)]
     elapsed = time.time() - t0
     ok = err <= 1e-6 and all(3.7 <= o <= 4.3 for o in orders) and elapsed < 5.0
-    report(3, ok, f"rotation L_inf error {err:.2e} <= 1e-6; rk4 temporal "
+    report(3, ok, f"projected_rk4 L_inf error {err:.2e} <= 1e-6; rk4 temporal "
                   f"orders {[round(o, 2) for o in orders]} in [3.7, 4.3]; "
                   f"runtime {elapsed:.1f}s < 5s")
     assert err <= 1e-6
@@ -188,7 +188,7 @@ def test_criterion_04_great_circle_equilibrium():
     grid = Grid.make_periodic(TWO_PI, 64)
     u0 = oracle_great_circle(grid)
     res = evolve(FlowState(0.0, u0, make_constant(1.0)), 1.0,
-                 IntegratorSpec(method="rotation", cfl=0.25, snapshot_stride=100))
+                 IntegratorSpec(method="projected_rk4", cfl=0.25, snapshot_stride=100))
     drift_linf = float(np.max(np.abs(res.final().values - u0.values)))
     norm_drift = unit_drift(res.final())
     ok = drift_linf <= 1e-10 and norm_drift <= 1e-12
@@ -206,7 +206,7 @@ def test_criterion_05_energy_conservation_space_only():
     # (lambda dt = 3), where every explicit scheme saturates
     speed = speed_from_name("sin:2,1,1")
     grid, state, _, _ = helix_state(128, speed)
-    res = evolve(state, 1.0, IntegratorSpec(method="rotation", cfl=0.25,
+    res = evolve(state, 1.0, IntegratorSpec(method="projected_rk4", cfl=0.25,
                                             snapshot_stride=200))
     energies = []
     for f, g in zip(res.fields, res.g_samples):
@@ -226,7 +226,7 @@ def test_criterion_05_energy_conservation_space_only():
 def test_criterion_06_a_priori_bound_margins():
     speed = speed_from_name("sintime:2,1,1,1")   # alpha 1, beta 3, beta1 1
     grid, state, _, _ = helix_state(64, speed)
-    res = evolve(state, 1.0, IntegratorSpec(method="rotation", cfl=0.25,
+    res = evolve(state, 1.0, IntegratorSpec(method="projected_rk4", cfl=0.25,
                                             snapshot_stride=20))
     recs = diagnose(res, speed)
     worst_grad = min(r.bound_margins["gradient_bound"] for r in recs)
@@ -247,7 +247,7 @@ def test_criterion_07_reconstruction():
     u0 = oracle_great_circle(grid)
     T = 1.0
     res = evolve(FlowState(0.0, u0, make_constant(1.0)), T,
-                 IntegratorSpec(method="rotation", cfl=0.25, snapshot_stride=10))
+                 IntegratorSpec(method="projected_rk4", cfl=0.25, snapshot_stride=10))
     traj = TangentTrajectory.from_result(res)
     curves = reconstruct_curve(traj)
     analytic = curves.fields[0].values + np.array([0.0, 0.0, 1.0]) * T
@@ -262,7 +262,7 @@ def test_criterion_07_reconstruction():
         g_n = Grid.make_periodic(TWO_PI, n)
         u_n, _, _ = oracle_helix(g_n, np.pi / 4, 2)
         r_n = evolve(FlowState(0.0, u_n, make_constant(1.0)), 0.5,
-                     IntegratorSpec(method="rotation", dt=0.25 * g_n.h ** 2,
+                     IntegratorSpec(method="projected_rk4", dt=0.25 * g_n.h ** 2,
                                     snapshot_stride=2))
         disps.append(anchor_dispersion(TangentTrajectory.from_result(r_n),
                                        [0, n // 4]))
@@ -286,14 +286,14 @@ def test_criterion_08_spatial_convergence_orders():
     helix_base = ExperimentConfig(
         topology="periodic", length=TWO_PI, nodes=32,
         initial="helix:0.7853981633974483,2", speed="const:1",
-        method="rotation", cfl=0.25, horizon=1.0)
+        method="projected_rk4", cfl=0.25, horizon=1.0)
     study = convergence_study(helix_base, 4)
     helix_orders = [r["order"] for r in study["rows"] if r["order"] is not None]
 
     vg_base = ExperimentConfig(
         topology="periodic", length=TWO_PI, nodes=64,
         initial="helix:0.7853981633974483,2", speed="sin:2,1,1",
-        method="rotation", cfl=0.25, horizon=0.3)
+        method="projected_rk4", cfl=0.25, horizon=0.3)
     node_study = convergence_study(vg_base, 3)
     node_orders = [r["order"] for r in node_study["rows"] if r["order"] is not None]
     mid_study = convergence_study(replace(vg_base, offset="mid"), 3)
@@ -320,7 +320,7 @@ def test_criterion_09_stability_ratios_consistent():
     cfg = ExperimentConfig(
         topology="periodic", length=TWO_PI, nodes=64,
         initial="helix:0.7853981633974483,2", speed="sin:2,1,1",
-        method="rotation", cfl=0.25, horizon=0.5)
+        method="projected_rk4", cfl=0.25, horizon=0.5)
     sweep = stability_sweep(cfg, [1e-2, 1e-3, 1e-4])
     ratios = [row["ratio"] for row in sweep["rows"]]
     ok = sweep["spread"] < 0.2
@@ -369,7 +369,7 @@ def test_criterion_11_soliton_transport():
     grid = Grid.make_window(-20.0, 512, 40.0 / 512)
     _, u0 = oracle_soliton_curve(grid, nu, tau0)
     res = evolve(FlowState(0.0, u0, make_constant(1.0)), T,
-                 IntegratorSpec(method="rotation", cfl=0.25, snapshot_stride=100))
+                 IntegratorSpec(method="projected_rk4", cfl=0.25, snapshot_stride=100))
     traj = TangentTrajectory.from_result(res)
     curves = reconstruct_curve(traj)
     peaks = [peak_location(frenet(c).kappa) for c in (curves.fields[0],
@@ -391,11 +391,11 @@ def test_criterion_11_soliton_profile():
     # (ratio 4.0: second order)
     cfg = ExperimentConfig(topology="window", x0=-20.0, intervals=512, h=40.0 / 512,
                            initial="soliton:1.0,0.5", speed="const:1",
-                           method="rotation", cfl=0.25, horizon=1.0)
+                           method="projected_rk4", cfl=0.25, horizon=1.0)
     grid = Grid.make_window(cfg.x0, cfg.intervals, cfg.h)
     _, u0 = oracle_soliton_curve(grid, 1.0, 0.5)
     res = evolve(FlowState(0.0, u0, make_constant(1.0)), cfg.horizon,
-                 IntegratorSpec(method="rotation", cfl=0.25, snapshot_stride=10 ** 9))
+                 IntegratorSpec(method="projected_rk4", cfl=0.25, snapshot_stride=10 ** 9))
     err = float(np.max(np.abs(res.final().values
                               - continuum_oracle(cfg, grid)(cfg.horizon))))
     ok = res.status == "ok" and err <= 8e-3

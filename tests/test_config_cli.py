@@ -569,9 +569,9 @@ T = 0.05
 
 
 @pytest.mark.parametrize("text", [
-    COUPLED_ROTATION_CFG, COUPLED_ROTATION_CFG.replace("method = rotation\n", ""),
+    COUPLED_ROTATION_CFG,
     COUPLED_ROTATION_CFG.replace("coupled-circle:1", "coupled-soliton:1,0.5")],
-    ids=["rotation", "default-method", "coupled-soliton"])
+    ids=["rotation", "coupled-soliton"])
 def test_rotation_refuses_curve_data_at_parse_time(tmp_path, capsys, text):
     with pytest.raises(ConfigError, match="projected_rk4"):
         parse_config(text)
@@ -586,6 +586,15 @@ def test_rotation_refuses_curve_data_at_parse_time(tmp_path, capsys, text):
     for method in ("rk4", "projected_rk4"):
         cfg = parse_config(text.replace("method = rotation\n", "") + f"method = {method}\n")
         assert cfg.method == method
+
+
+def test_curve_data_steps_with_the_default_method(tmp_path):
+    text = COUPLED_ROTATION_CFG.replace("method = rotation\n", "")
+    assert parse_config(text).method == "projected_rk4"
+    cfg_path = tmp_path / "circle.bfl"
+    cfg_path.write_text(text)
+    assert run_cli("run", "-c", str(cfg_path), "-o", str(tmp_path)) == 0
+    assert (tmp_path / "circle.csv").exists()
 
 
 @pytest.mark.parametrize("field, value", [

@@ -71,7 +71,7 @@ def test_spec_validation():
 def test_cfl_step_resolution():
     grid, u0, _, _ = helix_setup()
     state = FlowState(0.0, u0, speed_from_name("sin:2,1,1"))
-    spec = IntegratorSpec(cfl=0.25)
+    spec = IntegratorSpec(method="rotation", cfl=0.25)
     assert spec.resolve_dt(state) == pytest.approx(0.25 * grid.h ** 2 / 3.0)
 
 
@@ -312,7 +312,7 @@ def test_evolve_rejects_non_finite_horizon(horizon):
     # march after 0 steps with status ok
     state = circle_state(n=16)
     with pytest.raises(ValueError, match="horizon must be finite"):
-        evolve(state, horizon, IntegratorSpec(cfl=0.25))
+        evolve(state, horizon, IntegratorSpec(method="rotation", cfl=0.25))
 
 
 def test_evolve_refuses_zero_coefficient_inside_the_bound_slack():
@@ -322,7 +322,7 @@ def test_evolve_refuses_zero_coefficient_inside_the_bound_slack():
     fixed = SpeedField(SPACE_ONLY, lambda x: np.where(x == 0.0, 0.0, 1.0),
                        alpha=1e-12, beta=1.0)
     with pytest.raises(CoefficientBoundError, match="at node 0"):
-        evolve(FlowState(0.0, u0, fixed), 0.01, IntegratorSpec(cfl=0.25))
+        evolve(FlowState(0.0, u0, fixed), 0.01, IntegratorSpec(method="rotation", cfl=0.25))
     vanishing = SpeedField(SPACE_TIME, lambda t, x: np.full_like(x, float(t < 0.004)),
                            alpha=1e-12, beta=1.0)
     for method in ("rotation", "rk4", "projected_rk4"):

@@ -192,13 +192,15 @@ def diagnose_case(name):
         grid = Grid.make_periodic(2 * np.pi, 64)
         u0, closed_form, _ = oracle_helix(grid, np.pi / 4, 2)
         speed = speed_from_name("sin:2,1,1")
-        state, spec, horizon = FlowState(0.0, u0, speed), IntegratorSpec(dt=1e-3, snapshot_stride=2), 0.072
+        state, horizon = FlowState(0.0, u0, speed), 0.072
+        spec = IntegratorSpec(method="rotation", dt=1e-3, snapshot_stride=2)
         oracle = closed_form
     elif name == "soliton":
         grid = Grid.make_window(-20.0, 256, 40.0 / 256)
         _, u0 = oracle_soliton_curve(grid, 1.0, 0.5)
         speed = make_constant(1.0)
-        state, spec, horizon = FlowState(0.0, u0, speed), IntegratorSpec(dt=5e-3), 0.18
+        state, horizon = FlowState(0.0, u0, speed), 0.18
+        spec = IntegratorSpec(method="rotation", dt=5e-3)
         oracle = None
     elif name == "window-curve":
         # the coupled soliton: a window's ghost chord is dropped from the drift
@@ -524,22 +526,45 @@ def test_stability_ratio_near_equilibrium_bounded():
     assert ratio <= 1.1
 
 
-def test_stability_sweep_matches_per_eps_probes():
+@pytest.mark.parametrize("method", ["rk4", "projected_rk4", "rotation"])
+def test_stability_sweep_matches_per_eps_probes(method):
     # the sweep shares one base run across its scales; every ratio must
     # still equal a probe that evolves its own base run
     cfg = ExperimentConfig(
         topology="periodic", length=2 * np.pi, nodes=32,
         initial="helix:0.7853981633974483,2", speed="sin:2,1,1",
-        method="rk4", cfl=0.25, horizon=0.1)
+        method=method, cfl=0.25, horizon=0.1)
     eps_list = [1e-2, 1e-3, 1e-4]
     sweep = stability_sweep(cfg, eps_list)
     grid = build_grid(cfg)
     speed = build_speed(cfg, grid)
     state, _ = build_initial(cfg, grid, speed)
-    spec = IntegratorSpec(method="rk4", cfl=0.25)
+    spec = IntegratorSpec(method=method, cfl=0.25)
     probes = [stability_probe(state.field, [eps], speed, cfg.horizon, spec)[0]
               for eps in eps_list]
     assert [row["ratio"] for row in sweep["rows"]] == probes
+
+
+def test_stability_probe_stops_after_a_diverging_base_run(monkeypatch):
+    # rk4 at cfl = 4 overflows before T = 1; no perturbed run can give a ratio
+    cfg = ExperimentConfig(
+        topology="periodic", length=2 * np.pi, nodes=64,
+        initial="helix:0.7853981633974483,2", speed="const:1",
+        method="rk4", cfl=4.0, horizon=1.0)
+    grid = build_grid(cfg)
+    speed = build_speed(cfg, grid)
+    state, _ = build_initial(cfg, grid, speed)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return evolve(*args)
+
+    monkeypatch.setattr(bfl.probe, "evolve", counted)
+    with pytest.raises(RuntimeError, match="diverged"):
+        stability_probe(state.field, [1e-2, 1e-3], speed, cfg.horizon,
+                        IntegratorSpec(method="rk4", cfl=4.0))
+    assert len(calls) == 1
 
 
 def test_energy_helper_matches_definition():

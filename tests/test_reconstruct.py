@@ -203,11 +203,12 @@ def pinned_trajectory(name):
         u0 = unit_field(grid, np.stack([0.6 * np.cos(2 * x), 0.6 * np.sin(2 * x),
                                         np.full_like(x, 0.8)], axis=1))
         state = FlowState(0.0, u0, speed_from_name("sin:2,1,1"))
-        res = evolve(state, 0.072, IntegratorSpec(dt=1e-3, snapshot_stride=2))
+        res = evolve(state, 0.072, IntegratorSpec(method="rotation", dt=1e-3, snapshot_stride=2))
     elif name == "window":
         grid = Grid.make_window(-20.0, 256, 40.0 / 256)
         _, u0 = oracle_soliton_curve(grid, 1.0, 0.5)
-        res = evolve(FlowState(0.0, u0, make_constant(1.0)), 0.18, IntegratorSpec(dt=5e-3))
+        res = evolve(FlowState(0.0, u0, make_constant(1.0)), 0.18,
+                     IntegratorSpec(method="rotation", dt=5e-3))
     else:
         # chords of a window curve: zero-extended tangents
         grid = Grid.make_window(-1.0, 23, 0.1)
