@@ -47,7 +47,7 @@ print("\nstep sizes are limited by the h^-2 stencil: at cfl = 4 the rk4 "
 bad = evolve(state, 1.0, IntegratorSpec(method="rk4", cfl=4.0,
                                         snapshot_stride=10 ** 9))
 print(f"  rk4 at cfl = 4: status = {bad.status} "
-      f"(failed at step {bad.failed_step})")
+      f"(failed at step {bad.steps_taken})")
 good = evolve(state, 1.0, IntegratorSpec(method="rotation", cfl=0.25,
                                          snapshot_stride=10 ** 9))
 print(f"  rotation at cfl = 0.25: status = {good.status}, final error "

@@ -20,8 +20,6 @@ from .interp import (
     SANDWICH_LOWER,
     SANDWICH_UPPER,
     SOBOLEV_EMBED_CONSTANT,
-    InterpolantView,
-    evaluate,
     interp_gap,
     l2_norm_linear,
     piecewise_constant,
@@ -84,12 +82,12 @@ __all__ = [
     "AlignmentError", "CoefficientBoundError", "ConfigError",
     "CurveTrajectory", "DiagnosticsRecord", "DivergenceError",
     "EvolveResult", "ExperimentConfig", "Field", "FlowState", "FrenetData",
-    "Grid", "IDENTITY_THRESHOLD", "IntegratorSpec", "InterpolantView",
+    "Grid", "IDENTITY_THRESHOLD", "IntegratorSpec",
     "RieszSolveError", "SANDWICH_LOWER", "SANDWICH_UPPER",
     "SOBOLEV_EMBED_CONSTANT", "SpeedField", "TangentTrajectory",
     "anchor_dispersion", "basepoint_drift", "convergence_study", "cross",
     "d2", "delta_g", "diagnose", "dminus", "dot", "dplus",
-    "dual_bound_margin", "energy", "energy_rate_residual", "evaluate",
+    "dual_bound_margin", "energy", "energy_rate_residual",
     "evolve", "form_equivalence_residual", "frenet", "frenet_curve",
     "gamma_integral", "gradient_bound_margin",
     "inner_h", "interp_gap", "l2_norm_linear", "magnitudes",

@@ -230,7 +230,8 @@ def step(state: FlowState, spec: IntegratorSpec, dt: float) -> FlowState:
 
 @dataclass
 class EvolveResult:
-    """Stored trajectory: times, fields and the coefficient samples used."""
+    """Stored trajectory: times, fields and the coefficient samples used.
+    A diverged run's ``steps_taken`` counts the step that failed."""
 
     mode: str
     times: list = field(default_factory=list)
@@ -238,7 +239,6 @@ class EvolveResult:
     g_samples: list = field(default_factory=list)
     status: str = "ok"
     steps_taken: int = 0
-    failed_step: int | None = None
 
     @property
     def grid(self):
@@ -283,7 +283,6 @@ def evolve(state: FlowState, horizon: float, spec: IntegratorSpec) -> EvolveResu
             y = _checked_step(advance, t, y, step_dt)
         except DivergenceError:
             result.status = "diverged"
-            result.failed_step = k + 1
             result.steps_taken = k + 1
             return result
         t = t + step_dt

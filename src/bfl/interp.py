@@ -1,4 +1,4 @@
-"""Piecewise-linear and piecewise-constant lifts of lattice fields.
+"""Piecewise-linear and piecewise-constant lifts of lattice fields, as functions of x.
 
 The two interpolants bridge lattice norms and continuum norms: the L2 norm
 of the piecewise-linear lift has an exact cellwise closed form, the gap
@@ -10,14 +10,10 @@ past the window; continuum integrals become window integrals.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .lattice import AlignmentError, Field, Grid, dplus, norm_h
-
-PIECEWISE_LINEAR = "piecewise-linear"
-PIECEWISE_CONSTANT = "piecewise-constant"
 
 # Sharp equivalence constants between |v|_h and the L2 norm of the linear
 # lift: cellwise (a^2 + a.b + b^2)/3 lies between (a^2+b^2)/6 and
@@ -38,37 +34,23 @@ class DomainError(ValueError):
     """Evaluation point outside the interpolant's window."""
 
 
-@dataclass(frozen=True)
-class InterpolantView:
-    """Callable view of a lattice field as a function of x."""
-
-    base: Field
-    kind: str
-
-    def __post_init__(self):
-        if self.kind not in (PIECEWISE_LINEAR, PIECEWISE_CONSTANT):
-            raise ValueError(f"unknown interpolant kind {self.kind!r}")
-
-    def __call__(self, x):
-        return evaluate(self, x)
+def piecewise_linear(v: Field):
+    """x -> the piecewise-linear lift of v at x (see _lift)."""
+    return lambda x: _lift(v, x, linear=True)
 
 
-def piecewise_linear(v: Field) -> InterpolantView:
-    return InterpolantView(v, PIECEWISE_LINEAR)
+def piecewise_constant(v: Field):
+    """x -> the piecewise-constant lift of v at x (see _lift)."""
+    return lambda x: _lift(v, x, linear=False)
 
 
-def piecewise_constant(v: Field) -> InterpolantView:
-    return InterpolantView(v, PIECEWISE_CONSTANT)
-
-
-def evaluate(view: InterpolantView, x):
-    """Evaluate the interpolant at x (scalar or array).
+def _lift(v: Field, x, linear: bool):
+    """The lift of v at x (scalar or array).
 
     Periodic grids wrap x; window grids accept x in [x0, x_M] and raise
-    DomainError outside. At a node both kinds return the node value.
+    DomainError outside. At a node both lifts return the node value.
     """
-    grid = view.base.grid
-    vals = view.base.values
+    grid, vals = v.grid, v.values
     x = np.asarray(x, dtype=float)
     scalar_in = x.ndim == 0
     x = np.atleast_1d(x)
@@ -86,14 +68,14 @@ def evaluate(view: InterpolantView, x):
     frac = rel / grid.h - idx
     left = vals[idx]
     right = vals[(idx + 1) % grid.n_nodes]
-    if view.kind == PIECEWISE_CONSTANT:
+    if linear:
+        f = frac if vals.ndim == 1 else frac[:, None]
+        out = left + (right - left) * f
+    else:
         out = left.copy()
         exact = frac >= 1.0 - 1e-15
         if np.any(exact):
             out[exact] = right[exact]
-    else:
-        f = frac if vals.ndim == 1 else frac[:, None]
-        out = left + (right - left) * f
     return out[0] if scalar_in else out
 
 

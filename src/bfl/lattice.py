@@ -69,10 +69,10 @@ class Grid:
                 raise ValueError("window grid needs at least 5 nodes (M >= 4 intervals)")
 
     @staticmethod
-    def make_periodic(length: float, n_nodes: int, x0: float = 0.0) -> "Grid":
+    def make_periodic(length: float, n_nodes: int) -> "Grid":
         if n_nodes < 3:
             raise ValueError("periodic grid needs N >= 3")
-        return Grid(h=length / n_nodes, x0=x0, n_nodes=n_nodes,
+        return Grid(h=length / n_nodes, x0=0.0, n_nodes=n_nodes,
                     periodic=True, length=length)
 
     @staticmethod
@@ -167,8 +167,8 @@ class Field:
     def is_vector(self) -> bool:
         return self.values.ndim == 2
 
-    def with_values(self, values, extension: str | None = None) -> "Field":
-        return Field(self.grid, values, self.extension if extension is None else extension)
+    def with_values(self, values) -> "Field":
+        return Field(self.grid, values, self.extension)
 
     # -- arithmetic (extension tags combine as documented in the module doc)
 
@@ -182,19 +182,12 @@ class Field:
         ext = "zero" if (self.extension == other.extension == "zero") else "constant"
         return Field(self.grid, self.values - other.values, ext)
 
-    def __neg__(self) -> "Field":
-        return Field(self.grid, -self.values, self.extension)
-
-    def __mul__(self, other) -> "Field":
-        if isinstance(other, Field):
-            _check_aligned(self, other)
-            # node axis last, so scalars broadcast over vector components
-            out = (self.values.T * other.values.T).T
-            ext = "zero" if "zero" in (self.extension, other.extension) else "constant"
-            return Field(self.grid, out, ext)
-        return Field(self.grid, self.values * float(other), self.extension)
-
-    __rmul__ = __mul__
+    def __mul__(self, other: "Field") -> "Field":
+        _check_aligned(self, other)
+        # node axis last, so scalars broadcast over vector components
+        out = (self.values.T * other.values.T).T
+        ext = "zero" if "zero" in (self.extension, other.extension) else "constant"
+        return Field(self.grid, out, ext)
 
 
 def _check_aligned(a: Field, b: Field) -> None:
@@ -210,14 +203,10 @@ def cross(a: Field, b: Field) -> Field:
 
 
 def dot(a: Field, b: Field) -> Field:
-    """Pointwise scalar product; returns a scalar field."""
+    """Pointwise scalar product of two 3-vector fields; returns a scalar field."""
     _check_aligned(a, b)
-    if a.is_vector and b.is_vector:
-        out = np.einsum("ij,ij->i", a.values, b.values)
-    else:
-        out = a.values * b.values
     ext = "zero" if "zero" in (a.extension, b.extension) else "constant"
-    return Field(a.grid, out, ext)
+    return Field(a.grid, np.einsum("ij,ij->i", a.values, b.values), ext)
 
 
 def magnitudes(v: Field) -> np.ndarray:
@@ -227,12 +216,12 @@ def magnitudes(v: Field) -> np.ndarray:
     return np.abs(v.values)
 
 
-def unit_field(grid: Grid, values, tol: float = 1e-12) -> Field:
-    """Build a 3-vector field after checking every entry is a unit vector."""
+def unit_field(grid: Grid, values) -> Field:
+    """Build a 3-vector field after checking every entry is a unit vector to 1e-12."""
     f = Field(grid, values)
     drift = unit_drift(f)
-    if drift > tol:
-        raise ValueError(f"entries deviate from unit length by {drift:.3e} > {tol:.1e}")
+    if drift > 1e-12:
+        raise ValueError(f"entries deviate from unit length by {drift:.3e} > 1.0e-12")
     return f
 
 

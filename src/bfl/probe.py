@@ -87,25 +87,26 @@ class DiagnosticsRecord:
 
 def energy(u: Field, g: Field) -> float:
     """Weighted gradient energy h sum_i g_i |D-u_i|^2."""
-    dm = dminus(u)
-    vals = dm.values if dm.is_vector else dm.values[:, None]
-    return u.grid.h * float(np.sum(g.values * np.einsum("ij,ij->i", vals, vals)))
+    dm = dminus(u).values
+    return u.grid.h * float(np.sum(g.values * np.einsum("ij,ij->i", dm, dm)))
+
+
+def _bound(factor: float, t: float, grad0: float, speed: SpeedField) -> float:
+    """factor sqrt(beta/alpha) |D+u0|_h exp(beta1 t/(2 alpha)): 1 for |D+u|, beta for du/dt."""
+    return factor * math.sqrt(speed.beta / speed.alpha) * grad0 * math.exp(
+        speed.beta1 * t / (2.0 * speed.alpha))
 
 
 def gradient_bound_margin(t: float, grad0: float, grad_now: float,
                           speed: SpeedField) -> float:
     """Slack of the gradient a-priori bound at time t (negative = violated)."""
-    bound = math.sqrt(speed.beta / speed.alpha) * grad0 * math.exp(
-        speed.beta1 * t / (2.0 * speed.alpha))
-    return bound - grad_now
+    return _bound(1.0, t, grad0, speed) - grad_now
 
 
 def dual_bound_margin(t: float, grad0: float, rhs_dual_now: float,
                       speed: SpeedField) -> float:
     """Slack of the dual-norm bound on du/dt at time t."""
-    bound = speed.beta * math.sqrt(speed.beta / speed.alpha) * grad0 * math.exp(
-        speed.beta1 * t / (2.0 * speed.alpha))
-    return bound - rhs_dual_now
+    return _bound(speed.beta, t, grad0, speed) - rhs_dual_now
 
 
 def diagnose(result: EvolveResult, speed: SpeedField,
@@ -360,7 +361,7 @@ def frenet(gamma: Field) -> FrenetData:
 
 
 def peak_location(values: Field) -> float:
-    """Sub-node location of the max by parabolic interpolation."""
+    """Sub-node location of the max by parabolic interpolation, wrapped into the period."""
     grid = values.grid
     mags = magnitudes(values)
     j = int(np.argmax(mags))
@@ -372,7 +373,9 @@ def peak_location(values: Field) -> float:
         lo, hi = mags[j - 1], mags[j + 1]
     denom = lo - 2 * mags[j] + hi
     shift = 0.0 if denom == 0 else 0.5 * (lo - hi) / denom
-    return float(grid.nodes()[j] + shift * grid.h)
+    x = float(grid.nodes()[j] + shift * grid.h)
+    # |shift| <= 1/2, so only a peak at node 0 leaning across the seam leaves the period
+    return x + grid.length if grid.periodic and x < grid.x0 else x
 
 
 # --------------------------------------------------------------------------

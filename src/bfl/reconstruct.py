@@ -13,6 +13,7 @@ time-dependent base-point drift:
   exact time integration; the trapezoid rule on stored snapshots and the
   integrator error are the only sources of anchor dispersion, so the
   dispersion shrinks under refinement and doubles as a consistency check.
+  The spatial part is summed snapshot by snapshot.
 * reconstruct_curve: gamma(t) = gamma_integral(u(t)) + c(t). The drift of
   every snapshot is computed up front; curve k is summed from tangent k
   only when `fields[k]` is read, so a reconstruction holds no second
@@ -29,9 +30,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lattice import Field, Grid, dplus
-
-# snapshots stacked per block of the drift's spatial sums
-_BLOCK = 16
 
 
 @dataclass(frozen=True)
@@ -116,13 +114,7 @@ def gamma_integral(u: Field, origin: int | None = None) -> Field:
     Gamma_i = h * sum_{j=origin}^{i-1} u_j for i > origin, the mirrored sum
     for i < origin, and Gamma_origin = 0.
     """
-    grid = u.grid
-    i0 = _checked_origin(grid, origin)
-    vals = u.values if u.is_vector else u.values[:, None]
-    out = _left_sums(grid.h, vals, i0)
-    if not u.is_vector:
-        out = out[:, 0]
-    return Field(grid, out)
+    return Field(u.grid, _left_sums(u.grid.h, u.values, _checked_origin(u.grid, origin)))
 
 
 def _checked_origin(grid: Grid, origin: int | None) -> int:
@@ -133,7 +125,7 @@ def _checked_origin(grid: Grid, origin: int | None) -> int:
 
 
 def _left_sums(h: float, vals: np.ndarray, i0: int) -> np.ndarray:
-    """gamma_integral on (n, k) values."""
+    """gamma_integral on (n,) or (n, 3) values."""
     prefix = np.cumsum(h * vals, axis=0)
     prefix = np.concatenate([np.zeros_like(prefix[:1]), prefix])
     return prefix[:-1] - prefix[i0:i0 + 1]
@@ -173,13 +165,10 @@ def basepoint_drift(traj: TangentTrajectory, anchor: int | None = None,
 
     lo, hi = (i0, a) if i0 <= a else (a, i0)
     sign = 1.0 if i0 <= a else -1.0
+    # one sum per snapshot; row 0 sums to zero, so c(0) = 0 exactly
     u0_vals = fields[0].values[lo:hi]
-    out = np.zeros((len(times), 3))
-    for start in range(1, len(times), _BLOCK):
-        block = np.stack([f.values[lo:hi] for f in fields[start:start + _BLOCK]])
-        spatial = sign * grid.h * np.sum(u0_vals - block, axis=1)
-        out[start:start + _BLOCK] = spatial + temporal[start:start + _BLOCK]
-    return out
+    spatial = np.array([(u0_vals - f.values[lo:hi]).sum(axis=0) for f in fields])
+    return sign * grid.h * spatial + temporal
 
 
 def reconstruct_curve(traj: TangentTrajectory, anchor: int | None = None,
@@ -214,7 +203,4 @@ def tangent_mismatch(gamma: Field, u: Field) -> float:
     Periodic curves reconstruct over one period; the wrap chord only matches
     u when the tangents sum to zero (a closed curve), so it is excluded.
     """
-    diff = np.abs(dplus(gamma).values - u.values)
-    if diff.ndim == 1:
-        diff = diff[:, None]
-    return float(np.max(diff[:-1]))
+    return float(np.max(np.abs(dplus(gamma).values - u.values)[:-1]))

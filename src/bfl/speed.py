@@ -67,14 +67,17 @@ class SpeedField:
         return SpeedField(self.flavor, self.fn, self.alpha, self.beta,
                           self.beta1, self.beta_prime, offset, self.name)
 
-    def __call__(self, t, x, gamma=None):
+    def __call__(self, t, x, gamma=None) -> np.ndarray:
+        """g at the points x as a new float array shaped like x."""
         if self.flavor == CONSTANT:
-            return np.broadcast_to(self.fn(), np.shape(x)).astype(float)
-        if self.flavor == SPACE_ONLY:
-            return np.asarray(self.fn(x), dtype=float)
-        if self.flavor == SPACE_TIME:
-            return np.asarray(self.fn(t, x), dtype=float)
-        return np.asarray(self.fn(t, x, gamma), dtype=float)
+            vals = self.fn()
+        elif self.flavor == SPACE_ONLY:
+            vals = self.fn(x)
+        elif self.flavor == SPACE_TIME:
+            vals = self.fn(t, x)
+        else:
+            vals = self.fn(t, x, gamma)
+        return np.broadcast_to(np.asarray(vals, dtype=float), np.shape(x)).copy()
 
 
 def make_constant(c: float, name: str = "") -> SpeedField:
@@ -101,7 +104,6 @@ def _sample_at(speed: SpeedField, t: float, x: np.ndarray,
         vals = speed(t, x, gamma)
     else:
         vals = speed(t, x + speed.sampling_offset)
-    vals = np.broadcast_to(np.asarray(vals, dtype=float), x.shape).copy()
     slack = _BOUND_SLACK * max(1.0, abs(speed.beta))
     # written so that a NaN sample fails it; the slack never admits g <= 0
     if not np.all((0.0 < vals) & (speed.alpha - slack <= vals) & (vals <= speed.beta + slack)):
@@ -166,17 +168,16 @@ def validate_bounds(speed: SpeedField, grid: Grid, t_grid=(0.0,),
     eps_x = 1e-5 * max(grid.h, 1.0)
     for t in t_grid:
         vals = speed(t, xs, gamma_vals)
-        vals = np.broadcast_to(np.asarray(vals, float), xs.shape)
         lower = min(lower, float(np.min(vals) - speed.alpha))
         upper = min(upper, float(speed.beta - np.max(vals)))
         if speed.flavor in (SPACE_TIME, COUPLED):
-            vp = np.broadcast_to(np.asarray(speed(t + eps_t, xs, gamma_vals), float), xs.shape)
+            vp = speed(t + eps_t, xs, gamma_vals)
             dt_worst = max(dt_worst, float(np.max(np.abs(vp - vals))) / eps_t)
         if speed.flavor == COUPLED:
             grad = _curve_gradient(speed, t, xs, gamma_vals, eps_x)
             dx_worst = max(dx_worst, float(np.max(np.sqrt(np.einsum("ij,ij->i", grad, grad)))))
         elif speed.flavor != CONSTANT:
-            vx = np.broadcast_to(np.asarray(speed(t, xs + eps_x), float), xs.shape)
+            vx = speed(t, xs + eps_x)
             dx_worst = max(dx_worst, float(np.max(np.abs(vx - vals))) / eps_x)
 
     flags = []

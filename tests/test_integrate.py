@@ -71,7 +71,7 @@ def test_spec_validation():
 def test_cfl_step_resolution():
     grid, u0, _, _ = helix_setup()
     state = FlowState(0.0, u0, speed_from_name("sin:2,1,1"))
-    spec = IntegratorSpec(method="rotation", cfl=0.25)
+    spec = IntegratorSpec(cfl=0.25)
     assert spec.resolve_dt(state) == pytest.approx(0.25 * grid.h ** 2 / 3.0)
 
 
@@ -312,7 +312,7 @@ def test_evolve_rejects_non_finite_horizon(horizon):
     # march after 0 steps with status ok
     state = circle_state(n=16)
     with pytest.raises(ValueError, match="horizon must be finite"):
-        evolve(state, horizon, IntegratorSpec(method="rotation", cfl=0.25))
+        evolve(state, horizon, IntegratorSpec(cfl=0.25))
 
 
 def test_evolve_refuses_zero_coefficient_inside_the_bound_slack():
@@ -327,7 +327,7 @@ def test_evolve_refuses_zero_coefficient_inside_the_bound_slack():
                            alpha=1e-12, beta=1.0)
     for method in ("rotation", "rk4", "projected_rk4"):
         res = evolve(FlowState(0.0, u0, vanishing), 0.01, IntegratorSpec(method=method, cfl=0.25))
-        assert res.status == "diverged" and res.failed_step == 1
+        assert res.status == "diverged" and res.steps_taken == 1
 
 
 def test_snapshot_stride_and_g_samples_recorded():
@@ -369,7 +369,7 @@ def test_rk4_diverges_at_cfl_four():
     state = FlowState(0.0, u0, make_constant(1.0))
     res = evolve(state, 1.0, IntegratorSpec(method="rk4", cfl=4.0, snapshot_stride=100))
     assert res.status == "diverged"
-    assert res.failed_step is not None
+    assert res.steps_taken >= 1
     assert len(res.fields) >= 1  # partial trajectory kept
 
 

@@ -5,7 +5,6 @@ from bfl.interp import (
     DomainError,
     SANDWICH_LOWER,
     SANDWICH_UPPER,
-    evaluate,
     interp_gap,
     l2_norm_linear,
     piecewise_constant,
@@ -19,8 +18,8 @@ from bfl.lattice import AlignmentError, Field, Grid, dplus, norm_h, norm_h1, nor
 def test_eval_linear_midpoint():
     g = Grid.make_window(0.0, 4, 1.0)
     f = Field(g, np.array([0.0, 1.0, 1.0, 1.0, 1.0]))
-    assert evaluate(piecewise_linear(f), 0.5) == pytest.approx(0.5)
-    assert evaluate(piecewise_constant(f), 0.5) == pytest.approx(0.0)
+    assert piecewise_linear(f)(0.5) == pytest.approx(0.5)
+    assert piecewise_constant(f)(0.5) == pytest.approx(0.0)
 
 
 def test_eval_returns_node_values():
@@ -28,7 +27,7 @@ def test_eval_returns_node_values():
     g = Grid.make_periodic(2 * np.pi, 12)
     f = Field(g, rng.normal(size=(12, 3)))
     for view in (piecewise_linear(f), piecewise_constant(f)):
-        out = evaluate(view, g.nodes())
+        out = view(g.nodes())
         assert np.allclose(out, f.values, atol=1e-12)
 
 
@@ -36,16 +35,16 @@ def test_eval_periodic_wrap():
     g = Grid.make_periodic(2.0, 8)
     f = Field(g, np.arange(8.0))
     v = piecewise_linear(f)
-    assert evaluate(v, 0.1) == pytest.approx(evaluate(v, 2.1), abs=1e-12)
+    assert v(0.1) == pytest.approx(v(2.1), abs=1e-12)
 
 
 def test_eval_outside_window_raises():
     g = Grid.make_window(0.0, 4, 1.0)
     f = Field(g, np.zeros(5))
     with pytest.raises(DomainError):
-        evaluate(piecewise_linear(f), 4.5)
+        piecewise_linear(f)(4.5)
     with pytest.raises(DomainError):
-        evaluate(piecewise_linear(f), -0.5)
+        piecewise_linear(f)(-0.5)
 
 
 # ------------------------------------------------------------- L2 norms
@@ -83,7 +82,7 @@ def test_l2_norm_linear_matches_quadrature():
     view = piecewise_linear(f)
 
     def sq(x):
-        vals = evaluate(view, x)
+        vals = view(x)
         return np.einsum("ij,ij->i", vals, vals)
 
     quad = np.sqrt(quadrature_cellwise(sq, g))
@@ -105,7 +104,7 @@ def test_gap_two_node_ramp():
     view_l, view_c = piecewise_linear(f), piecewise_constant(f)
 
     def sq(x):
-        d = evaluate(view_l, x) - evaluate(view_c, x)
+        d = view_l(x) - view_c(x)
         return d * d
 
     quad = np.sqrt(quadrature_cellwise(sq, g))
@@ -137,7 +136,7 @@ def test_gap_quadrature_cross_check_window():
     view_l, view_c = piecewise_linear(f), piecewise_constant(f)
 
     def sq(x):
-        d = evaluate(view_l, x) - evaluate(view_c, x)
+        d = view_l(x) - view_c(x)
         return d * d
 
     quad = np.sqrt(quadrature_cellwise(sq, g))
@@ -216,7 +215,7 @@ def test_resample_shares_node_values():
     out = resample(f, g_c)
     view = piecewise_linear(out)
     for i in range(8):
-        assert np.allclose(evaluate(view, g_c.nodes()[i]), f.values[2 * i])
+        assert np.allclose(view(g_c.nodes()[i]), f.values[2 * i])
 
 
 def test_resample_rejects_non_nested():

@@ -404,6 +404,21 @@ def test_peak_location_parabolic():
     assert peak_location(Field(grid, vals)) == pytest.approx(1.03, abs=1e-12)
 
 
+@pytest.mark.parametrize("x0", [0.0, -4.0])
+def test_peak_location_wraps_across_the_periodic_seam(x0):
+    # a peak between the last node and node 0 lands inside [x0, x0 + L)
+    # from either side of the seam: the parabola through nodes 7, 0, 1
+    # peaks 0.35/0.9 left of node 0, the one through 6, 7, 0 as far right
+    # of node 7
+    grid = Grid(h=1.0, x0=x0, n_nodes=8, periodic=True, length=8.0)
+    left = Field(grid, np.array([1.0, 0.2, 0, 0, 0, 0, 0.1, 0.9]))
+    right = Field(grid, np.array([0.9, 0.1, 0, 0, 0, 0, 0.2, 1.0]))
+    for f, expected in ((left, x0 + 8.0 - 0.35 / 0.9), (right, x0 + 7.0 + 0.35 / 0.9)):
+        x = peak_location(f)
+        assert x0 <= x < x0 + 8.0
+        assert x == pytest.approx(expected, abs=1e-12)
+
+
 # ------------------------------------------------------------- oracles
 
 def test_helix_degenerates_to_great_circle():

@@ -69,6 +69,26 @@ def test_dplus_inverts_gamma_integral():
         assert np.allclose(gamma.values[default_origin(grid)], 0.0)
 
 
+def test_gamma_integral_and_mismatch_accept_scalar_fields():
+    # a scalar field takes the (n,) path: the same bytes as a direct prefix
+    # sum and as the first column of the vector field carrying it
+    rng = np.random.default_rng(12)
+    for grid in (Grid.make_periodic(2 * np.pi, 32), Grid.make_window(-2.0, 20, 0.2)):
+        s = rng.normal(size=grid.n_nodes)
+        u = Field(grid, s)
+        padded = Field(grid, np.stack([s, np.zeros_like(s), np.zeros_like(s)], axis=1))
+        for origin in (0, grid.n_nodes // 3, grid.n_nodes - 1):
+            prefix = np.concatenate([[0.0], np.cumsum(grid.h * s)])
+            direct = prefix[:-1] - prefix[origin]
+            gamma = gamma_integral(u, origin=origin)
+            assert gamma.values.tobytes() == direct.tobytes()
+            assert (gamma.values.tobytes()
+                    == gamma_integral(padded, origin=origin).values[:, 0].tobytes())
+            chords = (direct[1:] - direct[:-1]) / grid.h
+            assert tangent_mismatch(gamma, u) == np.max(np.abs(chords - s[:-1]))
+            assert tangent_mismatch(gamma, u) <= 1e-13
+
+
 # ------------------------------------------------------------ drift
 
 def test_drift_zero_for_stationary_constant_tangent():
