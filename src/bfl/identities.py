@@ -73,10 +73,10 @@ def _residual_ipp(rng, grid) -> float:
     v = _vector(rng, grid)
     u = _vector(rng, grid, zero_edges=2,
                 extension="zero" if not grid.periodic else "constant")
-    t1 = np.einsum("ij,ij->", v.values, dplus(u).values)
-    t2 = np.einsum("ij,ij->", u.values, dminus(v).values)
-    scale = (np.sum(np.abs(v.values * dplus(u).values))
-             + np.sum(np.abs(u.values * dminus(v).values)) + _TINY)
+    du, dv = dplus(u).values, dminus(v).values
+    t1 = np.einsum("ij,ij->", v.values, du)
+    t2 = np.einsum("ij,ij->", u.values, dv)
+    scale = np.sum(np.abs(v.values * du)) + np.sum(np.abs(u.values * dv)) + _TINY
     return abs(t1 + t2) / scale
 
 
@@ -125,10 +125,10 @@ def _residual_unit_delta(rng, grid) -> float:
 def _residual_delta_factorization(rng, grid) -> float:
     v = _vector(rng, grid)
     g = _coeff(rng, grid)
-    r1 = dplus(g * dminus(v))
+    flux = g * dminus(v)
+    r1 = dplus(flux)
     r2 = dminus(shift_plus(g) * dplus(v))
-    scale = max(norm_linf(r1), norm_linf(r2),
-                (2.0 / grid.h) * norm_linf(g * dminus(v)), _TINY)
+    scale = max(norm_linf(r1), norm_linf(r2), (2.0 / grid.h) * norm_linf(flux), _TINY)
     return float(np.max(np.abs(r1.values - r2.values))) / scale
 
 

@@ -21,8 +21,8 @@ limit its energy and its error grow without bound while the tangents stay
 on the sphere (at cfl = 1 the energy of a variable-g helix blows up).
 
 evolve() marches with a fixed step, shortens the last step to land exactly
-on the horizon, and stores a snapshot (state plus the coefficient samples
-used) every ``snapshot_stride`` steps. Between snapshots it steps raw
+on the horizon, and stores a snapshot (state plus the g samples the kernel
+steps with) every ``snapshot_stride`` steps. Between snapshots it steps raw
 arrays, tangents and curves alike as C-ordered (3, n) rows (node axis
 last), transposed once on entry and once per stored snapshot. Every
 in-kernel |w|^2 is summed as (x^2 + z^2) + y^2, the order of numpy's einsum
@@ -40,7 +40,7 @@ from typing import Callable
 
 import numpy as np
 
-from .dynamics import TANGENT, FlowState, chord_lengths, g_samples
+from .dynamics import TANGENT, FlowState, chord_lengths
 from .lattice import _NEXT, _PREV, Field, _cross_turned, _delta_g, _dminus, _dplus, _norm2, cross3
 from .speed import COUPLED, _sample_at
 
@@ -159,8 +159,9 @@ def _restore_chords(h: float, periodic: bool, ext: str, lengths: np.ndarray,
 # stepping and evolution
 # --------------------------------------------------------------------------
 
-def _kernel(state: FlowState, spec: IntegratorSpec) -> Callable:
-    """advance(t, y, dt): one step of the state's flow on (3, n) rows y.
+def _kernel(state: FlowState, spec: IntegratorSpec) -> tuple[Callable, Callable]:
+    """(advance, coefficient): advance(t, y, dt) is one step of the state's
+    flow on (3, n) rows y, and coefficient(t, y) the g samples it steps with.
 
     Resolves once what every step reuses: the ghost policy, the coefficient
     sampler and, for a curve, the state's chord_lengths (the lengths diagnose
@@ -186,7 +187,7 @@ def _kernel(state: FlowState, spec: IntegratorSpec) -> Callable:
             return _delta_g(coefficient(t, u), u, h, periodic, ext)
 
         if spec.method == "rotation":
-            return partial(_rotation_rows, lambda t, u: -delta(t, u))
+            return partial(_rotation_rows, lambda t, u: -delta(t, u)), coefficient
         deriv = lambda t, u: cross3(u, delta(t, u))
         project = lambda u: u / np.sqrt(_norm2(u))
     else:
@@ -200,7 +201,7 @@ def _kernel(state: FlowState, spec: IntegratorSpec) -> Callable:
             return coefficient(t, gamma) * cross3(u, _dminus(u, h, periodic, "zero"))
 
         project = partial(_restore_chords, h, periodic, ext, chord_lengths(state.field))
-    return partial(_rk4, deriv, None if spec.method == "rk4" else project)
+    return partial(_rk4, deriv, None if spec.method == "rk4" else project), coefficient
 
 
 def _checked_step(advance: Callable, t: float, y: np.ndarray, dt: float) -> np.ndarray:
@@ -224,7 +225,7 @@ def step(state: FlowState, spec: IntegratorSpec, dt: float) -> FlowState:
     Raises DivergenceError if the update produces NaN or Inf.
     """
     y = np.ascontiguousarray(state.field.values.T)
-    y = _checked_step(_kernel(state, spec), state.t, y, dt)
+    y = _checked_step(_kernel(state, spec)[0], state.t, y, dt)
     return state.advanced(state.t + dt, state.field.with_values(y.T))
 
 
@@ -251,6 +252,7 @@ class EvolveResult:
 def evolve(state: FlowState, horizon: float, spec: IntegratorSpec) -> EvolveResult:
     """Fixed-step march from state.t to the horizon, snapshots on the way.
 
+    A snapshot's g samples are the kernel's, taken at its time and state.
     The last step is shortened to land exactly on the horizon. Marching
     backwards (horizon < t) flips the sign of the step. Divergence aborts
     with a partial trajectory flagged "diverged". ValueError for a
@@ -263,18 +265,17 @@ def evolve(state: FlowState, horizon: float, spec: IntegratorSpec) -> EvolveResu
     direction = 1.0 if horizon > state.t else -1.0
     dt = direction * abs(spec.resolve_dt(state))
     result = EvolveResult(mode=state.mode)
+    advance, g = _kernel(state, spec)
     # a g that reads neither t nor the curve is one Field for every snapshot
-    fixed_g = None if state.speed.time_dependent else g_samples(state)
+    fixed_g = None if state.speed.time_dependent else Field(state.grid, g(state.t, None))
 
     def record(t: float, f: Field):
         result.times.append(t)
         result.fields.append(f)
-        result.g_samples.append(g_samples(state.advanced(t, f)) if fixed_g is None else fixed_g)
+        result.g_samples.append(Field(f.grid, g(t, f.values.T)) if fixed_g is None else fixed_g)
 
     record(state.t, state.field)
-    advance = _kernel(state, spec)
-    k = 0
-    t, y = state.t, np.ascontiguousarray(state.field.values.T)
+    k, t, y = 0, state.t, np.ascontiguousarray(state.field.values.T)
     tol = 1e-14 * max(1.0, abs(horizon))
     landing = 1e-13 * max(1.0, abs(horizon))
     while direction * (horizon - t) > tol:

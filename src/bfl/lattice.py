@@ -324,7 +324,8 @@ def norm_h(v: Field) -> float:
 
 def norm_h1(v: Field) -> float:
     """Lattice H1 norm: |v|_h^2 + |D+ v|_h^2 under the root."""
-    return math.sqrt(max(inner_h(v, v), 0.0) + max(inner_h(dplus(v), dplus(v)), 0.0))
+    dv = dplus(v)
+    return math.sqrt(max(inner_h(v, v), 0.0) + max(inner_h(dv, dv), 0.0))
 
 
 def norm_linf(v: Field) -> float:

@@ -1,11 +1,11 @@
 """Speed-coefficient models with certified bounds and grid sampling.
 
-A SpeedField wraps the coefficient g in one of four flavors (constant,
-space-only, space-time, coupled to the curve) together with caller-declared
-bounds: alpha (positive lower bound), beta (sup of g), beta1 (sup of the
-time derivative) and beta_prime (sup of the spatial / curve-gradient first
-derivatives). The bounds feed the a-priori bound monitors; they are
-spot-validated, never inferred.
+A SpeedField wraps one coefficient g(t, x, gamma), the paper's g(s, t, gamma).
+Its flavor (constant, space-only, space-time, coupled) declares what g reads;
+only a coupled g is handed the curve gamma. Declared bounds alpha (positive
+lower bound), beta (sup of g), beta1 (sup of |dg/dt|) and beta_prime (sup of
+the first derivatives in x or in gamma) feed the a-priori bound monitors; they
+are spot-validated, never inferred.
 
 Sampling offset: sample i sits at x_i + offset and weights D-u_i, the
 difference across the cell [x_{i-1}, x_i], in D+(g D-u). An offset of 0
@@ -18,7 +18,7 @@ applies an offset, since the curve exists only at nodes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -37,9 +37,9 @@ _BOUND_SLACK = 1e-9
 class SpeedField:
     """Coefficient g with declared bounds.
 
-    ``fn`` signature by flavor: constant -> ignored (use ``make_constant``);
-    space-only f(x); space-time f(t, x); coupled f(t, x, gamma) with gamma
-    of shape (n, 3), vectorized over nodes.
+    ``fn(t, x, gamma)`` is vectorized over the points x; gamma is the (n, 3)
+    curve at the nodes for the coupled flavor and None for every other. The
+    flavor declares what fn reads: nothing, x, t and x, or all three.
     """
 
     flavor: str
@@ -64,24 +64,15 @@ class SpeedField:
         return self.flavor in (SPACE_TIME, COUPLED)
 
     def with_offset(self, offset: float) -> "SpeedField":
-        return SpeedField(self.flavor, self.fn, self.alpha, self.beta,
-                          self.beta1, self.beta_prime, offset, self.name)
+        return replace(self, sampling_offset=offset)
 
     def __call__(self, t, x, gamma=None) -> np.ndarray:
         """g at the points x as a new float array shaped like x."""
-        if self.flavor == CONSTANT:
-            vals = self.fn()
-        elif self.flavor == SPACE_ONLY:
-            vals = self.fn(x)
-        elif self.flavor == SPACE_TIME:
-            vals = self.fn(t, x)
-        else:
-            vals = self.fn(t, x, gamma)
-        return np.broadcast_to(np.asarray(vals, dtype=float), np.shape(x)).copy()
+        return np.broadcast_to(np.asarray(self.fn(t, x, gamma), dtype=float), np.shape(x)).copy()
 
 
 def make_constant(c: float, name: str = "") -> SpeedField:
-    return SpeedField(CONSTANT, lambda: c, alpha=c, beta=c,
+    return SpeedField(CONSTANT, lambda t, x, gamma: c, alpha=c, beta=c,
                       name=name or f"const:{c:g}")
 
 
@@ -233,7 +224,7 @@ def speed_from_name(spec: str) -> SpeedField:
         a, b, k = args
         if a - abs(b) <= 0:
             raise ValueError("sin coefficient dips to zero or below")
-        return SpeedField(SPACE_ONLY, lambda x, a=a, b=b, k=k: a + b * np.sin(k * x),
+        return SpeedField(SPACE_ONLY, lambda t, x, gamma, a=a, b=b, k=k: a + b * np.sin(k * x),
                           alpha=a - abs(b), beta=a + abs(b),
                           beta1=0.0, beta_prime=abs(b * k), name=spec)
     if head == "sintime":
@@ -242,7 +233,7 @@ def speed_from_name(spec: str) -> SpeedField:
             raise ValueError("sintime coefficient dips to zero or below")
         return SpeedField(
             SPACE_TIME,
-            lambda t, x, a=a, b=b, k=k, w=w: a + b * np.sin(k * x) * np.cos(w * t),
+            lambda t, x, gamma, a=a, b=b, k=k, w=w: a + b * np.sin(k * x) * np.cos(w * t),
             alpha=a - abs(b), beta=a + abs(b),
             beta1=abs(b * w), beta_prime=abs(b * k), name=spec)
     if head == "coupled-tanh":

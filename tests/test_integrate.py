@@ -319,11 +319,11 @@ def test_evolve_refuses_zero_coefficient_inside_the_bound_slack():
     # alpha = 1e-12 lies inside the 1e-9 bound slack, so only the positivity
     # test in the sampler refuses g = 0
     grid, u0, _, _ = helix_setup(n=16)
-    fixed = SpeedField(SPACE_ONLY, lambda x: np.where(x == 0.0, 0.0, 1.0),
+    fixed = SpeedField(SPACE_ONLY, lambda t, x, gamma: np.where(x == 0.0, 0.0, 1.0),
                        alpha=1e-12, beta=1.0)
     with pytest.raises(CoefficientBoundError, match="at node 0"):
         evolve(FlowState(0.0, u0, fixed), 0.01, IntegratorSpec(method="rotation", cfl=0.25))
-    vanishing = SpeedField(SPACE_TIME, lambda t, x: np.full_like(x, float(t < 0.004)),
+    vanishing = SpeedField(SPACE_TIME, lambda t, x, gamma: np.full_like(x, float(t < 0.004)),
                            alpha=1e-12, beta=1.0)
     for method in ("rotation", "rk4", "projected_rk4"):
         res = evolve(FlowState(0.0, u0, vanishing), 0.01, IntegratorSpec(method=method, cfl=0.25))

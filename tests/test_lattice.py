@@ -297,6 +297,29 @@ def test_dual_norms_never_load_scipy(tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
+@pytest.mark.parametrize("intervals, h, segments", [(200, 1.0, 5), (2000, 0.05, 3)])
+def test_window_riesz_solve_carries_across_segments(intervals, h, segments):
+    # the window sweeps restart every `step` nodes, where the weights rho^-i
+    # grow by _SEGMENT_GROWTH, and carry each segment's end value into the
+    # next; these windows span several segments in both sweeps
+    g = Grid.make_window(-0.5 * intervals * h, intervals, h)
+    n = g.n_nodes
+    rho = (2.0 + h * h - np.sqrt((2.0 + h * h) ** 2 - 4.0)) / 2.0
+    step = int(np.log(bfl.lattice._SEGMENT_GROWTH) / -np.log(rho))
+    assert -(-n // step) == segments
+    lap = (np.eye(n, k=1) - 2.0 * np.eye(n) + np.eye(n, k=-1)) / h ** 2
+    lap[0, 0] = lap[-1, -1] = -1.0 / h ** 2
+    rhs = np.random.default_rng(41).normal(size=(3, n))
+    w = bfl.lattice._riesz_matrix_solve(g, rhs)
+    dense = np.linalg.solve(np.eye(n) - lap, rhs.T).T
+    assert np.max(np.abs(w - dense)) <= 1e-12 * np.max(np.abs(dense))
+    residual = np.max(np.abs(w - w @ lap.T - rhs))
+    assert residual <= bfl.lattice._riesz_residual_bound(h, np.max(np.sqrt(np.sum(rhs ** 2, 0))))
+    v = Field(g, rhs.T)
+    expected = np.sqrt(h * np.sum(rhs * dense))
+    assert norm_h1_dual(v) == pytest.approx(expected, rel=1e-12)
+
+
 # ---------------------------------------------------------------- delta_g
 
 def test_delta_g_unit_spike():

@@ -43,11 +43,11 @@ def test_coupled_requires_curve():
 
 def test_sample_rejects_bound_violation():
     g = Grid.make_periodic(2 * np.pi, 16)
-    bad = SpeedField(SPACE_ONLY, lambda x: 2.0 + np.sin(x), alpha=1.5, beta=3.0)
+    bad = SpeedField(SPACE_ONLY, lambda t, x, gamma: 2.0 + np.sin(x), alpha=1.5, beta=3.0)
     with pytest.raises(CoefficientBoundError):
         sample(bad, 0.0, g)
     # a NaN sample compares false with both bounds and must still be refused
-    nan_at_0 = SpeedField(SPACE_ONLY, lambda x: np.where(x == 0.0, np.nan, 2.0),
+    nan_at_0 = SpeedField(SPACE_ONLY, lambda t, x, gamma: np.where(x == 0.0, np.nan, 2.0),
                           alpha=1.0, beta=3.0)
     with pytest.raises(CoefficientBoundError, match="nan at node 0"):
         sample(nan_at_0, 0.0, g)
@@ -55,7 +55,7 @@ def test_sample_rejects_bound_violation():
     # and named rather than the sample at node 5, above beta but inside the slack
     values = np.full(16, 0.5)
     values[0], values[5] = 0.0, 1.0 + 5e-10
-    zero_at_0 = SpeedField(SPACE_ONLY, lambda x: values, alpha=1e-12, beta=1.0)
+    zero_at_0 = SpeedField(SPACE_ONLY, lambda t, x, gamma: values, alpha=1e-12, beta=1.0)
     with pytest.raises(CoefficientBoundError, match="sample 0 at node 0 "):
         sample(zero_at_0, 0.0, g)
 
@@ -84,7 +84,7 @@ def test_sample_determinism():
 
 def test_validate_constant_margins():
     g = Grid.make_periodic(2.0, 8)
-    s = SpeedField("constant", lambda: 1.0, alpha=0.5, beta=2.0)
+    s = SpeedField("constant", lambda t, x, gamma: 1.0, alpha=0.5, beta=2.0)
     rep = validate_bounds(s, g)
     assert rep.ok
     assert rep.lower_margin == pytest.approx(0.5)
@@ -102,7 +102,7 @@ def test_validate_sine_with_tight_bounds_passes():
 
 def test_validate_sine_with_wrong_alpha_fails():
     g = Grid.make_periodic(2 * np.pi, 64)
-    s = SpeedField(SPACE_ONLY, lambda x: 2.0 + np.sin(x), alpha=1.5, beta=3.0,
+    s = SpeedField(SPACE_ONLY, lambda t, x, gamma: 2.0 + np.sin(x), alpha=1.5, beta=3.0,
                    beta_prime=1.0)
     rep = validate_bounds(s, g)
     assert not rep.ok
