@@ -12,9 +12,9 @@ variable g; with midpoint samples at x_i - h/2, the center of the cell
 D-u_i differences, it is second order; both orders are what the tables
 report.
 
-Levels and perturbation scales run one after another in the calling
-thread; the stability sweep evolves its unperturbed base run once and
-measures every perturbation scale against it.
+Levels run one after another in the calling thread. The stability sweep
+evolves its unperturbed base run once, marches every perturbation scale in
+one batched march after the base run, and measures each against the base.
 """
 
 from __future__ import annotations

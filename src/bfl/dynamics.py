@@ -21,6 +21,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .lattice import (
+    AlignmentError,
     Field,
     Grid,
     cross,
@@ -40,25 +41,42 @@ BOUNDARY_CLEARANCE_NODES = 10
 
 @dataclass(frozen=True)
 class FlowState:
-    """Time plus the evolving field: the tangent u or the curve gamma."""
+    """Time plus the evolving field: the tangent u or the curve gamma.
+
+    ``batch``: more initial tangent fields, each on the field's grid with its
+    shape and extension, that march beside it under the same speed and step
+    (AlignmentError otherwise). A curve state takes no batch: each member of
+    a coupled flow would need its own coefficient samples.
+    """
 
     t: float
     field: Field
     speed: SpeedField
     mode: str = TANGENT
+    batch: tuple = ()
 
     def __post_init__(self):
         if self.mode not in (TANGENT, CURVE):
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.mode == TANGENT and self.speed.flavor == COUPLED:
             raise ValueError("coupled speed requires the curve form")
+        object.__setattr__(self, "batch", tuple(self.batch))
+        if self.batch and self.mode == CURVE:
+            raise ValueError("curve data marches one member at a time")
+        f = self.field
+        for member in self.batch:
+            if (member.grid, member.values.shape, member.extension) != (
+                    f.grid, f.values.shape, f.extension):
+                raise AlignmentError("batch members must share the field's grid, "
+                                     "shape and extension")
 
     @property
     def grid(self) -> Grid:
         return self.field.grid
 
-    def advanced(self, t: float, field: Field) -> "FlowState":
-        return replace(self, t=t, field=field)
+    def advanced(self, t: float, field: Field, batch: tuple = ()) -> "FlowState":
+        """The state at time t holding field and the given batch members."""
+        return replace(self, t=t, field=field, batch=batch)
 
 
 def chord_lengths(gamma: Field) -> np.ndarray:

@@ -95,7 +95,10 @@ def _as_values(values) -> np.ndarray:
     return arr
 
 
-_NEXT, _PREV = np.array([1, 2, 0]), np.array([2, 0, 1])
+# a ^ b = (a_y, a_z, a_x)(b_z, b_x, b_y) - (a_z, a_x, a_y)(b_y, b_z, b_x): one
+# take gathers both turns of an operand's rows as a (2, 3, ...) stack
+_TURNS = np.array([[1, 2, 0], [2, 0, 1]])
+_TURNS_BACK = np.array([[2, 0, 1], [1, 2, 0]])
 
 
 # Operators that form intermediates take ``out`` as a stack of arrays shaped
@@ -105,26 +108,26 @@ _NEXT, _PREV = np.array([1, 2, 0]), np.array([2, 0, 1])
 # want; both ways run the same float operations in one order.
 
 def cross3(a: np.ndarray, b: np.ndarray, out=None) -> np.ndarray:
-    """Vector product of (3, n) arrays, node axis last (faster than np.cross).
+    """Vector product of (3, ...) arrays, node axis last (faster than np.cross).
 
-    ``out``: optional stack of four; out[2] and out[3] take a's turned rows.
+    ``out``: optional stack of four; out[2:] takes a's turned rows, out[:2]
+    b's and then the two products.
     """
-    left, right, a_next, a_prev = (None,) * 4 if out is None else out
-    return _cross_turned(a.take(_NEXT, axis=0, out=a_next, mode="wrap"),
-                         a.take(_PREV, axis=0, out=a_prev, mode="wrap"), b, (left, right))
+    products, turned = (None, None) if out is None else (out[:2], out[2:])
+    return _cross_turned(a.take(_TURNS, axis=0, out=turned, mode="wrap"), b, products)
 
 
-def _cross_turned(a_next: np.ndarray, a_prev: np.ndarray, b: np.ndarray,
-                  out=None) -> np.ndarray:
-    """a ^ b from a's cyclic row permutations (a_y, a_z, a_x) and (a_z, a_x, a_y).
+def _cross_turned(turned: np.ndarray, b: np.ndarray, out=None) -> np.ndarray:
+    """a ^ b from a's turned rows a.take(_TURNS, axis=0), a (2, 3, ...) stack.
 
-    ``out``: optional stack of two; out[1] takes the subtracted product.
+    ``out``: optional (2, 3, ...) stack for b's turned rows, which the
+    products then overwrite; the result is out[0]. Without it the result is
+    the first half of a new stack.
     """
-    left, right = (None, None) if out is None else out
     # take's default mode copies through a buffer of its own when given out
-    left = np.multiply(a_next, b.take(_PREV, axis=0, out=left, mode="wrap"), out=left)
-    right = np.multiply(a_prev, b.take(_NEXT, axis=0, out=right, mode="wrap"), out=right)
-    return np.subtract(left, right, out=left)
+    products = b.take(_TURNS_BACK, axis=0, out=out, mode="wrap")
+    np.multiply(turned, products, out=products)
+    return np.subtract(products[0], products[1], out=products[0])
 
 
 def _norm2(v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

@@ -61,9 +61,9 @@ KAPPA_MIN = 1e-8
 _BLOCK = 16
 
 # rows of diagnose's work array, each room for one (3, _BLOCK, n) stack. An
-# operator's out stack takes consecutive rows: _delta_g's _DELTA and _DU,
-# cross3's _DU, _A, _B and the last row. At n = 513 the array holds 1.7 MiB,
-# allocated once per diagnose call.
+# operator's out stack starts at its row and spans at most as many rows as it
+# has arrays: _delta_g's _DELTA and _DU, cross3's _DU, _A, _B and the last
+# row. At n = 513 the array holds 1.7 MiB, allocated once per diagnose call.
 _G, _U, _DU_ROWS, _ROWS, _DELTA, _DU, _A, _B = range(8)
 _SLOTS = 9
 
@@ -232,13 +232,14 @@ def _diagnose_block(mode: str, fields, g_fields, lengths, work: np.ndarray) -> l
 
 def _room(work: np.ndarray, row: int, shape: tuple, count: int | None = None) -> np.ndarray:
     """A C-ordered array of ``shape`` over the leading entries of work[row]; with
-    a ``count``, that many such arrays on consecutive rows, stacked as an
-    operator's ``out``. A block shorter than the rows were sized for takes
-    leading slices of them."""
+    a ``count``, that many such arrays laid end to end from the start of
+    work[row], within ``count`` rows, as one C-ordered stack for an
+    operator's ``out`` (take writes in place only into a C-ordered out). A
+    block shorter than the rows were sized for takes leading slices of them."""
     size = math.prod(shape)
     if count is None:
         return work[row, :size].reshape(shape)
-    return work[row:row + count, :size].reshape((count,) + shape)
+    return work[row:row + count].reshape(-1)[:count * size].reshape((count,) + shape)
 
 
 def _rows(v: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -584,17 +585,21 @@ def perturbed_initial_data(u0: Field, eps: float) -> Field:
 def stability_probe(u0: Field, eps_list, speed: SpeedField, horizon: float,
                     spec: IntegratorSpec) -> list[float]:
     """H1 amplification |u(T) - u~(T)|_H1 / |u0 - u~0|_H1 of a bump of size eps,
-    one ratio per eps in eps_list, every one measured against one base run."""
+    one ratio per eps in eps_list, every one measured against one base run.
+
+    The base run marches alone, and RuntimeError follows at once if it
+    diverges. The perturbed runs then march as one batch, in one evolve
+    call; each member's bytes equal those of its own march.
+    """
     perturbed = [perturbed_initial_data(u0, eps) for eps in eps_list]
     base = evolve(FlowState(0.0, u0, speed), horizon, spec)
     if base.status != "ok":
         raise RuntimeError("stability probe run diverged")
-    ratios = []
-    for u0_tilde in perturbed:
-        pert = evolve(FlowState(0.0, u0_tilde, speed), horizon, spec)
-        if pert.status != "ok":
-            raise RuntimeError("stability probe run diverged")
-        num = norm_h1(base.final() - pert.final())
-        den = norm_h1(u0 - u0_tilde)
-        ratios.append(num / den)
-    return ratios
+    if not perturbed:
+        return []
+    pert = evolve(FlowState(0.0, perturbed[0], speed, batch=perturbed[1:]), horizon, spec)
+    if pert.status != "ok":
+        raise RuntimeError("stability probe run diverged")
+    finals = (pert.final(), *pert.batch[-1])
+    return [norm_h1(base.final() - final) / norm_h1(u0 - u0_tilde)
+            for final, u0_tilde in zip(finals, perturbed)]

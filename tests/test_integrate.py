@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from bfl.config import ExperimentConfig, build_speed
 from bfl.dynamics import FlowState, chord_lengths, g_samples, rhs
 from bfl.integrate import IntegratorSpec, evolve, rotate, step
 from bfl.lattice import (
+    AlignmentError,
     CoefficientBoundError,
     Field,
     Grid,
@@ -350,6 +352,103 @@ def test_snapshot_stride_and_g_samples_recorded():
         assert len(res.g_samples) == len(res.times) == 5
         for t, f, g in zip(res.times, res.fields, res.g_samples):
             assert np.array_equal(g.values, g_samples(state.advanced(t, f)).values)
+
+
+def random_tangents(grid, seed):
+    v = np.random.default_rng(seed).normal(size=(grid.n_nodes, 3))
+    return unit_field(grid, v / np.linalg.norm(v, axis=1)[:, None])
+
+
+@pytest.mark.parametrize("stride", [1, 10 ** 9])
+@pytest.mark.parametrize("speed_name", ["const:1", "sin:2,1,1 mid", "sintime:2,1,1,3"])
+@pytest.mark.parametrize("periodic", [True, False])
+@pytest.mark.parametrize("method", ["rk4", "projected_rk4", "rotation"])
+def test_batched_evolve_equals_each_members_own_evolve(method, periodic, speed_name, stride):
+    grid = Grid.make_periodic(2 * np.pi, 24) if periodic else Grid.make_window(-1.0, 23, 0.1)
+    name, _, offset = speed_name.partition(" ")
+    speed = speed_from_name(name)
+    if offset == "mid":
+        speed = speed.with_offset(-grid.h / 2)
+    members = [random_tangents(grid, seed) for seed in (1, 2, 3)]
+    spec = IntegratorSpec(method=method, cfl=0.25, snapshot_stride=stride)
+    horizon = 0.3 + 7.5 * spec.resolve_dt(FlowState(0.3, members[0], speed))  # 8 steps
+    batched = evolve(FlowState(0.3, members[0], speed, batch=members[1:]), horizon, spec)
+    assert batched.status == "ok" and batched.steps_taken == 8
+    assert len(batched.batch) == len(batched.times) == (9 if stride == 1 else 2)
+    for b, member in enumerate(members):
+        alone = evolve(FlowState(0.3, member, speed), horizon, spec)
+        assert alone.times == batched.times and alone.steps_taken == batched.steps_taken
+        fields = [snap[b - 1] for snap in batched.batch] if b else batched.fields
+        assert [f.values.tobytes() for f in fields] == [f.values.tobytes() for f in alone.fields]
+        assert all(a.values.tobytes() == g.values.tobytes()
+                   for a, g in zip(alone.g_samples, batched.g_samples))
+        assert alone.batch == [()] * len(alone.times)
+
+
+def test_batch_stops_at_its_first_diverging_member():
+    # a constant field has Delta_g u = 0 and never moves; the helix blows up
+    # at cfl = 4, and the batch stops at the step where it does
+    grid, helix, _, _ = helix_setup()
+    still = unit_field(grid, np.tile([0.0, 0.0, 1.0], (grid.n_nodes, 1)))
+    speed = make_constant(1.0)
+    spec = IntegratorSpec(method="rk4", cfl=4.0, snapshot_stride=3)
+    with pytest.warns(RuntimeWarning, match="2 sqrt"):
+        alone = evolve(FlowState(0.0, helix, speed), 1.0, spec)
+        assert evolve(FlowState(0.0, still, speed), 1.0, spec).status == "ok"
+        batched = evolve(FlowState(0.0, still, speed, batch=[helix]), 1.0, spec)
+    assert alone.status == batched.status == "diverged"
+    assert batched.steps_taken == alone.steps_taken > 1
+    assert [snap[0].values.tobytes() for snap in batched.batch] == [
+        f.values.tobytes() for f in alone.fields]
+
+
+def test_batch_members_must_share_the_grid_and_the_tangent_form():
+    grid, u0, _, _ = helix_setup(n=32)
+    _, other, _, _ = helix_setup(n=33)
+    speed = make_constant(1.0)
+    with pytest.raises(AlignmentError):
+        FlowState(0.0, u0, speed, batch=[u0, other])
+    with pytest.raises(AlignmentError):
+        FlowState(0.0, u0, speed, batch=[Field(grid, u0.values, "zero")])
+    curve = oracle_circle_curve(grid)
+    with pytest.raises(ValueError, match="one member at a time"):
+        FlowState(0.0, curve, speed_from_name("coupled-tanh:1,0.5"), mode="curve",
+                  batch=[curve])
+
+
+@pytest.mark.parametrize("method", ["rk4", "projected_rk4", "rotation"])
+def test_step_advances_every_batch_member(method):
+    grid, u0, _, _ = helix_setup(n=32)
+    speed = speed_from_name("sin:2,1,1")
+    members = [u0, random_tangents(grid, 5), random_tangents(grid, 6)]
+    spec = IntegratorSpec(method=method, dt=1e-3)
+    new = step(FlowState(0.0, members[0], speed, batch=members[1:]), spec, 1e-3)
+    assert len(new.batch) == 2
+    for got, member in zip((new.field, *new.batch), members):
+        alone = step(FlowState(0.0, member, speed), spec, 1e-3)
+        assert got.values.tobytes() == alone.field.values.tobytes()
+
+
+@pytest.mark.parametrize("method", ["rk4", "projected_rk4", "rotation"])
+def test_rk4_warns_past_the_imaginary_axis_bound(method):
+    # cfl 0.72 puts dt 4 beta / h^2 at 2.88, past 2 sqrt(2) = 2.828; cfl 0.70 at 2.80
+    _, u0, _, _ = helix_setup(n=32)
+    state = FlowState(0.0, u0, speed_from_name("sin:2,1,1"))
+    unit = state.grid.h ** 2 / state.speed.beta
+    for spec in (IntegratorSpec(method=method, cfl=0.72), IntegratorSpec(method=method, dt=0.72 * unit)):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            evolve(state, 0.01, spec)
+        if method == "rotation":  # its limit is not measured, so it never warns
+            assert not caught
+        else:
+            assert [str(w.message) for w in caught if w.category is RuntimeWarning] == [
+                "dt 4 beta / h^2 = 2.88 exceeds 2.828 = 2 sqrt(2), "
+                "the imaginary-axis stability bound of classical rk4"]
+    for spec in (IntegratorSpec(method=method, cfl=0.70), IntegratorSpec(method=method, dt=0.70 * unit)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            evolve(state, 0.01, spec)
 
 
 def test_time_reversal_smoke():

@@ -1,3 +1,4 @@
+import hashlib
 import platform
 import sys
 import tracemalloc
@@ -5,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import bfl.integrate
 import bfl.probe
 from bfl.config import ExperimentConfig, build_grid, build_initial, build_speed
 from bfl.convergence import convergence_study, stability_sweep
@@ -580,6 +582,54 @@ def test_stability_probe_stops_after_a_diverging_base_run(monkeypatch):
         stability_probe(state.field, [1e-2, 1e-3], speed, cfg.horizon,
                         IntegratorSpec(method="rk4", cfl=4.0))
     assert len(calls) == 1
+
+
+def test_studies_call_evolve_as_the_benchmark_reads_it(monkeypatch):
+    # the benchmark rebinds evolve in every bfl module that binds it. Its
+    # wrappers take (state, horizon, spec) positionally, digest the state's
+    # field values, time, mode and speed name, and count n_nodes x steps_taken
+    # node-steps per call; a batched march counts as one call
+    real = bfl.integrate.evolve
+    digests, counts = [], []
+
+    def counted(state, horizon, spec, /):
+        h = hashlib.blake2b(state.field.values.tobytes(), digest_size=16)
+        h.update(repr((state.t, state.mode, state.speed.name, horizon, spec)).encode())
+        digests.append(h.hexdigest())
+        result = real(state, horizon, spec)
+        counts.append(result.grid.n_nodes * result.steps_taken)
+        return result
+
+    sweep_cfg = ExperimentConfig(
+        topology="periodic", length=2 * np.pi, nodes=32,
+        initial="helix:0.7853981633974483,2", speed="sin:2,1,1",
+        method="rk4", cfl=0.25, horizon=0.1)
+    study_cfg = ExperimentConfig(
+        topology="periodic", length=2 * np.pi, nodes=16,
+        initial="helix:0.7853981633974483,2", speed="const:1",
+        method="rotation", cfl=0.25, horizon=0.05)
+    eps_list = [1e-2, 1e-3, 1e-4]
+    sweep, study = stability_sweep(sweep_cfg, eps_list), convergence_study(study_cfg, 3)
+    grid = build_grid(sweep_cfg)
+    speed = build_speed(sweep_cfg, grid)
+    steps = real(build_initial(sweep_cfg, grid, speed)[0], 0.1,
+                 IntegratorSpec(method="rk4", cfl=0.25)).steps_taken
+
+    bindings = [(mod, attr) for name, mod in list(sys.modules.items())
+                if name == "bfl" or name.startswith("bfl.")
+                for attr, value in vars(mod).items() if value is real]
+    assert {mod.__name__ for mod, _ in bindings} >= {"bfl", "bfl.integrate", "bfl.probe",
+                                                     "bfl.convergence"}
+    for mod, attr in bindings:
+        monkeypatch.setattr(mod, attr, counted)
+    assert stability_sweep(sweep_cfg, eps_list) == sweep
+    # the base run, then every perturbed run in one batched march
+    assert counts == [32 * steps] * 2 and len(set(digests)) == 2
+    digests.clear()
+    counts.clear()
+    assert convergence_study(study_cfg, 3) == study
+    assert len(counts) == len(set(digests)) == 3
+    assert 0 < counts[0] < counts[1] < counts[2]
 
 
 def test_energy_helper_matches_definition():
