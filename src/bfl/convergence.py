@@ -13,8 +13,8 @@ D-u_i differences, it is second order; both orders are what the tables
 report.
 
 Levels run one after another in the calling thread. The stability sweep
-evolves its unperturbed base run once, marches every perturbation scale in
-one batched march after the base run, and measures each against the base.
+marches its unperturbed base run and every perturbation scale in one
+batched march, the base as member 0, and measures each scale against it.
 """
 
 from __future__ import annotations

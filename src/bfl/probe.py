@@ -587,19 +587,15 @@ def stability_probe(u0: Field, eps_list, speed: SpeedField, horizon: float,
     """H1 amplification |u(T) - u~(T)|_H1 / |u0 - u~0|_H1 of a bump of size eps,
     one ratio per eps in eps_list, every one measured against one base run.
 
-    The base run marches alone, and RuntimeError follows at once if it
-    diverges. The perturbed runs then march as one batch, in one evolve
-    call; each member's bytes equal those of its own march.
+    The base run and the perturbed runs march as one batch, in one evolve
+    call, with the base as member 0; each member's bytes equal those of its
+    own march. RuntimeError if any member diverges, which stops the batch
+    at that member's failing step.
     """
     perturbed = [perturbed_initial_data(u0, eps) for eps in eps_list]
-    base = evolve(FlowState(0.0, u0, speed), horizon, spec)
-    if base.status != "ok":
+    result = evolve(FlowState(0.0, u0, speed, batch=perturbed), horizon, spec)
+    if result.status != "ok":
         raise RuntimeError("stability probe run diverged")
-    if not perturbed:
-        return []
-    pert = evolve(FlowState(0.0, perturbed[0], speed, batch=perturbed[1:]), horizon, spec)
-    if pert.status != "ok":
-        raise RuntimeError("stability probe run diverged")
-    finals = (pert.final(), *pert.batch[-1])
-    return [norm_h1(base.final() - final) / norm_h1(u0 - u0_tilde)
-            for final, u0_tilde in zip(finals, perturbed)]
+    base = result.final()
+    return [norm_h1(base - final) / norm_h1(u0 - u0_tilde)
+            for final, u0_tilde in zip(result.batch[-1], perturbed)]

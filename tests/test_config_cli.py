@@ -375,11 +375,15 @@ def test_cli_run_divergence_exit_code(tmp_path, capsys):
         "nodes = 32", "nodes = 64")
     cfg_path = tmp_path / "bad.bfl"
     cfg_path.write_text(bad)
-    assert run_cli("run", "-c", str(cfg_path), "-o", str(tmp_path)) == 2
+    past_bound = r"2 sqrt\(2\)"
+    with pytest.warns(RuntimeWarning, match=past_bound):
+        assert run_cli("run", "-c", str(cfg_path), "-o", str(tmp_path)) == 2
     capsys.readouterr()
-    assert run_cli("converge", "-c", str(cfg_path), "--levels", "3") == 2
+    with pytest.warns(RuntimeWarning, match=past_bound):
+        assert run_cli("converge", "-c", str(cfg_path), "--levels", "3") == 2
     assert "divergence during study" in capsys.readouterr().err
-    assert run_cli("stability", "-c", str(cfg_path), "--eps", "1e-2,1e-3") == 2
+    with pytest.warns(RuntimeWarning, match=past_bound):
+        assert run_cli("stability", "-c", str(cfg_path), "--eps", "1e-2,1e-3") == 2
     assert "divergence during sweep" in capsys.readouterr().err
 
 

@@ -466,7 +466,8 @@ def test_rk4_diverges_at_cfl_four():
     # documented stiffness of the h^-2 stencil inside the cross product
     grid, u0, _, _ = helix_setup()
     state = FlowState(0.0, u0, make_constant(1.0))
-    res = evolve(state, 1.0, IntegratorSpec(method="rk4", cfl=4.0, snapshot_stride=100))
+    with pytest.warns(RuntimeWarning, match=r"2 sqrt\(2\)"):
+        res = evolve(state, 1.0, IntegratorSpec(method="rk4", cfl=4.0, snapshot_stride=100))
     assert res.status == "diverged"
     assert res.steps_taken >= 1
     assert len(res.fields) >= 1  # partial trajectory kept

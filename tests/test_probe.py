@@ -21,6 +21,7 @@ from bfl.lattice import (
     dplus,
     magnitudes,
     norm_h,
+    norm_h1,
     norm_h1_dual,
     unit_drift,
 )
@@ -545,8 +546,9 @@ def test_stability_ratio_near_equilibrium_bounded():
 
 @pytest.mark.parametrize("method", ["rk4", "projected_rk4", "rotation"])
 def test_stability_sweep_matches_per_eps_probes(method):
-    # the sweep shares one base run across its scales; every ratio must
-    # still equal a probe that evolves its own base run
+    # the sweep marches its base run and every scale as one batch; every
+    # ratio must equal one built from the base and the perturbed run each
+    # marched alone
     cfg = ExperimentConfig(
         topology="periodic", length=2 * np.pi, nodes=32,
         initial="helix:0.7853981633974483,2", speed="sin:2,1,1",
@@ -555,11 +557,20 @@ def test_stability_sweep_matches_per_eps_probes(method):
     sweep = stability_sweep(cfg, eps_list)
     grid = build_grid(cfg)
     speed = build_speed(cfg, grid)
-    state, _ = build_initial(cfg, grid, speed)
+    u0 = build_initial(cfg, grid, speed)[0].field
     spec = IntegratorSpec(method=method, cfl=0.25)
-    probes = [stability_probe(state.field, [eps], speed, cfg.horizon, spec)[0]
-              for eps in eps_list]
-    assert [row["ratio"] for row in sweep["rows"]] == probes
+
+    def lone_final(start):
+        result = evolve(FlowState(0.0, start, speed), cfg.horizon, spec)
+        assert result.status == "ok" and not result.batch[-1]
+        return result.final()
+
+    base = lone_final(u0)
+    expected = []
+    for eps in eps_list:
+        u0_tilde = perturbed_initial_data(u0, eps)
+        expected.append(norm_h1(base - lone_final(u0_tilde)) / norm_h1(u0 - u0_tilde))
+    assert [row["ratio"] for row in sweep["rows"]] == expected
 
 
 def test_stability_probe_stops_after_a_diverging_base_run(monkeypatch):
@@ -578,7 +589,8 @@ def test_stability_probe_stops_after_a_diverging_base_run(monkeypatch):
         return evolve(*args)
 
     monkeypatch.setattr(bfl.probe, "evolve", counted)
-    with pytest.raises(RuntimeError, match="diverged"):
+    with pytest.raises(RuntimeError, match="diverged"), \
+            pytest.warns(RuntimeWarning, match=r"2 sqrt\(2\)"):
         stability_probe(state.field, [1e-2, 1e-3], speed, cfg.horizon,
                         IntegratorSpec(method="rk4", cfl=4.0))
     assert len(calls) == 1
@@ -623,8 +635,8 @@ def test_studies_call_evolve_as_the_benchmark_reads_it(monkeypatch):
     for mod, attr in bindings:
         monkeypatch.setattr(mod, attr, counted)
     assert stability_sweep(sweep_cfg, eps_list) == sweep
-    # the base run, then every perturbed run in one batched march
-    assert counts == [32 * steps] * 2 and len(set(digests)) == 2
+    # the base run and every perturbed run in one batched march
+    assert counts == [32 * steps] and len(digests) == 1
     digests.clear()
     counts.clear()
     assert convergence_study(study_cfg, 3) == study
