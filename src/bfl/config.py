@@ -50,7 +50,7 @@ from .dynamics import FlowState, warn_if_near_boundary
 from .integrate import IntegratorSpec
 from .lattice import Grid, unit_field
 from .probe import oracle_circle_curve, oracle_great_circle, oracle_helix, oracle_soliton_curve
-from .speed import CONSTANT, COUPLED, SpeedField, speed_from_name, split_selector
+from .speed import SpeedField, speed_from_name, split_selector
 
 
 class ConfigError(ValueError):
@@ -204,19 +204,15 @@ def build_speed(cfg: ExperimentConfig, grid: Grid) -> SpeedField:
         raise ConfigError(f"unknown offset {cfg.offset!r}")
     try:
         speed = speed_from_name(cfg.speed)
+        return speed.with_offset(-grid.h / 2.0) if cfg.offset == "mid" else speed
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    if cfg.offset == "mid":
-        if speed.flavor == COUPLED:
-            raise ConfigError("coupled coefficients sample at nodes only")
-        speed = speed.with_offset(-grid.h / 2.0)
-    return speed
 
 
 def build_initial(cfg: ExperimentConfig, grid: Grid, speed: SpeedField):
     """Initial FlowState plus the closed-form oracle t -> values, if any."""
     # the closed forms solve the flow for a constant coefficient c, at rate c
-    c = speed.beta if speed.flavor == CONSTANT else None
+    c = speed.beta if speed.constant else None
     try:
         head, args = parse_initial(cfg.initial)
         if head == "great-circle":

@@ -29,13 +29,12 @@ from .config import (ExperimentConfig, build_grid, build_initial, build_integrat
 from .integrate import evolve
 from .interp import resample
 from .probe import hasimoto_soliton, helix_tangents, oracle_great_circle, stability_probe
-from .speed import CONSTANT
 
 
 def continuum_oracle(cfg: ExperimentConfig, grid):
     """Closed-form continuum solution t -> values, when the data has one."""
     speed = build_speed(cfg, grid)
-    if speed.flavor != CONSTANT:
+    if not speed.constant:
         return None
     c = speed.beta
     head, args = parse_initial(cfg.initial)

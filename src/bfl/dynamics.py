@@ -31,7 +31,7 @@ from .lattice import (
     magnitudes,
     norm_linf,
 )
-from .speed import COUPLED, SpeedField, sample
+from .speed import SpeedField, sample
 
 TANGENT = "tangent"
 CURVE = "curve"
@@ -58,7 +58,7 @@ class FlowState:
     def __post_init__(self):
         if self.mode not in (TANGENT, CURVE):
             raise ValueError(f"unknown mode {self.mode!r}")
-        if self.mode == TANGENT and self.speed.flavor == COUPLED:
+        if self.mode == TANGENT and self.speed.coupled:
             raise ValueError("coupled speed requires the curve form")
         object.__setattr__(self, "batch", tuple(self.batch))
         if self.batch and self.mode == CURVE:
@@ -94,8 +94,8 @@ def rhs(state: FlowState, g: Field | None = None) -> Field:
     """The state's rate at its time: u ^ D+(g D-u) for a tangent, pointwise
     orthogonal to u, or g (D+gamma ^ D2 gamma) for a curve.
 
-    ``g`` defaults to the state's coefficient samples; the coupled flavor
-    reads them from the curve.
+    ``g`` defaults to the state's coefficient samples, which a coupled g
+    reads from the curve.
     """
     if g is None:
         g = g_samples(state)

@@ -52,7 +52,7 @@ import numpy as np
 
 from .dynamics import TANGENT, FlowState, chord_lengths
 from .lattice import _TURNS, Field, _cross_turned, _delta_g, _dminus, _dplus, _norm2, cross3
-from .speed import COUPLED, _sample_at
+from .speed import _sample_at
 
 
 # classical rk4's stability polynomial meets the imaginary axis at +-2 sqrt(2)
@@ -191,14 +191,15 @@ def _kernel(state: FlowState, spec: IntegratorSpec) -> tuple[Callable, Callable]
     sampler and, for a curve, the state's chord_lengths (the lengths diagnose
     measures drift against), which projected_rk4 restores after every step.
     Both forms apply D+(g D-.), so g_i weights the cell left of node i; a
-    midpoint offset samples at x_i - h/2. A time-independent g is sampled
-    once; _sample_at checks every sample when it is taken. Only a coupled g
-    reads y, as a C-ordered (n, 3) copy. ValueError for rotation on a curve.
+    midpoint offset samples at x_i - h/2. A g that is neither coupled nor
+    declares beta1 > 0 is sampled once; _sample_at checks every sample when
+    it is taken. Only a coupled g reads y, as a C-ordered (n, 3) copy.
+    ValueError for rotation on a curve.
     """
     grid, speed = state.grid, state.speed
     h, periodic, ext = grid.h, grid.periodic, state.field.extension
     x = grid.nodes()
-    if speed.flavor == COUPLED:
+    if speed.coupled:
         coefficient = lambda t, y: _sample_at(speed, t, x, np.ascontiguousarray(y.T))
     elif speed.time_dependent:
         coefficient = lambda t, y: _sample_at(speed, t, x)

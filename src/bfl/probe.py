@@ -53,7 +53,7 @@ from .lattice import (
     unit_field,
 )
 from .reconstruct import gamma_integral
-from .speed import COUPLED, SPACE_TIME, SpeedField, _curve_gradient, _sample_at
+from .speed import SpeedField, _curve_gradient, _sample_at
 
 KAPPA_MIN = 1e-8
 
@@ -261,7 +261,7 @@ def _root(x: np.ndarray) -> np.ndarray:
 def energy_rate_residual(result: EvolveResult, speed: SpeedField) -> float:
     """Worst defect of the energy evolution law over interior snapshots.
 
-    Space-only coefficients conserve the energy exactly; time-dependent ones
+    A g that is not time dependent conserves the energy exactly; others
     satisfy dE/dt = h sum dg/dt |D-u|^2, and coupled ones pick up the
     curve-transport term h sum (dgamma/dt . grad_gamma g) |D-u|^2 as well.
     Central differences on the snapshots approximate dE/dt; the coefficient
@@ -283,11 +283,11 @@ def energy_rate_residual(result: EvolveResult, speed: SpeedField) -> float:
         # derivatives of g where its samples sit: the offset points, or the
         # nodes with the curve for a coupled g
         gamma_vals = f.values if result.mode == CURVE else None
-        if speed.flavor in (SPACE_TIME, COUPLED):
+        if speed.time_dependent:
             gp = _sample_at(speed, t + eps_t, x, gamma_vals)
             gm = _sample_at(speed, t - eps_t, x, gamma_vals)
             rate += grid.h * float(np.sum((gp - gm) / (2 * eps_t) * sq))
-        if speed.flavor == COUPLED and result.mode == CURVE:
+        if speed.coupled and result.mode == CURVE:
             vel = g * cross(u, dm)
             grad_g = _curve_gradient(speed, t, x, gamma_vals, eps_t)
             rate += grid.h * float(np.sum(

@@ -1,19 +1,21 @@
 """Speed-coefficient models with certified bounds and grid sampling.
 
 A SpeedField wraps one coefficient g(t, x, gamma), the paper's g(s, t, gamma).
-Its flavor (constant, space-only, space-time, coupled) declares what g reads;
-only a coupled g is handed the curve gamma. Declared bounds alpha (positive
-lower bound), beta (sup of g), beta1 (sup of |dg/dt|) and beta_prime (sup of
-the first derivatives in x or in gamma) feed the a-priori bound monitors; they
-are spot-validated, never inferred.
+Declared bounds alpha (positive lower bound), beta (sup of g), beta1 (sup of
+|dg/dt|) and beta_prime (sup of the first derivatives in x or in gamma) feed
+the a-priori bound monitors; they are spot-validated, never inferred. The
+one declaration beside them is ``coupled``: only a coupled g is handed the
+curve gamma. What else g reads follows from the bounds: it is constant when
+alpha == beta (every sample is checked against both), and time dependent
+when it is coupled or beta1 > 0.
 
 Sampling offset: sample i sits at x_i + offset and weights D-u_i, the
 difference across the cell [x_{i-1}, x_i], in D+(g D-u). An offset of 0
 samples the nodes (first order for variable g); -h/2 samples that cell's
 midpoint (second order), which is what ``offset = mid`` selects. Every
 reader of the samples (the stepper, diagnostics, the energy law and the
-reconstruction drift) weights them this one way. The coupled flavor never
-applies an offset, since the curve exists only at nodes.
+reconstruction drift) weights them this one way. A coupled g takes no
+offset, since the curve exists only at nodes.
 """
 
 from __future__ import annotations
@@ -25,11 +27,6 @@ import numpy as np
 
 from .lattice import CoefficientBoundError, Field, Grid
 
-CONSTANT = "constant"
-SPACE_ONLY = "space-only"
-SPACE_TIME = "space-time"
-COUPLED = "coupled"
-
 _BOUND_SLACK = 1e-9
 
 
@@ -38,11 +35,11 @@ class SpeedField:
     """Coefficient g with declared bounds.
 
     ``fn(t, x, gamma)`` is vectorized over the points x; gamma is the (n, 3)
-    curve at the nodes for the coupled flavor and None for every other. The
-    flavor declares what fn reads: nothing, x, t and x, or all three.
+    curve at the nodes when ``coupled`` and None otherwise. A g that reads t
+    must declare beta1 > 0 (validate_bounds flags one that does not); a
+    constant one declares alpha == beta.
     """
 
-    flavor: str
     fn: Callable
     alpha: float
     beta: float
@@ -50,18 +47,23 @@ class SpeedField:
     beta_prime: float = 0.0
     sampling_offset: float = 0.0
     name: str = ""
+    coupled: bool = False
 
     def __post_init__(self):
-        if self.flavor not in (CONSTANT, SPACE_ONLY, SPACE_TIME, COUPLED):
-            raise ValueError(f"unknown flavor {self.flavor!r}")
         if not (self.alpha > 0):
             raise ValueError("lower bound alpha must be positive")
         if self.beta < self.alpha:
             raise ValueError("upper bound beta must dominate alpha")
+        if self.coupled and self.sampling_offset != 0:
+            raise ValueError("coupled coefficients sample at nodes only")
+
+    @property
+    def constant(self) -> bool:
+        return self.alpha == self.beta
 
     @property
     def time_dependent(self) -> bool:
-        return self.flavor in (SPACE_TIME, COUPLED)
+        return self.coupled or self.beta1 > 0
 
     def with_offset(self, offset: float) -> "SpeedField":
         return replace(self, sampling_offset=offset)
@@ -72,15 +74,14 @@ class SpeedField:
 
 
 def make_constant(c: float, name: str = "") -> SpeedField:
-    return SpeedField(CONSTANT, lambda t, x, gamma: c, alpha=c, beta=c,
-                      name=name or f"const:{c:g}")
+    return SpeedField(lambda t, x, gamma: c, alpha=c, beta=c, name=name or f"const:{c:g}")
 
 
 def sample(speed: SpeedField, t: float, grid: Grid, gamma: Field | None = None) -> Field:
     """Sample g onto the grid at time t; every value must be positive and in [alpha, beta].
 
-    Non-coupled flavors sample at x_i + sampling_offset. The coupled flavor
-    requires gamma and samples at the nodes with the curve values.
+    A coupled g requires gamma and samples at the nodes with the curve
+    values; any other samples at x_i + sampling_offset.
     """
     return Field(grid, _sample_at(speed, t, grid.nodes(),
                                   None if gamma is None else gamma.values))
@@ -89,7 +90,7 @@ def sample(speed: SpeedField, t: float, grid: Grid, gamma: Field | None = None) 
 def _sample_at(speed: SpeedField, t: float, x: np.ndarray,
                gamma: np.ndarray | None = None) -> np.ndarray:
     """sample() on node coordinates x and raw curve values gamma."""
-    if speed.flavor == COUPLED:
+    if speed.coupled:
         if gamma is None:
             raise ValueError("coupled speed needs the current curve")
         vals = speed(t, x, gamma)
@@ -102,7 +103,7 @@ def _sample_at(speed: SpeedField, t: float, x: np.ndarray,
         bad = int(np.argmax(np.where(vals > 0, np.maximum(speed.alpha - vals, vals - speed.beta),
                                      np.inf)))
         raise CoefficientBoundError(
-            f"sample {vals[bad]:.6g} at node {bad} (x = {x[bad]:.6g}) "
+            f"sample {vals[bad]:.6g} at node {bad} (x = {x[bad] + speed.sampling_offset:.6g}) "
             f"violates declared bounds [{speed.alpha:g}, {speed.beta:g}]")
     return vals
 
@@ -126,8 +127,8 @@ class BoundsReport:
     ok: bool
     lower_margin: float          # min g - alpha
     upper_margin: float          # beta - max g
-    dt_margin: float | None      # beta1 - max |finite-difference dg/dt|
-    dx_margin: float | None      # beta_prime - max |finite-difference dg/dx or grad_gamma g|
+    dt_margin: float             # beta1 - max |finite-difference dg/dt|
+    dx_margin: float             # beta_prime - max |finite-difference dg/dx or grad_gamma g|
     flags: list = field(default_factory=list)
 
 
@@ -138,13 +139,14 @@ def validate_bounds(speed: SpeedField, grid: Grid, t_grid=(0.0,),
     Samples 10 points per cell at every listed time (a coupled g at the
     nodes, with the curve); finite-difference estimates of dg/dt and of dg/dx,
     or of a coupled g's gradient in the curve values, must respect beta1 and
-    beta_prime within 5%. Violations are reported, not raised: the caller
-    decides.
+    beta_prime within 5%. Both are checked for every g, so one that reads t
+    but declares beta1 = 0 is flagged. Violations are reported, not raised:
+    the caller decides.
     """
     n_cells = grid.n_nodes if grid.periodic else grid.n_nodes - 1
     xs = grid.x0 + np.linspace(0.0, n_cells * grid.h, n_cells * 10, endpoint=False)
     gamma_vals = None
-    if speed.flavor == COUPLED:
+    if speed.coupled:
         if gamma is None:
             raise ValueError("coupled speed needs curve samples to validate")
         # curve available at nodes only: validate there
@@ -161,31 +163,26 @@ def validate_bounds(speed: SpeedField, grid: Grid, t_grid=(0.0,),
         vals = speed(t, xs, gamma_vals)
         lower = min(lower, float(np.min(vals) - speed.alpha))
         upper = min(upper, float(speed.beta - np.max(vals)))
-        if speed.flavor in (SPACE_TIME, COUPLED):
-            vp = speed(t + eps_t, xs, gamma_vals)
-            dt_worst = max(dt_worst, float(np.max(np.abs(vp - vals))) / eps_t)
-        if speed.flavor == COUPLED:
+        vp = speed(t + eps_t, xs, gamma_vals)
+        dt_worst = max(dt_worst, float(np.max(np.abs(vp - vals))) / eps_t)
+        if speed.coupled:
             grad = _curve_gradient(speed, t, xs, gamma_vals, eps_x)
             dx_worst = max(dx_worst, float(np.max(np.sqrt(np.einsum("ij,ij->i", grad, grad)))))
-        elif speed.flavor != CONSTANT:
+        else:
             vx = speed(t, xs + eps_x)
             dx_worst = max(dx_worst, float(np.max(np.abs(vx - vals))) / eps_x)
 
+    dt_margin = speed.beta1 * 1.05 - dt_worst
+    dx_margin = speed.beta_prime * 1.05 - dx_worst
     flags = []
     if lower < 0:
         flags.append(f"lower bound violated by {-lower:.3g}")
     if upper < 0:
         flags.append(f"upper bound violated by {-upper:.3g}")
-    dt_margin = None
-    dx_margin = None
-    if speed.flavor in (SPACE_TIME, COUPLED):
-        dt_margin = speed.beta1 * 1.05 - dt_worst
-        if dt_margin < 0:
-            flags.append(f"time-derivative bound exceeded by {-dt_margin:.3g}")
-    if speed.flavor != CONSTANT:
-        dx_margin = speed.beta_prime * 1.05 - dx_worst
-        if dx_margin < 0:
-            flags.append(f"space-derivative bound exceeded by {-dx_margin:.3g}")
+    if dt_margin < 0:
+        flags.append(f"time-derivative bound exceeded by {-dt_margin:.3g}")
+    if dx_margin < 0:
+        flags.append(f"space-derivative bound exceeded by {-dx_margin:.3g}")
     return BoundsReport(ok=not flags, lower_margin=lower, upper_margin=upper,
                         dt_margin=dt_margin, dx_margin=dx_margin, flags=flags)
 
@@ -224,7 +221,7 @@ def speed_from_name(spec: str) -> SpeedField:
         a, b, k = args
         if a - abs(b) <= 0:
             raise ValueError("sin coefficient dips to zero or below")
-        return SpeedField(SPACE_ONLY, lambda t, x, gamma, a=a, b=b, k=k: a + b * np.sin(k * x),
+        return SpeedField(lambda t, x, gamma, a=a, b=b, k=k: a + b * np.sin(k * x),
                           alpha=a - abs(b), beta=a + abs(b),
                           beta1=0.0, beta_prime=abs(b * k), name=spec)
     if head == "sintime":
@@ -232,7 +229,6 @@ def speed_from_name(spec: str) -> SpeedField:
         if a - abs(b) <= 0:
             raise ValueError("sintime coefficient dips to zero or below")
         return SpeedField(
-            SPACE_TIME,
             lambda t, x, gamma, a=a, b=b, k=k, w=w: a + b * np.sin(k * x) * np.cos(w * t),
             alpha=a - abs(b), beta=a + abs(b),
             beta1=abs(b * w), beta_prime=abs(b * k), name=spec)
@@ -247,7 +243,6 @@ def speed_from_name(spec: str) -> SpeedField:
 
         # |grad_gamma g| = |b| 2 sqrt(s) sech^2(s) at s = |gamma|^2, whose sup
         # is 1.113116 at s = 0.52181, so 1.1132|b| dominates it
-        return SpeedField(COUPLED, fn,
-                          alpha=min(a, a + b), beta=max(a, a + b),
-                          beta1=0.0, beta_prime=1.1132 * abs(b), name=spec)
+        return SpeedField(fn, alpha=min(a, a + b), beta=max(a, a + b),
+                          beta1=0.0, beta_prime=1.1132 * abs(b), name=spec, coupled=True)
     raise ValueError(f"unknown coefficient selector {spec!r}")

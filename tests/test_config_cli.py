@@ -176,6 +176,19 @@ def test_helix_oracle_absent_for_variable_speed():
     assert oracle is None
 
 
+@pytest.mark.parametrize("name", ["sin:1,0,1", "sintime:1,0,1,1"])
+def test_constant_valued_selectors_get_the_closed_form(name):
+    # alpha == beta makes these g = 1 exactly, so they take const:1's oracles
+    base = parse_config(HELIX_CFG.replace("nodes = 32", "nodes = 16")
+                        .replace("T = 0.05", "T = 0.2"))
+    cfg = replace(base, speed=name)
+    grid = build_grid(cfg)
+    assert build_initial(cfg, grid, build_speed(cfg, grid))[1] is not None
+    study = convergence_study(cfg, 3)
+    assert study["reference"] == "continuum closed form"
+    assert study["rows"] == convergence_study(base, 3)["rows"]
+
+
 def test_great_circle_oracle_needs_constant_speed():
     from bfl.integrate import evolve
 

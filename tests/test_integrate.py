@@ -21,7 +21,7 @@ from bfl.lattice import (
     unit_field,
 )
 from bfl.probe import diagnose, oracle_circle_curve, oracle_soliton_curve
-from bfl.speed import SPACE_ONLY, SPACE_TIME, SpeedField, make_constant, speed_from_name
+from bfl.speed import SpeedField, make_constant, speed_from_name
 
 
 def helix_setup(n=64, alpha=np.pi / 4, k=2, l=2 * np.pi):
@@ -321,15 +321,29 @@ def test_evolve_refuses_zero_coefficient_inside_the_bound_slack():
     # alpha = 1e-12 lies inside the 1e-9 bound slack, so only the positivity
     # test in the sampler refuses g = 0
     grid, u0, _, _ = helix_setup(n=16)
-    fixed = SpeedField(SPACE_ONLY, lambda t, x, gamma: np.where(x == 0.0, 0.0, 1.0),
+    fixed = SpeedField(lambda t, x, gamma: np.where(x == 0.0, 0.0, 1.0),
                        alpha=1e-12, beta=1.0)
     with pytest.raises(CoefficientBoundError, match="at node 0"):
         evolve(FlowState(0.0, u0, fixed), 0.01, IntegratorSpec(method="rotation", cfl=0.25))
-    vanishing = SpeedField(SPACE_TIME, lambda t, x, gamma: np.full_like(x, float(t < 0.004)),
-                           alpha=1e-12, beta=1.0)
+    vanishing = SpeedField(lambda t, x, gamma: np.full_like(x, float(t < 0.004)),
+                           alpha=1e-12, beta=1.0, beta1=math.inf)
     for method in ("rotation", "rk4", "projected_rk4"):
         res = evolve(FlowState(0.0, u0, vanishing), 0.01, IntegratorSpec(method=method, cfl=0.25))
         assert res.status == "diverged" and res.steps_taken == 1
+
+
+def test_sintime_without_frequency_is_sampled_once():
+    # sintime:2,1,1,0 declares beta1 = 0: like sin:2,1,1 it is not time
+    # dependent, so one g Field serves every snapshot
+    _, u0, _, _ = helix_setup(n=32)
+    spec = IntegratorSpec(method="rotation", dt=1e-3, snapshot_stride=1)
+    still = evolve(FlowState(0.0, u0, speed_from_name("sintime:2,1,1,0")), 0.019, spec)
+    space = evolve(FlowState(0.0, u0, speed_from_name("sin:2,1,1")), 0.019, spec)
+    assert len(still.g_samples) == 20
+    assert len({id(g) for g in still.g_samples}) == 1
+    assert np.array_equal(still.g_samples[0].values, space.g_samples[0].values)
+    assert still.times == space.times
+    assert all(np.array_equal(a.values, b.values) for a, b in zip(still.fields, space.fields))
 
 
 def test_snapshot_stride_and_g_samples_recorded():
@@ -460,6 +474,20 @@ def test_time_reversal_smoke():
     back = evolve(FlowState(0.5, fwd.final(), state.speed), 0.0, spec)
     assert back.times[-1] == pytest.approx(0.0, abs=1e-14)
     assert np.max(np.abs(back.final().values - u0.values)) <= 10 * one_way
+
+
+@pytest.mark.parametrize("name", ["const:1", "sin:2,1,1", "sintime:2,1,1,1"])
+@pytest.mark.parametrize("method", ["rk4", "projected_rk4", "rotation"])
+def test_time_reversal_is_exact(method, name):
+    # the rate is even in u and g is even in t, so Phi_T(-u0) = -Phi_{-T}(u0);
+    # every step flips signs exactly, so the two finals agree byte for byte
+    grid, u0, _, _ = helix_setup()
+    speed, spec = speed_from_name(name), IntegratorSpec(method=method, cfl=0.25)
+    fwd = evolve(FlowState(0.0, Field(grid, -u0.values), speed), 0.5, spec)
+    back = evolve(FlowState(0.0, u0, speed), -0.5, spec)
+    assert fwd.status == back.status == "ok"
+    assert fwd.times[-1] == -back.times[-1] == 0.5
+    assert np.array_equal(fwd.final().values, -back.final().values)
 
 
 def test_rk4_diverges_at_cfl_four():

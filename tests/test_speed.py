@@ -3,9 +3,7 @@ import pytest
 
 from bfl.lattice import CoefficientBoundError, Field, Grid
 from bfl.speed import (
-    COUPLED,
     SpeedField,
-    SPACE_ONLY,
     make_constant,
     sample,
     speed_from_name,
@@ -43,11 +41,11 @@ def test_coupled_requires_curve():
 
 def test_sample_rejects_bound_violation():
     g = Grid.make_periodic(2 * np.pi, 16)
-    bad = SpeedField(SPACE_ONLY, lambda t, x, gamma: 2.0 + np.sin(x), alpha=1.5, beta=3.0)
+    bad = SpeedField(lambda t, x, gamma: 2.0 + np.sin(x), alpha=1.5, beta=3.0)
     with pytest.raises(CoefficientBoundError):
         sample(bad, 0.0, g)
     # a NaN sample compares false with both bounds and must still be refused
-    nan_at_0 = SpeedField(SPACE_ONLY, lambda t, x, gamma: np.where(x == 0.0, np.nan, 2.0),
+    nan_at_0 = SpeedField(lambda t, x, gamma: np.where(x == 0.0, np.nan, 2.0),
                           alpha=1.0, beta=3.0)
     with pytest.raises(CoefficientBoundError, match="nan at node 0"):
         sample(nan_at_0, 0.0, g)
@@ -55,9 +53,18 @@ def test_sample_rejects_bound_violation():
     # and named rather than the sample at node 5, above beta but inside the slack
     values = np.full(16, 0.5)
     values[0], values[5] = 0.0, 1.0 + 5e-10
-    zero_at_0 = SpeedField(SPACE_ONLY, lambda t, x, gamma: values, alpha=1e-12, beta=1.0)
+    zero_at_0 = SpeedField(lambda t, x, gamma: values, alpha=1e-12, beta=1.0)
     with pytest.raises(CoefficientBoundError, match="sample 0 at node 0 "):
         sample(zero_at_0, 0.0, g)
+
+
+def test_bound_violation_names_the_sampled_point():
+    # under offset = mid node 0 samples g at x = -h/2, not at the node
+    g = Grid.make_periodic(2 * np.pi, 8)
+    zero_left_of_0 = SpeedField(lambda t, x, gamma: np.where(np.isclose(x, -g.h / 2), 0.0, 1.0),
+                                alpha=0.5, beta=1.0).with_offset(-g.h / 2)
+    with pytest.raises(CoefficientBoundError, match=r"sample 0 at node 0 \(x = -0\.392699\)"):
+        sample(zero_left_of_0, 0.0, g)
 
 
 def test_offset_matters_only_for_varying_g():
@@ -84,7 +91,7 @@ def test_sample_determinism():
 
 def test_validate_constant_margins():
     g = Grid.make_periodic(2.0, 8)
-    s = SpeedField("constant", lambda t, x, gamma: 1.0, alpha=0.5, beta=2.0)
+    s = SpeedField(lambda t, x, gamma: 1.0, alpha=0.5, beta=2.0)
     rep = validate_bounds(s, g)
     assert rep.ok
     assert rep.lower_margin == pytest.approx(0.5)
@@ -102,7 +109,7 @@ def test_validate_sine_with_tight_bounds_passes():
 
 def test_validate_sine_with_wrong_alpha_fails():
     g = Grid.make_periodic(2 * np.pi, 64)
-    s = SpeedField(SPACE_ONLY, lambda t, x, gamma: 2.0 + np.sin(x), alpha=1.5, beta=3.0,
+    s = SpeedField(lambda t, x, gamma: 2.0 + np.sin(x), alpha=1.5, beta=3.0,
                    beta_prime=1.0)
     rep = validate_bounds(s, g)
     assert not rep.ok
@@ -117,7 +124,36 @@ def test_validate_time_derivative_bound():
     assert rep.dt_margin is not None and rep.dt_margin >= 0
 
 
+def test_validate_flags_time_dependence_declared_as_beta1_zero():
+    # |d/dt (2 + sin x cos t)| reaches 1 at t = pi/2, x = pi/2
+    g = Grid.make_periodic(2 * np.pi, 32)
+    s = SpeedField(lambda t, x, gamma: 2.0 + np.sin(x) * np.cos(t), alpha=1.0, beta=3.0,
+                   beta_prime=1.0)
+    assert not s.time_dependent
+    rep = validate_bounds(s, g, t_grid=np.linspace(0, np.pi, 7))
+    assert not rep.ok
+    assert any("time-derivative bound exceeded" in f for f in rep.flags)
+    assert rep.dt_margin == pytest.approx(-1.0, abs=1e-4)
+
+
 # ------------------------------------------------------------ selectors
+
+def test_constancy_and_time_dependence_follow_from_the_bounds():
+    assert make_constant(2.0).constant and not make_constant(2.0).time_dependent
+    for spec, constant, time_dependent in [("sin:2,1,1", False, False),
+                                           ("sin:1,0,1", True, False),
+                                           ("sintime:2,1,1,1", False, True),
+                                           ("sintime:2,1,1,0", False, False),
+                                           ("sintime:1,0,1,1", True, False),
+                                           ("coupled-tanh:1,0.5", False, True)]:
+        s = speed_from_name(spec)
+        assert (s.constant, s.time_dependent) == (constant, time_dependent), spec
+
+
+def test_coupled_speed_refuses_an_offset():
+    with pytest.raises(ValueError, match="nodes only"):
+        speed_from_name("coupled-tanh:1,0.5").with_offset(-0.1)
+
 
 def test_selector_bounds_are_certified():
     s = speed_from_name("sintime:2,1,1,1")
@@ -146,7 +182,7 @@ def test_validate_coupled_curve_gradient_bound():
     rep = validate_bounds(tanh, grid, gamma=circle)
     assert rep.ok
     assert rep.dx_margin == pytest.approx(1.05 * 1.1132 * 0.5 - 1.11312 * 0.5, abs=1e-5)
-    low = SpeedField(COUPLED, tanh.fn, alpha=1.0, beta=1.5, beta_prime=0.9 * 0.5)
+    low = SpeedField(tanh.fn, alpha=1.0, beta=1.5, beta_prime=0.9 * 0.5, coupled=True)
     rep = validate_bounds(low, grid, gamma=circle)
     assert not rep.ok
     assert rep.dx_margin == pytest.approx(1.05 * 0.45 - 1.11312 * 0.5, abs=1e-5)
