@@ -7,6 +7,8 @@ k^2 cos(a). That closed form makes the helix the workhorse oracle: it
 pins integrator accuracy without any reference computation.
 """
 
+import warnings
+
 import numpy as np
 
 from bfl.dynamics import FlowState
@@ -44,8 +46,13 @@ for method in ("rotation", "rk4"):
 
 print("\nstep sizes are limited by the h^-2 stencil: at cfl = 4 the rk4 "
       "run blows up,")
-bad = evolve(state, 1.0, IntegratorSpec(method="rk4", cfl=4.0,
-                                        snapshot_stride=10 ** 9))
+# evolve warns that this dt is past rk4's stability limit: show the warning
+with warnings.catch_warnings(record=True) as caught:
+    warnings.simplefilter("always")
+    bad = evolve(state, 1.0, IntegratorSpec(method="rk4", cfl=4.0,
+                                            snapshot_stride=10 ** 9))
+for w in caught:
+    print(f"  {w.category.__name__}: {w.message}")
 print(f"  rk4 at cfl = 4: status = {bad.status} "
       f"(failed at step {bad.steps_taken})")
 good = evolve(state, 1.0, IntegratorSpec(method="rotation", cfl=0.25,

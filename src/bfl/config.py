@@ -12,8 +12,10 @@ One experiment per file. Lines are ``key = value``; blank lines and
     initial = great-circle:<k> | helix:<alpha>,<k> | soliton:<nu>,<tau0>
               | coupled-circle[:<k>] | coupled-soliton:<nu>,<tau0> | file:<path>
               (k an integer; a bare coupled-circle means coupled-circle:1)
-    speed = const:<c> | sin:<a>,<b>,<k> | sintime:<a>,<b>,<k>,<w>
-            | coupled-tanh:<a>,<b>
+    speed = const:<a> | sin:<a>,<b>,<k> | sintime:<a>,<b>,<k>,<w>
+            | coupled-tanh:<a>,<c>
+              each sets those parameters of g = a + b sin(kx) cos(wt)
+              + c tanh(|gamma|^2); the parameters it leaves out are 0
     offset = node | mid          g sampled at x_i, or at x_i - h/2 (default node)
     method = projected_rk4 | rk4 | rotation
                                  default projected_rk4; rotation steps
@@ -25,7 +27,8 @@ One experiment per file. Lines are ``key = value``; blank lines and
     out = <path>                 output directory (optional)
     seed = <int>                 recorded in the report; feeds no computation
 
-A selector head takes no spaces and no argument may be empty. parse_config
+A selector head takes no spaces and no argument may be empty; a head takes
+exactly as many arguments as its grammar lists. parse_config
 raises ConfigError (``bfl`` exits 4) on an unknown or duplicate key, a value
 of the wrong type, any number that is not finite (in a value or a selector
 argument), T <= 0, an unknown probe, ``coupled-*`` (curve) data with
@@ -167,12 +170,9 @@ def parse_initial(selector: str) -> tuple[str, tuple]:
     """Head and typed arguments of an ``initial`` selector; ValueError if malformed."""
     if selector.startswith("file:"):
         return "file", (selector[len("file:"):],)
-    head, args = split_selector("coupled-circle:1" if selector == "coupled-circle" else selector)
-    kinds = _INITIAL_ARGS.get(head)
-    if kinds is None:
-        raise ValueError(f"unknown initial data selector {selector!r}")
-    if len(args) != len(kinds):
-        raise ValueError(f"{head} takes {len(kinds)} arguments, got {len(args)}")
+    head, args = split_selector("coupled-circle:1" if selector == "coupled-circle" else selector,
+                                _INITIAL_ARGS)
+    kinds = _INITIAL_ARGS[head]
     if any(kind is int and not a.is_integer() for kind, a in zip(kinds, args)):
         raise ValueError(f"wavenumbers must be integers in {selector!r}")
     return head, tuple(kind(a) for kind, a in zip(kinds, args))

@@ -8,7 +8,8 @@ the signed margins of the two a-priori bounds
     |D+u(t)|_h   <= sqrt(beta/alpha) |D+u0|_h exp(beta1 t / (2 alpha))
     |du/dt|_dual <= beta sqrt(beta/alpha) |D+u0|_h exp(beta1 t / (2 alpha))
 
-(negative margin = violation). Oracles: the sampled great circle and the
+with u0 the first snapshot and t the time after it, |t - t0| (negative
+margin = violation). Oracles: the sampled great circle and the
 precessing helix are exact solutions of the lattice flow (the helix rotates
 at omega_h = cos(a) (2 - 2cos kh)/h^2, the k = 1, a = pi/2 case is
 stationary); the soliton filament with kappa = 2 nu sech(nu x), tau = tau0
@@ -92,20 +93,20 @@ def energy(u: Field, g: Field) -> float:
 
 
 def _bound(factor: float, t: float, grad0: float, speed: SpeedField) -> float:
-    """factor sqrt(beta/alpha) |D+u0|_h exp(beta1 t/(2 alpha)): 1 for |D+u|, beta for du/dt."""
+    """factor sqrt(beta/alpha) |D+u0|_h exp(beta1 t/(2 alpha)), t after the first snapshot."""
     return factor * math.sqrt(speed.beta / speed.alpha) * grad0 * math.exp(
         speed.beta1 * t / (2.0 * speed.alpha))
 
 
 def gradient_bound_margin(t: float, grad0: float, grad_now: float,
                           speed: SpeedField) -> float:
-    """Slack of the gradient a-priori bound at time t (negative = violated)."""
+    """Slack of the gradient a-priori bound at t after the first snapshot (negative = violated)."""
     return _bound(1.0, t, grad0, speed) - grad_now
 
 
 def dual_bound_margin(t: float, grad0: float, rhs_dual_now: float,
                       speed: SpeedField) -> float:
-    """Slack of the dual-norm bound on du/dt at time t."""
+    """Slack of the dual-norm bound on du/dt at t after the first snapshot."""
     return _bound(speed.beta, t, grad0, speed) - rhs_dual_now
 
 
@@ -141,8 +142,9 @@ def diagnose(result: EvolveResult, speed: SpeedField,
                 margin_row = {}
                 if margins and result.mode == TANGENT:
                     base = records[0].grad_norm if records else grad
-                    margin_row["gradient_bound"] = gradient_bound_margin(t, base, grad, speed)
-                    margin_row["dual_bound"] = dual_bound_margin(t, base, rhs_dual, speed)
+                    after = abs(t - result.times[0])
+                    margin_row["gradient_bound"] = gradient_bound_margin(after, base, grad, speed)
+                    margin_row["dual_bound"] = dual_bound_margin(after, base, rhs_dual, speed)
                 err = None
                 if oracle is not None:
                     err = float(np.max(np.abs(f.values - oracle(t))))
@@ -276,9 +278,9 @@ def energy_rate_residual(result: EvolveResult, speed: SpeedField) -> float:
     eps_t = 1e-6
     for t, f, g in zip(result.times, result.fields, result.g_samples):
         u = dplus(f) if result.mode == CURVE else f
-        energies.append(energy(u, g))
         dm = dminus(u)
         sq = np.einsum("ij,ij->i", dm.values, dm.values)
+        energies.append(grid.h * float(np.sum(g.values * sq)))
         rate = 0.0
         # derivatives of g where its samples sit: the offset points, or the
         # nodes with the curve for a coupled g
@@ -287,7 +289,7 @@ def energy_rate_residual(result: EvolveResult, speed: SpeedField) -> float:
             gp = _sample_at(speed, t + eps_t, x, gamma_vals)
             gm = _sample_at(speed, t - eps_t, x, gamma_vals)
             rate += grid.h * float(np.sum((gp - gm) / (2 * eps_t) * sq))
-        if speed.coupled and result.mode == CURVE:
+        if speed.coupled:
             vel = g * cross(u, dm)
             grad_g = _curve_gradient(speed, t, x, gamma_vals, eps_t)
             rate += grid.h * float(np.sum(

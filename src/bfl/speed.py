@@ -9,6 +9,11 @@ curve gamma. What else g reads follows from the bounds: it is constant when
 alpha == beta (every sample is checked against both), and time dependent
 when it is coupled or beta1 > 0.
 
+The selectors ``const:a``, ``sin:a,b,k``, ``sintime:a,b,k,w`` and
+``coupled-tanh:a,c`` set those parameters of one closed-form model,
+g = a + b sin(k x) cos(w t) + c tanh(|gamma|^2), and leave the rest 0; the
+model's bounds are written once, in ``_model``.
+
 Sampling offset: sample i sits at x_i + offset and weights D-u_i, the
 difference across the cell [x_{i-1}, x_i], in D+(g D-u). An offset of 0
 samples the nodes (first order for variable g); -h/2 samples that cell's
@@ -51,9 +56,10 @@ class SpeedField:
 
     def __post_init__(self):
         if not (self.alpha > 0):
-            raise ValueError("lower bound alpha must be positive")
+            raise ValueError(f"speed {self.name or 'g'}: lower bound alpha = {self.alpha:g} "
+                             "must be positive")
         if self.beta < self.alpha:
-            raise ValueError("upper bound beta must dominate alpha")
+            raise ValueError(f"speed {self.name or 'g'}: upper bound beta must dominate alpha")
         if self.coupled and self.sampling_offset != 0:
             raise ValueError("coupled coefficients sample at nodes only")
 
@@ -74,7 +80,7 @@ class SpeedField:
 
 
 def make_constant(c: float, name: str = "") -> SpeedField:
-    return SpeedField(lambda t, x, gamma: c, alpha=c, beta=c, name=name or f"const:{c:g}")
+    return _model(name or f"const:{c:g}", a=c)
 
 
 def sample(speed: SpeedField, t: float, grid: Grid, gamma: Field | None = None) -> Field:
@@ -191,58 +197,49 @@ def validate_bounds(speed: SpeedField, grid: Grid, t_grid=(0.0,),
 # named built-ins, selectable from configs
 # --------------------------------------------------------------------------
 
-def split_selector(spec: str) -> tuple[str, list[float]]:
-    """``head:a,b,...`` -> (head as written, finite float arguments, none empty)."""
+def split_selector(spec: str, table: dict) -> tuple[str, list[float]]:
+    """``head:a,b,...`` -> (head, finite float arguments, none empty); ``table``
+    maps each head of the family to one entry per argument it takes."""
     head, _, tail = spec.partition(":")
+    if head not in table:
+        raise ValueError(f"unknown selector {spec!r}")
     try:
         args = [float(s) for s in tail.split(",")] if tail else []
     except ValueError as exc:
         raise ValueError(f"bad arguments in {spec!r}") from exc
     if not all(np.isfinite(args)):
         raise ValueError(f"non-finite argument in {spec!r}")
+    n = len(table[head])
+    if len(args) != n:
+        raise ValueError(f"{head} takes {n} argument{'s' * (n != 1)}, got {len(args)}: {spec!r}")
     return head, args
 
 
+# the model parameters each speed selector's arguments set, in order
+_SPEEDS = {"const": ("a",), "sin": ("a", "b", "k"), "sintime": ("a", "b", "k", "w"),
+           "coupled-tanh": ("a", "c")}
+
+
+def _model(name: str, a: float, b: float = 0.0, k: float = 0.0, w: float = 0.0,
+           c: float = 0.0) -> SpeedField:
+    """g = a + b sin(k x) cos(w t) + c tanh(|gamma|^2); a zero amplitude skips
+    its term, so only c != 0 reads the curve. The sup of |grad_gamma
+    tanh(|gamma|^2)| = 2 sqrt(s) sech^2(s), s = |gamma|^2, is 1.113116 at
+    s = 0.52181, so 1.1132 |c| dominates it."""
+    def fn(t, x, gamma):
+        g = a
+        if b:
+            g = g + b * np.sin(k * x) * np.cos(w * t)
+        if c:
+            g = g + c * np.tanh(np.einsum("ij,ij->i", gamma, gamma))
+        return g
+
+    return SpeedField(fn, alpha=a - abs(b) + min(0.0, c), beta=a + abs(b) + max(0.0, c),
+                      beta1=abs(b * w), beta_prime=abs(b * k) + 1.1132 * abs(c),
+                      name=name, coupled=c != 0)
+
+
 def speed_from_name(spec: str) -> SpeedField:
-    """Build a coefficient from its config name.
-
-    Grammar: ``const:c`` | ``sin:a,b,k`` (a + b sin(kx)) |
-    ``sintime:a,b,k,w`` (a + b sin(kx) cos(wt)) |
-    ``coupled-tanh:a,b`` (a + b tanh(|gamma|^2)).
-    """
-    head, args = split_selector(spec)
-
-    if head == "const":
-        (c,) = args
-        if c <= 0:
-            raise ValueError("constant coefficient must be positive")
-        return make_constant(c, name=spec)
-    if head == "sin":
-        a, b, k = args
-        if a - abs(b) <= 0:
-            raise ValueError("sin coefficient dips to zero or below")
-        return SpeedField(lambda t, x, gamma, a=a, b=b, k=k: a + b * np.sin(k * x),
-                          alpha=a - abs(b), beta=a + abs(b),
-                          beta1=0.0, beta_prime=abs(b * k), name=spec)
-    if head == "sintime":
-        a, b, k, w = args
-        if a - abs(b) <= 0:
-            raise ValueError("sintime coefficient dips to zero or below")
-        return SpeedField(
-            lambda t, x, gamma, a=a, b=b, k=k, w=w: a + b * np.sin(k * x) * np.cos(w * t),
-            alpha=a - abs(b), beta=a + abs(b),
-            beta1=abs(b * w), beta_prime=abs(b * k), name=spec)
-    if head == "coupled-tanh":
-        a, b = args
-        if a <= 0 or a + min(b, 0.0) <= 0:
-            raise ValueError("coupled-tanh coefficient must stay positive")
-
-        def fn(t, x, gamma, a=a, b=b):
-            sq = np.einsum("ij,ij->i", gamma, gamma)
-            return a + b * np.tanh(sq)
-
-        # |grad_gamma g| = |b| 2 sqrt(s) sech^2(s) at s = |gamma|^2, whose sup
-        # is 1.113116 at s = 0.52181, so 1.1132|b| dominates it
-        return SpeedField(fn, alpha=min(a, a + b), beta=max(a, a + b),
-                          beta1=0.0, beta_prime=1.1132 * abs(b), name=spec, coupled=True)
-    raise ValueError(f"unknown coefficient selector {spec!r}")
+    """Build a coefficient from its config selector (see the module docstring)."""
+    head, args = split_selector(spec, _SPEEDS)
+    return _model(spec, **dict(zip(_SPEEDS[head], args)))

@@ -29,6 +29,7 @@ from bfl.convergence import continuum_oracle, convergence_study
 from bfl.identities import run_identity_suite
 from bfl.report import render_csv, write_json
 from bfl.probe import diagnose
+from bfl.speed import speed_from_name
 
 
 HELIX_CFG = """\
@@ -223,6 +224,43 @@ def test_continuum_oracle_scales_with_constant_speed(cfg):
     assert study["reference"] == "continuum closed form"
     orders = [r["order"] for r in study["rows"] if r["order"] is not None]
     assert all(1.8 <= o <= 2.2 for o in orders), orders
+
+
+@pytest.mark.parametrize("selector, message", [
+    ("sin:2,1", "sin takes 3 arguments, got 2: 'sin:2,1'"),
+    ("const", "const takes 1 argument, got 0: 'const'"),
+    ("const:1,2", "const takes 1 argument, got 2: 'const:1,2'"),
+    ("sintime:2,1,1", "sintime takes 4 arguments, got 3: 'sintime:2,1,1'"),
+    ("coupled-tanh:1", "coupled-tanh takes 2 arguments, got 1: 'coupled-tanh:1'"),
+], ids=["sin", "const-bare", "const-two", "sintime", "coupled-tanh"])
+def test_speed_arity_errors_name_the_selector(selector, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        speed_from_name(selector)
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        parse_config(HELIX_CFG.replace("speed = const:1", f"speed = {selector}"))
+
+
+def test_initial_arity_errors_name_the_selector():
+    # one rule serves both selector families
+    with pytest.raises(ConfigError, match=re.escape("helix takes 2 arguments, got 1: 'helix:0.5")):
+        parse_config(HELIX_CFG.replace("initial = helix:0.7853981633974483,2",
+                                       "initial = helix:0.5"))
+    with pytest.raises(ConfigError, match="unknown selector 'spiral:1'"):
+        parse_config(HELIX_CFG.replace("initial = helix:0.7853981633974483,2",
+                                       "initial = spiral:1"))
+
+
+def test_coupled_tanh_without_amplitude_parses_as_a_constant_with_offset_mid():
+    # c = 0 leaves g = a, which reads no curve: tangent data, an offset and
+    # the closed-form oracle all apply
+    cfg = parse_config(HELIX_CFG.replace("speed = const:1", "speed = coupled-tanh:1,0")
+                       + "offset = mid\n")
+    grid = build_grid(cfg)
+    speed = build_speed(cfg, grid)
+    assert speed.constant and not speed.coupled and speed.sampling_offset == -grid.h / 2
+    assert (speed.alpha, speed.beta, speed.beta_prime) == (1.0, 1.0, 0.0)
+    state, oracle = build_initial(cfg, grid, speed)
+    assert state.mode == "tangent" and oracle is not None
 
 
 def test_parse_initial_types_its_arguments():

@@ -6,7 +6,7 @@ import pytest
 
 from bfl.config import ExperimentConfig, build_speed
 from bfl.dynamics import FlowState, chord_lengths, g_samples, rhs
-from bfl.integrate import IntegratorSpec, evolve, rotate, step
+from bfl.integrate import DivergenceError, IntegratorSpec, evolve, rotate, step
 from bfl.lattice import (
     AlignmentError,
     CoefficientBoundError,
@@ -330,6 +330,24 @@ def test_evolve_refuses_zero_coefficient_inside_the_bound_slack():
     for method in ("rotation", "rk4", "projected_rk4"):
         res = evolve(FlowState(0.0, u0, vanishing), 0.01, IntegratorSpec(method=method, cfl=0.25))
         assert res.status == "diverged" and res.steps_taken == 1
+
+
+def test_step_raises_divergence_error():
+    # a g that vanishes from t = 0.004 on is refused by the sampler, and step
+    # reports that as a divergence at the step's start time
+    _, u0, _, _ = helix_setup(n=16)
+    vanishing = SpeedField(lambda t, x, gamma: np.full_like(x, float(t < 0.004)),
+                           alpha=1e-12, beta=1.0, beta1=math.inf)
+    for method in ("rotation", "rk4", "projected_rk4"):
+        with pytest.raises(DivergenceError) as info:
+            step(FlowState(0.004, u0, vanishing), IntegratorSpec(method=method, cfl=0.25), 1e-3)
+        assert info.value.t == 0.004
+        assert isinstance(info.value.__cause__, CoefficientBoundError)
+    # an overflowing rk4 update is non-finite with no exception behind it
+    with pytest.raises(DivergenceError) as info:
+        step(FlowState(0.0, u0, make_constant(1.0)), IntegratorSpec(method="rk4", dt=1e200),
+             1e200)
+    assert info.value.t == 0.0 and info.value.__cause__ is None
 
 
 def test_sintime_without_frequency_is_sampled_once():

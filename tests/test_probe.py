@@ -103,6 +103,25 @@ def test_margins_positive_with_time_dependent_speed():
         assert r.bound_margins["dual_bound"] >= -1e-8
 
 
+@pytest.mark.parametrize("t0, t1", [(0.0, -1.0), (-2.0, -1.0), (2.0, 3.0)],
+                         ids=["backward", "shifted-backward", "shifted-forward"])
+def test_margins_read_the_time_after_the_first_snapshot(t0, t1):
+    # the bounds grow with the time elapsed since u0; read at the absolute
+    # time they go negative on a backward march and on one starting at -2
+    # (least gradient margins -3.59 and -3.64) and gain e^3 of slack from 2
+    grid = Grid.make_periodic(2 * np.pi, 64)
+    u0, _, _ = oracle_helix(grid, np.pi / 4, 2)
+    speed = speed_from_name("sintime:2,1,1,3")
+    spec = IntegratorSpec(method="projected_rk4", cfl=0.25, snapshot_stride=50)
+    forward = diagnose(evolve(FlowState(0.0, u0, speed), 1.0, spec), speed)
+    recs = diagnose(evolve(FlowState(t0, u0, speed), t1, spec), speed)
+    assert min(r.bound_margins["dual_bound"] for r in recs) >= 0.0
+    least = min(r.bound_margins["gradient_bound"] for r in recs)
+    assert least >= 0.0
+    assert least == pytest.approx(min(r.bound_margins["gradient_bound"] for r in forward),
+                                  rel=1e-6)
+
+
 def test_diagnose_oracle_error_and_fields():
     grid = Grid.make_periodic(2 * np.pi, 64)
     u0, closed_form, _ = oracle_helix(grid, np.pi / 4, 2)

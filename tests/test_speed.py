@@ -145,7 +145,8 @@ def test_constancy_and_time_dependence_follow_from_the_bounds():
                                            ("sintime:2,1,1,1", False, True),
                                            ("sintime:2,1,1,0", False, False),
                                            ("sintime:1,0,1,1", True, False),
-                                           ("coupled-tanh:1,0.5", False, True)]:
+                                           ("coupled-tanh:1,0.5", False, True),
+                                           ("coupled-tanh:1,0", True, False)]:
         s = speed_from_name(spec)
         assert (s.constant, s.time_dependent) == (constant, time_dependent), spec
 
@@ -190,9 +191,45 @@ def test_validate_coupled_curve_gradient_bound():
 
 
 def test_selector_rejects_nonpositive():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="speed sin:1,2,1: lower bound alpha = -1 must be"):
         speed_from_name("sin:1,2,1")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="speed const:0: lower bound alpha = 0"):
         speed_from_name("const:0")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="speed coupled-tanh:1,-1: lower bound alpha = 0"):
+        speed_from_name("coupled-tanh:1,-1")
+    with pytest.raises(ValueError, match="unknown selector 'nope:1'"):
         speed_from_name("nope:1")
+
+
+# the four selectors as closed forms of their own, each with its own bounds:
+# (g(t, x, gamma), alpha, beta, beta1, beta_prime, coupled) of the arguments
+SEPARATE_FORMS = {
+    "const": lambda c: (lambda t, x, gamma: c, c, c, 0.0, 0.0, False),
+    "sin": lambda a, b, k: (lambda t, x, gamma: a + b * np.sin(k * x),
+                            a - abs(b), a + abs(b), 0.0, abs(b * k), False),
+    "sintime": lambda a, b, k, w: (
+        lambda t, x, gamma: a + b * np.sin(k * x) * np.cos(w * t),
+        a - abs(b), a + abs(b), abs(b * w), abs(b * k), False),
+    "coupled-tanh": lambda a, b: (
+        lambda t, x, gamma: a + b * np.tanh(np.einsum("ij,ij->i", gamma, gamma)),
+        min(a, a + b), max(a, a + b), 0.0, 1.1132 * abs(b), True),
+}
+
+
+@pytest.mark.parametrize("spec", [
+    "const:1", "const:2.5", "const:0.3",
+    "sin:2,1,1", "sin:2,-1,3", "sin:1.5,0.25,-2", "sin:1,0,1",
+    "sintime:2,1,1,1", "sintime:2,-1,1,3", "sintime:3,0.5,2,0", "sintime:1.2,-0.7,-1,-2.5",
+    "coupled-tanh:1,0.5", "coupled-tanh:1,-0.5", "coupled-tanh:3,2", "coupled-tanh:2.5,-0.25"])
+def test_one_model_matches_the_separate_closed_forms_bit_for_bit(spec):
+    head, _, tail = spec.partition(":")
+    fn, *bounds, coupled = SEPARATE_FORMS[head](*map(float, tail.split(",")))
+    s = speed_from_name(spec)
+    assert s.name == spec and s.coupled is coupled
+    for got, want in zip((s.alpha, s.beta, s.beta1, s.beta_prime), bounds):
+        assert float(got).hex() == float(want).hex()
+    x = np.linspace(-4.0, 7.0, 23)
+    gamma = np.random.default_rng(5).normal(size=(23, 3))
+    for t in (0.0, 0.37, -1.3, 2.0):
+        want = np.broadcast_to(np.asarray(fn(t, x, gamma), dtype=float), x.shape)
+        assert s(t, x, gamma if coupled else None).tobytes() == want.tobytes()
