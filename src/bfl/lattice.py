@@ -48,8 +48,9 @@ class RieszSolveError(RuntimeError):
 class Grid:
     """Uniform 1-D lattice, periodic or windowed.
 
-    Periodic grids store the period ``length`` and derive h = length/N.
-    Window grids store M+1 node coordinates x0 + i*h, i = 0..M.
+    Periodic grids store the period ``length`` and derive h = length/N;
+    one whose h is not length/N raises ValueError. Window grids store M+1
+    node coordinates x0 + i*h, i = 0..M.
     """
 
     h: float
@@ -64,6 +65,9 @@ class Grid:
         if self.periodic:
             if self.length is None or self.n_nodes < 3:
                 raise ValueError("periodic grid needs a period and at least 3 nodes")
+            if self.h != self.length / self.n_nodes:
+                raise ValueError(f"periodic spacing {self.h} is not length/nodes = "
+                                 f"{self.length}/{self.n_nodes}")
         else:
             if self.n_nodes < 5:
                 raise ValueError("window grid needs at least 5 nodes (M >= 4 intervals)")

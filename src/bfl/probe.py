@@ -61,10 +61,11 @@ KAPPA_MIN = 1e-8
 # snapshots stacked per diagnostics block
 _BLOCK = 16
 
-# rows of diagnose's work array, each room for one (3, _BLOCK, n) stack. An
-# operator's out stack starts at its row and spans at most as many rows as it
-# has arrays: _delta_g's _DELTA and _DU, cross3's _DU, _A, _B and the last
-# row. At n = 513 the array holds 1.7 MiB, allocated once per diagnose call.
+# slots of diagnose's (_SLOTS, 3, W, n) work array, each one (3, W, n) stack
+# for W = min(_BLOCK, snapshots); a block of B snapshots takes [:, :, :B]. An
+# operator's out stack is a run of slots: _delta_g's _DELTA and _DU, cross3's
+# _DU, _A, _B and the last slot. At n = 513 the array holds 1.7 MiB,
+# allocated once per diagnose call.
 _G, _U, _DU_ROWS, _ROWS, _DELTA, _DU, _A, _B = range(8)
 _SLOTS = 9
 
@@ -130,8 +131,7 @@ def diagnose(result: EvolveResult, speed: SpeedField,
     # a curve flow keeps each chord's starting length, not length 1
     lengths = chord_lengths(result.fields[0]) if result.mode == CURVE else 1.0
     # one work array serves every block, so no block allocates or frees a stack
-    width = min(_BLOCK, len(result.times))
-    work = np.empty((_SLOTS, 3 * width * result.grid.n_nodes))
+    work = np.empty((_SLOTS, 3, min(_BLOCK, len(result.times)), result.grid.n_nodes))
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, len(result.times), _BLOCK):
             times = result.times[start:start + _BLOCK]
@@ -168,35 +168,34 @@ def _diagnose_block(mode: str, fields, g_fields, lengths, work: np.ndarray) -> l
     each snapshot is reduced in the order the Field-level norms take on its
     (n, 3) values: |v_i|^2 for the drift, the energy and the residual scale
     by the lattice's row norm, the h-norms by sums over C-ordered (B, n, 3)
-    copies. One Riesz solve serves every dual norm. Every array of B
-    snapshots is a leading slice of a row of ``work`` (diagnose's work
-    array), laid out as a new C-ordered array would be, and the operators
-    write into it through their ``out``; only a periodic Riesz solve
-    allocates (rfft/irfft take no ``out``). Rows stop before the first
-    snapshot whose g has a non-positive sample or whose values are not all
-    finite; each residual is checked against its own snapshot's scale.
+    copies. One Riesz solve serves every dual norm. Every stack is a slot
+    of ``work`` (diagnose's work array) and the operators write into it
+    through their ``out``; a block of B < W snapshots, and the k kept
+    snapshots the solve sees, slice the slots' block axis. Only a periodic
+    Riesz solve allocates (rfft/irfft take no ``out``). Rows stop before the
+    first snapshot whose g has a non-positive sample or whose values are not
+    all finite; each residual is checked against its own snapshot's scale.
     """
     grid, ext = fields[0].grid, fields[0].extension
     h, periodic, n = grid.h, grid.periodic, grid.n_nodes
-    stack = (3, len(fields), n)
-    g = np.stack([s.values for s in g_fields], out=_room(work, _G, stack[1:]))
-    u = np.stack([f.values.T for f in fields], axis=1,
-                 out=_room(work, _A if mode == CURVE else _U, stack))
+    count = len(fields)
+    block = work[:, :, :count]
+    g = np.stack([s.values for s in g_fields], out=block[_G, 0])
+    u = np.stack([f.values.T for f in fields], axis=1, out=block[_A if mode == CURVE else _U])
     if mode == CURVE:
-        u, ext = _dplus(u, h, periodic, ext, _room(work, _U, stack)), "zero"
-    mags = _norm2(u, _room(work, _A, stack))
+        u, ext = _dplus(u, h, periodic, ext, block[_U]), "zero"
+    mags = _norm2(u, block[_A])
     mags = np.sqrt(mags, out=mags)
     if mode == CURVE and not periodic:
         mags = mags[:, :-1]
     drift = np.max(np.abs(np.subtract(mags, lengths, out=mags), out=mags), axis=1)
-    squares = _norm2(_dminus(u, h, periodic, ext, _room(work, _A, stack)),
-                     _room(work, _B, stack))
+    squares = _norm2(_dminus(u, h, periodic, ext, block[_A]), block[_B])
     energies = h * np.sum(np.multiply(g, squares, out=squares), axis=1)
-    delta = _delta_g(g, u, h, periodic, ext, _room(work, _DELTA, stack, 2))
-    du = cross3(u, delta, _room(work, _DU, stack, 4))
-    du_rows = _rows(du, _room(work, _DU_ROWS, stack[1:] + (3,)))
-    rows = _rows(_dplus(u, h, periodic, ext, _room(work, _A, stack)),
-                 _room(work, _ROWS, stack[1:] + (3,)))
+    delta = _delta_g(g, u, h, periodic, ext, block[_DELTA:_DELTA + 2])
+    du = cross3(u, delta, block[_DU:_DU + 4])
+    du_rows = _rows(du, work[_DU_ROWS].reshape(-1, n, 3)[:count])
+    rows = _rows(_dplus(u, h, periodic, ext, block[_A]),
+                 work[_ROWS].reshape(-1, n, 3)[:count])
     grad = _root(h * _sums(np.multiply(rows, rows, out=rows)))
     rhs = _root(h * _sums(np.multiply(du_rows, du_rows, out=rows)))
     rows = _rows(delta, rows)
@@ -204,20 +203,19 @@ def _diagnose_block(mode: str, fields, g_fields, lengths, work: np.ndarray) -> l
     # rows stop before the first snapshot with a non-positive g or a
     # non-finite column, so only the kept snapshots reach the solve
     good = np.all(g > 0.0, axis=1) & np.isfinite(drift + energies + grad + rhs + delta_norm)
-    k = len(fields) if good.all() else int(np.argmin(good))
+    k = count if good.all() else int(np.argmin(good))
     if k == 0:
         return []
-    du, kept = du[:, :k], (3, k, n)
-    # u is spent, so w takes its row
-    w = _riesz_matrix_solve(grid, du, _room(work, _U, kept))
-    resid = _dplus(_dminus(w, h, periodic, "constant", _room(work, _A, kept)),
-                   h, periodic, "zero", _room(work, _B, kept))
+    du, kept = du[:, :k], block[:, :, :k]
+    # u is spent, so w takes its slot
+    w = _riesz_matrix_solve(grid, du, kept[_U])
+    resid = _dplus(_dminus(w, h, periodic, "constant", kept[_A]), h, periodic, "zero", kept[_B])
     resid = np.subtract(w, resid, out=resid)
     resid -= du
     worst = np.max(np.abs(resid, out=resid), axis=(0, 2))
-    scale = _norm2(du, _room(work, _A, kept))
+    scale = _norm2(du, kept[_A])
     bound = _riesz_residual_bound(h, np.max(np.sqrt(scale, out=scale), axis=1))
-    rows = _rows(w, _room(work, _ROWS, kept[1:] + (3,)))
+    rows = _rows(w, rows[:k])
     rhs_dual = _root(h * _sums(np.multiply(du_rows[:k], rows, out=rows)))
     for i in range(k):
         if not math.isfinite(worst[i]):
@@ -230,18 +228,6 @@ def _diagnose_block(mode: str, fields, g_fields, lengths, work: np.ndarray) -> l
             break
     columns = (drift[:k], energies[:k], grad[:k], rhs[:k], rhs_dual[:k], delta_norm[:k])
     return list(zip(*(c.tolist() for c in columns)))
-
-
-def _room(work: np.ndarray, row: int, shape: tuple, count: int | None = None) -> np.ndarray:
-    """A C-ordered array of ``shape`` over the leading entries of work[row]; with
-    a ``count``, that many such arrays laid end to end from the start of
-    work[row], within ``count`` rows, as one C-ordered stack for an
-    operator's ``out`` (take writes in place only into a C-ordered out). A
-    block shorter than the rows were sized for takes leading slices of them."""
-    size = math.prod(shape)
-    if count is None:
-        return work[row, :size].reshape(shape)
-    return work[row:row + count].reshape(-1)[:count * size].reshape((count,) + shape)
 
 
 def _rows(v: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -268,8 +254,11 @@ def energy_rate_residual(result: EvolveResult, speed: SpeedField) -> float:
     curve-transport term h sum (dgamma/dt . grad_gamma g) |D-u|^2 as well.
     Central differences on the snapshots approximate dE/dt; the coefficient
     derivatives are numerically differentiated, so the residual carries the
-    snapshot quadrature error, not just the integrator's.
+    snapshot quadrature error, not just the integrator's. Fewer than 3
+    snapshots leave no interior one to check and raise ValueError.
     """
+    if len(result.times) < 3:
+        raise ValueError(f"energy rate needs >= 3 snapshots, got {len(result.times)}")
     times = np.asarray(result.times)
     grid = result.fields[0].grid
     x = grid.nodes()

@@ -79,8 +79,8 @@ class SpeedField:
         return np.broadcast_to(np.asarray(self.fn(t, x, gamma), dtype=float), np.shape(x)).copy()
 
 
-def make_constant(c: float, name: str = "") -> SpeedField:
-    return _model(name or f"const:{c:g}", a=c)
+def make_constant(c: float) -> SpeedField:
+    return _model(f"const:{c:g}", a=c)
 
 
 def sample(speed: SpeedField, t: float, grid: Grid, gamma: Field | None = None) -> Field:
@@ -147,8 +147,11 @@ def validate_bounds(speed: SpeedField, grid: Grid, t_grid=(0.0,),
     or of a coupled g's gradient in the curve values, must respect beta1 and
     beta_prime within 5%. Both are checked for every g, so one that reads t
     but declares beta1 = 0 is flagged. Violations are reported, not raised:
-    the caller decides.
+    the caller decides. An empty ``t_grid`` samples nothing and raises
+    ValueError.
     """
+    if len(t_grid) == 0:
+        raise ValueError("t_grid lists no time to sample")
     n_cells = grid.n_nodes if grid.periodic else grid.n_nodes - 1
     xs = grid.x0 + np.linspace(0.0, n_cells * grid.h, n_cells * 10, endpoint=False)
     gamma_vals = None

@@ -12,7 +12,7 @@ from bfl.dynamics import (
 )
 from bfl.integrate import IntegratorSpec, evolve
 from bfl.lattice import Field, Grid, cross, delta_g, dminus, dot, dplus, norm_linf, unit_field
-from bfl.probe import diagnose
+from bfl.probe import diagnose, oracle_soliton_curve
 from bfl.speed import make_constant, speed_from_name
 
 
@@ -74,6 +74,42 @@ def test_rhs_orthogonal_to_u_and_delta():
     delta = delta_g(coeff, u)
     assert np.max(np.abs(dot(out, u).values)) <= 1e-13 * max(1.0, norm_linf(out))
     assert np.max(np.abs(dot(out, delta).values)) <= 1e-12 * max(1.0, norm_linf(out) * norm_linf(delta))
+
+
+# --------------------------------------------------------------- total spin
+
+@pytest.mark.parametrize("h", [1.0, 0.1, 0.01])
+def test_rhs_sums_to_zero_over_the_nodes(h):
+    # u ^ D+(g D-u) = D+(u ^ g D-u) telescopes: periodic sums wrap, and a
+    # window's flux is zero at both ends (constant ghost, zero-extended product)
+    rng = np.random.default_rng(5)
+    for g in (Grid.make_periodic(64 * h, 64), Grid.make_window(-1.0, 64, h)):
+        for _ in range(100):
+            u = random_unit(g, rng)
+            coeff = Field(g, 0.5 + rng.random(g.n_nodes))
+            out = rhs(FlowState(0.0, u, make_constant(1.0)), coeff).values
+            total = np.linalg.norm(out.sum(axis=0))
+            # measured <= 7.5e-17 of the scale
+            assert total <= 1e-13 * np.sum(np.linalg.norm(out, axis=1))
+
+
+@pytest.mark.parametrize("case", ["const:1", "sin:2,1,1", "sintime:2,1,1,1", "window"])
+def test_rk4_keeps_total_spin(case):
+    # S = h sum_i u_i: rk4 combines stages that each sum to zero
+    if case == "window":
+        g = Grid.make_window(-20.0, 512, 0.078125)
+        _, u0 = oracle_soliton_curve(g, 1.0, 0.5)
+        speed = speed_from_name("sin:2,1,1")
+    else:
+        g = Grid.make_periodic(2 * np.pi, 64)
+        u0 = helix_tangents(g, np.pi / 4, 2)
+        speed = speed_from_name(case)
+    res = evolve(FlowState(0.0, u0, speed), 1.0, IntegratorSpec(method="rk4", cfl=0.25))
+    assert res.status == "ok"
+    length = g.h * (g.n_nodes if g.periodic else g.n_nodes - 1)
+    spin = np.array([g.h * f.values.sum(axis=0) for f in res.fields])
+    # measured <= 2.7e-15 L
+    assert np.max(np.linalg.norm(spin - spin[0], axis=1)) <= 1e-13 * length
 
 
 # --------------------------------------------------------------- curve form

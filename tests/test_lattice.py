@@ -66,6 +66,9 @@ def test_grid_invariants_rejected():
         Grid.make_window(0.0, 3, 0.5)
     with pytest.raises(ValueError):
         Grid(h=-1.0, x0=0.0, n_nodes=8, periodic=False)
+    # nodes would end at 0.9 while the period reads 5.0
+    with pytest.raises(ValueError, match="length/nodes"):
+        Grid(h=0.1, x0=0.0, n_nodes=10, periodic=True, length=5.0)
 
 
 def test_field_alignment_and_finiteness():

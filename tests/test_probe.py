@@ -389,6 +389,19 @@ def test_energy_rate_coupled_transport_term():
     assert energy_rate_residual(res, speed) <= 3e-3  # measured 6.6e-4
 
 
+def test_energy_rate_refuses_too_few_snapshots():
+    # a three-point derivative has no interior snapshot among two: the
+    # residual would read 0.0 without checking anything
+    grid = Grid.make_periodic(2 * np.pi, 64)
+    u0, _, _ = oracle_helix(grid, np.pi / 4, 2)
+    speed = speed_from_name("sintime:2,1,1,3")
+    res = evolve(FlowState(0.0, u0, speed), 0.3,
+                 IntegratorSpec(method="rotation", cfl=0.25, snapshot_stride=10 ** 9))
+    assert len(res.times) == 2
+    with pytest.raises(ValueError, match="3 snapshots"):
+        energy_rate_residual(res, speed)
+
+
 # ------------------------------------------------------------- frenet
 
 def test_frenet_straight_line():

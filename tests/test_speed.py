@@ -122,6 +122,9 @@ def test_validate_time_derivative_bound():
     rep = validate_bounds(s, g, t_grid=np.linspace(0, np.pi, 7))
     assert rep.ok
     assert rep.dt_margin is not None and rep.dt_margin >= 0
+    # no time to sample would pass vacuously, with both margins infinite
+    with pytest.raises(ValueError, match="t_grid"):
+        validate_bounds(s, g, t_grid=())
 
 
 def test_validate_flags_time_dependence_declared_as_beta1_zero():
