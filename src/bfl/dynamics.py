@@ -112,9 +112,10 @@ def form_equivalence_residual(u: Field, g: Field) -> float:
     Zero in exact arithmetic; rounding leaves a few ulps of the terms'
     magnitude, so compare against 1e-13 times the result scale.
     """
-    torque = cross(u, g * dminus(u))
+    flux = g * dminus(u)
+    torque = cross(u, flux)
     conservative = dplus(torque)
-    pointwise = cross(u, dplus(g * dminus(u)))
+    pointwise = cross(u, dplus(flux))
     # the two forms cancel term-by-term; normalize by the size of the
     # differenced terms, not by the (possibly vanishing) result
     scale = max(norm_linf(conservative), norm_linf(pointwise),

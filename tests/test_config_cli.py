@@ -287,11 +287,14 @@ def test_speed_head_with_space_rejected(tmp_path, capsys):
     assert run_cli("converge", "-c", str(cfg_path), "--levels", "3") == 4
 
 
-def test_readme_config_block_builds():
+def readme_config():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     section = readme.split("### Config format", 1)[1]
-    block = re.search(r"^```\n(.*?)^```", section, re.S | re.M).group(1)
-    cfg = parse_config(block)
+    return parse_config(re.search(r"^```\n(.*?)^```", section, re.S | re.M).group(1))
+
+
+def test_readme_config_block_builds():
+    cfg = readme_config()
     grid = build_grid(cfg)
     speed = build_speed(cfg, grid)
     state, _ = build_initial(cfg, grid, speed)
@@ -436,6 +439,34 @@ def test_cli_run_divergence_exit_code(tmp_path, capsys):
     with pytest.warns(RuntimeWarning, match=past_bound):
         assert run_cli("stability", "-c", str(cfg_path), "--eps", "1e-2,1e-3") == 2
     assert "divergence during sweep" in capsys.readouterr().err
+
+
+def test_cli_run_exits_3_when_the_total_spin_drifts(tmp_path, capsys):
+    # past cfl = 0.7071 the README helix blows up (energy 25 -> 1000) on the
+    # sphere; the lattice flow keeps S = h sum_i u_i, the steppers at cfl 1 do not
+    def run(method, cfl):
+        path = tmp_path / f"{method}-{cfl}.bfl"
+        path.write_text(serialize_config(replace(readme_config(), method=method, cfl=cfl)))
+        code = run_cli("run", "-c", str(path), "-o", str(tmp_path))
+        report = json.loads(path.with_suffix(".json").read_text())
+        assert report["exit_code"] == code
+        return code, capsys.readouterr().err
+
+    def breach(err):
+        drift, t = re.fullmatch(r"total spin drifts (\S+) L by t = (\S+)\n", err).groups()
+        return float(drift), float(t)
+
+    past_bound = r"2 sqrt\(2\)"
+    with pytest.warns(RuntimeWarning, match=past_bound):
+        code, err = run("projected_rk4", 1.0)
+    # measured 5.0e-3 L and 4.3e-3 L, 20 steps in: the third snapshot
+    assert code == 3 and breach(err) == (pytest.approx(5.0e-3, rel=0.1), 0.0642552)
+    code, err = run("rotation", 1.0)
+    assert code == 3 and breach(err) == (pytest.approx(4.3e-3, rel=0.1), 0.0642552)
+    for method in ("projected_rk4", "rotation"):
+        assert run(method, 0.25) == (0, "")
+    with pytest.warns(RuntimeWarning, match=past_bound):
+        assert run("rk4", 4.0) == (2, "")
 
 
 def test_cli_identities_threshold_exit_code(monkeypatch, capsys):
@@ -674,23 +705,29 @@ def test_cli_identities_refuses_no_trials(capsys):
         assert "trials must be >= 1" in captured.err
 
 
-def test_console_entry_point():
-    # the child imports bfl from wherever this process did
+def child_env():
+    """The environment of a child that imports bfl from wherever this process did."""
     src = str(Path(bfl.__file__).parent.parent)
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+
+
+def test_console_entry_point():
     proc = subprocess.run([sys.executable, "-m", "bfl.cli", "identities",
                            "--trials", "12"],
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True, env=child_env())
     assert proc.returncode == 0
     assert "pass" in proc.stdout
 
 
-def test_public_names_resolve_without_duplicates():
-    names = bfl.__all__
-    assert len(set(names)) == len(names)
-    assert all(hasattr(bfl, name) for name in names)
-    assert len(names) <= 74
+def test_importing_a_module_loads_only_its_dependencies():
+    # the package re-exports nothing: each name is imported from its module
+    for target, loaded in (("bfl", ["bfl"]), ("bfl.lattice", ["bfl", "bfl.lattice"])):
+        proc = subprocess.run(
+            [sys.executable, "-c", f"import sys, {target}; print(sorted("
+             "m for m in sys.modules if m == 'bfl' or m.startswith('bfl.')))"],
+            capture_output=True, text=True, env=child_env(), check=True)
+        assert proc.stdout.strip() == repr(loaded)
 
 
 def test_identity_suite_determinism():

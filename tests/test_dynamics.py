@@ -112,6 +112,24 @@ def test_rk4_keeps_total_spin(case):
     assert np.max(np.linalg.norm(spin - spin[0], axis=1)) <= 1e-13 * length
 
 
+def test_spin_drift_is_an_order_4_readout():
+    # rk4 keeps the linear invariant S; projection and rotation break it by
+    # their 4th-order temporal error, so halving dt divides the drift by 16
+    g = Grid.make_periodic(2 * np.pi, 64)
+    state = FlowState(0.0, helix_tangents(g, np.pi / 4, 2), speed_from_name("sin:2,1,1"))
+    for method in ("rk4", "projected_rk4", "rotation"):
+        drifts = []
+        for cfl in (0.6, 0.3, 0.15):
+            res = evolve(state, 1.0, IntegratorSpec(method=method, cfl=cfl))
+            spin = g.h * (res.final().values.sum(axis=0) - res.fields[0].values.sum(axis=0))
+            drifts.append(np.linalg.norm(spin) / (2 * np.pi))
+        if method == "rk4":
+            assert max(drifts) <= 1e-13  # measured <= 8.9e-16
+        else:
+            # measured 15.98, 15.98 (projected_rk4) and 16.45, 16.17 (rotation)
+            assert np.all(np.abs(np.divide(drifts[:-1], drifts[1:]) - 16) <= 2), drifts
+
+
 # --------------------------------------------------------------- curve form
 
 def test_straight_line_curve_is_static():
