@@ -39,8 +39,7 @@ _SPIN_DRIFT_LIMIT = 1e-3  # the lattice flow keeps S = h sum_i u_i exactly, step
 
 def _spin_breach(result):
     """(|S(t) - S(0)| / L, t) at the first snapshot past the limit, or None; L = h x cells."""
-    grid = result.grid
-    cells = grid.n_nodes if grid.periodic else grid.n_nodes - 1
+    cells = result.grid.cells
     s0 = result.fields[0].values.sum(axis=0)
     drifts = (math.dist(f.values.sum(axis=0), s0) / cells for f in result.fields)
     return next(((d, t) for d, t in zip(drifts, result.times) if d > _SPIN_DRIFT_LIMIT), None)

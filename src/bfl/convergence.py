@@ -118,8 +118,6 @@ def stability_sweep(cfg: ExperimentConfig, eps_list) -> dict:
     eps_list = list(eps_list)
     if len(eps_list) < 2:
         raise ValueError("need at least two perturbation scales")
-    if any(e <= 0 for e in eps_list):
-        raise ValueError("perturbation scales must be positive")
     grid = build_grid(cfg)
     speed = build_speed(cfg, grid)
     state, _ = build_initial(cfg, grid, speed)

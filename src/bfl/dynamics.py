@@ -81,8 +81,7 @@ class FlowState:
 
 def chord_lengths(gamma: Field) -> np.ndarray:
     """|D+gamma| over the natural chords (windows drop the ghosted last one)."""
-    mags = magnitudes(dplus(gamma))
-    return mags if gamma.grid.periodic else mags[:-1]
+    return magnitudes(dplus(gamma))[:gamma.grid.cells]
 
 
 def g_samples(state: FlowState) -> Field:

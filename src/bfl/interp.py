@@ -57,14 +57,12 @@ def _lift(v: Field, x, linear: bool):
     if grid.periodic:
         rel = np.mod(x - grid.x0, grid.length)
     else:
-        span = grid.h * (grid.n_nodes - 1)
+        span = grid.h * grid.cells
         rel = x - grid.x0
         if np.any(rel < -1e-12 * grid.h) or np.any(rel > span * (1 + 1e-15) + 1e-12 * grid.h):
             raise DomainError(f"coordinate outside window [{grid.x0}, {grid.x0 + span}]")
         rel = np.clip(rel, 0.0, span)
-    idx = np.floor(rel / grid.h).astype(int)
-    n_cells = grid.n_nodes if grid.periodic else grid.n_nodes - 1
-    idx = np.minimum(idx, n_cells - 1)
+    idx = np.minimum(np.floor(rel / grid.h).astype(int), grid.cells - 1)
     frac = rel / grid.h - idx
     left = vals[idx]
     right = vals[(idx + 1) % grid.n_nodes]
@@ -80,10 +78,8 @@ def _lift(v: Field, x, linear: bool):
 
 
 def _cell_pairs(v: Field):
-    vals = v.values
-    if v.grid.periodic:
-        return vals, np.roll(vals, -1, axis=0)
-    return vals[:-1], vals[1:]
+    cells = v.grid.cells
+    return v.values[:cells], np.roll(v.values, -1, axis=0)[:cells]
 
 
 def l2_norm_linear(v: Field) -> float:
@@ -114,18 +110,14 @@ def interp_gap(v: Field) -> float:
 def resample(v: Field, coarse: Grid) -> Field:
     """Restrict a fine-grid field to a nested coarser grid by node sampling."""
     fine = v.grid
-    if fine.periodic != coarse.periodic or fine.x0 != coarse.x0:
+    if (fine.periodic, fine.x0, fine.length) != (coarse.periodic, coarse.x0, coarse.length):
         raise AlignmentError("grids are not nested")
     ratio = coarse.h / fine.h
     r = int(round(ratio))
     if r < 1 or abs(ratio - r) > 1e-9:
         raise AlignmentError("coarse spacing is not an integer multiple of fine")
-    if fine.periodic:
-        if fine.length != coarse.length or fine.n_nodes != r * coarse.n_nodes:
-            raise AlignmentError("periodic grids are not nested")
-    else:
-        if fine.n_nodes - 1 != r * (coarse.n_nodes - 1):
-            raise AlignmentError("window grids are not nested")
+    if fine.cells != r * coarse.cells:
+        raise AlignmentError("grids are not nested")
     return Field(coarse, v.values[::r][:coarse.n_nodes], v.extension)
 
 
@@ -136,8 +128,7 @@ def quadrature_cellwise(view_fn, grid: Grid) -> float:
     interpolant product used in the tests.
     """
     nodes, weights = np.polynomial.legendre.leggauss(10)
-    n_cells = grid.n_nodes if grid.periodic else grid.n_nodes - 1
-    x_left = grid.x0 + grid.h * np.arange(n_cells)
+    x_left = grid.x0 + grid.h * np.arange(grid.cells)
     total = 0.0
     for xl in x_left:
         x = xl + (nodes + 1.0) * (grid.h / 2.0)

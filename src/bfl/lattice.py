@@ -83,6 +83,12 @@ class Grid:
     def make_window(x0: float, intervals: int, h: float) -> "Grid":
         return Grid(h=h, x0=x0, n_nodes=intervals + 1, periodic=False)
 
+    @property
+    def cells(self) -> int:
+        """Cells between nodes: N on a periodic grid, M = N - 1 on a window,
+        whose last chord reads a ghost node and is not a cell."""
+        return self.n_nodes if self.periodic else self.n_nodes - 1
+
     def nodes(self) -> np.ndarray:
         return self.x0 + self.h * np.arange(self.n_nodes)
 

@@ -163,18 +163,20 @@ def _diagnose_block(mode: str, fields, g_fields, lengths, work: np.ndarray) -> l
     """(drift, energy, grad, rhs, rhs_dual, delta) rows for a block of snapshots.
 
     The drift is max_i | |u_i| - lengths_i |, with u = D+gamma for a curve
-    (a window drops its ghost chord). The block is stacked component-major
-    as (3, B, n), so the lattice's row operators run on it unchanged, and
-    each snapshot is reduced in the order the Field-level norms take on its
-    (n, 3) values: |v_i|^2 for the drift, the energy and the residual scale
-    by the lattice's row norm, the h-norms by sums over C-ordered (B, n, 3)
-    copies. One Riesz solve serves every dual norm. Every stack is a slot
-    of ``work`` (diagnose's work array) and the operators write into it
-    through their ``out``; a block of B < W snapshots, and the k kept
-    snapshots the solve sees, slice the slots' block axis. Only a periodic
-    Riesz solve allocates (rfft/irfft take no ``out``). Rows stop before the
-    first snapshot whose g has a non-positive sample or whose values are not
-    all finite; each residual is checked against its own snapshot's scale.
+    over the grid's cells (a window drops its ghost chord). The block is
+    stacked component-major as (3, B, n), so the lattice's row operators run
+    on it unchanged, and each snapshot is reduced in the order the
+    Field-level norms take on its (n, 3) values: |v_i|^2 for the drift, the
+    energy and the residual scale by the lattice's row norm, the h-norms by
+    sums over C-ordered (B, n, 3) copies. One Riesz solve serves every dual
+    norm. Every stack is a slot of ``work`` (diagnose's work array) and the
+    operators write into it through their ``out``; a block of B < W
+    snapshots slices the slots' block axis. Only a periodic Riesz solve
+    allocates (rfft/irfft take no ``out``). Every operator acts along each
+    snapshot's node axis, so one mask decides where rows stop: before the
+    first snapshot whose g has a non-positive sample or whose columns and
+    residual are not all finite. Each kept residual is checked against its
+    own snapshot's scale.
     """
     grid, ext = fields[0].grid, fields[0].extension
     h, periodic, n = grid.h, grid.periodic, grid.n_nodes
@@ -186,8 +188,8 @@ def _diagnose_block(mode: str, fields, g_fields, lengths, work: np.ndarray) -> l
         u, ext = _dplus(u, h, periodic, ext, block[_U]), "zero"
     mags = _norm2(u, block[_A])
     mags = np.sqrt(mags, out=mags)
-    if mode == CURVE and not periodic:
-        mags = mags[:, :-1]
+    if mode == CURVE:
+        mags = mags[:, :grid.cells]
     drift = np.max(np.abs(np.subtract(mags, lengths, out=mags), out=mags), axis=1)
     squares = _norm2(_dminus(u, h, periodic, ext, block[_A]), block[_B])
     energies = h * np.sum(np.multiply(g, squares, out=squares), axis=1)
@@ -200,34 +202,23 @@ def _diagnose_block(mode: str, fields, g_fields, lengths, work: np.ndarray) -> l
     rhs = _root(h * _sums(np.multiply(du_rows, du_rows, out=rows)))
     rows = _rows(delta, rows)
     delta_norm = _root(h * _sums(np.multiply(rows, rows, out=rows)))
-    # rows stop before the first snapshot with a non-positive g or a
-    # non-finite column, so only the kept snapshots reach the solve
-    good = np.all(g > 0.0, axis=1) & np.isfinite(drift + energies + grad + rhs + delta_norm)
-    k = count if good.all() else int(np.argmin(good))
-    if k == 0:
-        return []
-    du, kept = du[:, :k], block[:, :, :k]
     # u is spent, so w takes its slot
-    w = _riesz_matrix_solve(grid, du, kept[_U])
-    resid = _dplus(_dminus(w, h, periodic, "constant", kept[_A]), h, periodic, "zero", kept[_B])
+    w = _riesz_matrix_solve(grid, du, block[_U])
+    resid = _dplus(_dminus(w, h, periodic, "constant", block[_A]), h, periodic, "zero", block[_B])
     resid = np.subtract(w, resid, out=resid)
     resid -= du
     worst = np.max(np.abs(resid, out=resid), axis=(0, 2))
-    scale = _norm2(du, kept[_A])
+    scale = _norm2(du, block[_A])
     bound = _riesz_residual_bound(h, np.max(np.sqrt(scale, out=scale), axis=1))
-    rows = _rows(w, rows[:k])
-    rhs_dual = _root(h * _sums(np.multiply(du_rows[:k], rows, out=rows)))
-    for i in range(k):
-        if not math.isfinite(worst[i]):
-            k = i
-            break
-        if worst[i] > bound[i]:
-            raise RieszSolveError(f"residual {worst[i]:.3e} exceeds tolerance")
-        if not math.isfinite(rhs_dual[i]):
-            k = i
-            break
-    columns = (drift[:k], energies[:k], grad[:k], rhs[:k], rhs_dual[:k], delta_norm[:k])
-    return list(zip(*(c.tolist() for c in columns)))
+    rows = _rows(w, rows)
+    rhs_dual = _root(h * _sums(np.multiply(du_rows, rows, out=rows)))
+    columns = (drift, energies, grad, rhs, rhs_dual, delta_norm)
+    good = np.all(g > 0.0, axis=1) & np.isfinite(sum(columns) + worst)
+    k = count if good.all() else int(np.argmin(good))
+    failed = np.flatnonzero(worst[:k] > bound[:k])
+    if failed.size:
+        raise RieszSolveError(f"residual {worst[failed[0]]:.3e} exceeds tolerance")
+    return list(zip(*(c[:k].tolist() for c in columns)))
 
 
 def _rows(v: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -532,7 +523,7 @@ def oracle_soliton_curve(grid: Grid, nu: float, tau0: float):
     """
     if grid.periodic:
         raise ValueError("the soliton filament lives on a window grid")
-    x_end = grid.x0 + grid.h * (grid.n_nodes - 1)
+    x_end = grid.x0 + grid.h * grid.cells
     if not grid.x0 < 0.0 < x_end:
         raise ValueError(f"window [{grid.x0:g}, {x_end:g}] misses the soliton "
                          f"centered at x = 0")
@@ -553,7 +544,7 @@ def smooth_bump(grid: Grid) -> np.ndarray:
     """Smooth bump exp(1 - 1/(1 - s^2)) on |s| < 1, centered on the grid's span
     with half-width a quarter of it."""
     x = grid.nodes()
-    span = grid.length if grid.periodic else grid.h * (grid.n_nodes - 1)
+    span = grid.length if grid.periodic else grid.h * grid.cells
     s = (x - (grid.x0 + span / 2.0)) / (span / 4.0)
     out = np.zeros_like(x)
     inside = np.abs(s) < 1.0

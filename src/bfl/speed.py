@@ -1,13 +1,13 @@
 """Speed-coefficient models with certified bounds and grid sampling.
 
 A SpeedField wraps one coefficient g(t, x, gamma), the paper's g(s, t, gamma).
-Declared bounds alpha (positive lower bound), beta (sup of g), beta1 (sup of
-|dg/dt|) and beta_prime (sup of the first derivatives in x or in gamma) feed
-the a-priori bound monitors; they are spot-validated, never inferred. The
-one declaration beside them is ``coupled``: only a coupled g is handed the
-curve gamma. What else g reads follows from the bounds: it is constant when
-alpha == beta (every sample is checked against both), and time dependent
-when it is coupled or beta1 > 0.
+Declared bounds alpha (positive lower bound), beta (sup of g) and beta1 (sup
+of |dg/dt|) feed the a-priori bound monitors; beta_prime (sup of the first
+derivatives in x or in gamma) is read only by ``validate_bounds``. All four
+are spot-validated, never inferred. The one declaration beside them is
+``coupled``: only a coupled g is handed the curve gamma. What else g reads
+follows from the bounds: it is constant when alpha == beta (every sample is
+checked against both), and time dependent when it is coupled or beta1 > 0.
 
 The selectors ``const:a``, ``sin:a,b,k``, ``sintime:a,b,k,w`` and
 ``coupled-tanh:a,c`` set those parameters of one closed-form model,
@@ -152,8 +152,7 @@ def validate_bounds(speed: SpeedField, grid: Grid, t_grid=(0.0,),
     """
     if len(t_grid) == 0:
         raise ValueError("t_grid lists no time to sample")
-    n_cells = grid.n_nodes if grid.periodic else grid.n_nodes - 1
-    xs = grid.x0 + np.linspace(0.0, n_cells * grid.h, n_cells * 10, endpoint=False)
+    xs = grid.x0 + np.linspace(0.0, grid.cells * grid.h, grid.cells * 10, endpoint=False)
     gamma_vals = None
     if speed.coupled:
         if gamma is None:

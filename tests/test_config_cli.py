@@ -564,6 +564,22 @@ def test_cli_stability_rejects_zero_eps(tmp_path, capsys):
     assert "spread" in out
 
 
+@pytest.mark.parametrize("eps, message", [
+    ("1e-2,abc", "bad eps list"), ("1e-2", "at least two perturbation scales")])
+def test_cli_stability_refuses_bad_eps_lists(tmp_path, capsys, eps, message):
+    cfg_path = tmp_path / "helix.bfl"
+    cfg_path.write_text(HELIX_CFG)
+    assert run_cli("stability", "-c", str(cfg_path), "--eps", eps) == 4
+    assert message in capsys.readouterr().err
+
+
+def test_cli_refuses_config_line_without_equals(tmp_path, capsys):
+    cfg_path = tmp_path / "helix.bfl"
+    cfg_path.write_text(HELIX_CFG + "nodes 32\n")
+    assert run_cli("run", "-c", str(cfg_path), "-o", str(tmp_path)) == 4
+    assert "line 13: expected 'key = value'" in capsys.readouterr().err
+
+
 def test_cli_converge_rejects_too_few_levels(tmp_path, capsys):
     cfg_path = tmp_path / "helix.bfl"
     cfg_path.write_text(HELIX_CFG)
@@ -681,6 +697,13 @@ def test_curve_data_steps_with_the_default_method(tmp_path):
     cfg_path.write_text(text)
     assert run_cli("run", "-c", str(cfg_path), "-o", str(tmp_path)) == 0
     assert (tmp_path / "circle.csv").exists()
+
+
+def test_cli_stability_refuses_curve_data(tmp_path, capsys):
+    cfg_path = tmp_path / "circle.bfl"
+    cfg_path.write_text(COUPLED_ROTATION_CFG.replace("method = rotation\n", ""))
+    assert run_cli("stability", "-c", str(cfg_path), "--eps", "1e-2,1e-3") == 4
+    assert "runs on tangent initial data" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("field, value", [

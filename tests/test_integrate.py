@@ -317,6 +317,12 @@ def test_evolve_rejects_non_finite_horizon(horizon):
         evolve(state, horizon, IntegratorSpec(cfl=0.25))
 
 
+def test_evolve_rejects_horizon_at_the_initial_time():
+    state = circle_state(n=16)
+    with pytest.raises(ValueError, match="coincides"):
+        evolve(state, state.t, IntegratorSpec(cfl=0.25))
+
+
 def test_evolve_refuses_zero_coefficient_inside_the_bound_slack():
     # alpha = 1e-12 lies inside the 1e-9 bound slack, so only the positivity
     # test in the sampler refuses g = 0

@@ -59,6 +59,12 @@ def test_periodic_grid_derives_spacing():
     assert np.allclose(g.nodes(), 0.25 * np.arange(8))
 
 
+def test_grid_counts_its_cells():
+    # a window's last chord reads a ghost node, so it is not a cell
+    assert Grid.make_periodic(2.0, 8).cells == 8
+    assert Grid.make_window(-1.0, 12, 0.25).cells == 12
+
+
 def test_grid_invariants_rejected():
     with pytest.raises(ValueError):
         Grid.make_periodic(1.0, 2)

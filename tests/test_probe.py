@@ -340,6 +340,29 @@ def test_diagnose_checks_each_riesz_residual_against_its_own_scale(monkeypatch):
         diagnose(both, speed)                      # 3e-10 > 1e-10 * 1
 
 
+def test_diagnose_stops_rows_before_checking_residuals(monkeypatch):
+    # one mask decides where rows stop; only the kept residuals are checked
+    grid = Grid.make_periodic(2 * np.pi, 32)
+    speed = make_constant(1.0)
+    helix, _, _ = oracle_helix(grid, np.pi / 4, 4)   # |du| about 8: scale 8
+    circle = oracle_great_circle(grid)              # equilibrium: du = 0, scale 1
+    g = g_samples(FlowState(0.0, helix, speed))
+    vals = g.values.copy()
+    vals[7] = 0.0
+    g_zero = Field(grid, vals)
+    solve = bfl.probe._riesz_matrix_solve
+    monkeypatch.setattr(bfl.probe, "_riesz_matrix_solve",
+                        lambda *args: solve(*args) + 3e-10)
+    times = [0.0, 0.1, 0.2]
+    # the circle's residual is past its bound only after the zero sample
+    after = EvolveResult(TANGENT, times, [helix, helix, circle], [g, g_zero, g])
+    assert len(diagnose(after, speed)) == 1
+    # and before it
+    before = EvolveResult(TANGENT, times, [helix, circle, helix], [g, g, g_zero])
+    with pytest.raises(RieszSolveError):
+        diagnose(before, speed)
+
+
 def test_riesz_residual_bound_admits_the_rounding_floor(monkeypatch):
     # a correct solve leaves a residual near eps (1 + 4/h^2) max|v|, which
     # passes 1e-10 max|v| below h = 0.006; at h = 0.001 this window field
