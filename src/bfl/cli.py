@@ -7,20 +7,18 @@ Subcommands:
     bfl converge -c FILE --levels K
     bfl stability -c FILE --eps LIST
 
-Exit codes: 0 pass, 2 numerical divergence, 3 acceptance-threshold failure
-(run: total spin drift past 1e-3 L), 4 config or usage error.
+Exit codes: 0 pass, 2 numerical divergence, 3 acceptance-threshold failure,
+4 config or usage error; run's code and violation are ``report.verdict``'s.
 """
 
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from pathlib import Path
 
 from .config import ConfigError, build_grid, build_initial, build_integrator, build_speed, parse_config
 from .convergence import convergence_study, stability_sweep
-from .dynamics import TANGENT
 from .identities import IDENTITY_THRESHOLD, run_identity_suite, suite_passes
 from .integrate import evolve
 from .probe import diagnose
@@ -30,19 +28,10 @@ from .report import (
     EXIT_OK,
     EXIT_THRESHOLD,
     build_report,
+    verdict,
     write_csv,
     write_json,
 )
-
-_SPIN_DRIFT_LIMIT = 1e-3  # the lattice flow keeps S = h sum_i u_i exactly, steppers need not
-
-
-def _spin_breach(result):
-    """(|S(t) - S(0)| / L, t) at the first snapshot past the limit, or None; L = h x cells."""
-    cells = result.grid.cells
-    s0 = result.fields[0].values.sum(axis=0)
-    drifts = (math.dist(f.values.sum(axis=0), s0) / cells for f in result.fields)
-    return next(((d, t) for d, t in zip(drifts, result.times) if d > _SPIN_DRIFT_LIMIT), None)
 
 
 def _load_config(path: str):
@@ -77,10 +66,9 @@ def cmd_run(args) -> int:
     records = diagnose(result, speed,
                        margins="margins" in cfg.probes,
                        oracle=oracle if "oracle" in cfg.probes else None)
-    status_code = EXIT_OK if result.status == "ok" else EXIT_DIVERGED
-    if status_code == EXIT_OK and result.mode == TANGENT and (breach := _spin_breach(result)):
-        status_code = EXIT_THRESHOLD
-        print(f"total spin drifts {breach[0]:.3e} L by t = {breach[1]:g}", file=sys.stderr)
+    status_code, violation = verdict(result, records)
+    if violation:
+        print(violation, file=sys.stderr)
     out_dir = Path(args.out or cfg.out or ".")
     out_dir.mkdir(parents=True, exist_ok=True)
     stem = Path(args.config).stem or "run"

@@ -86,16 +86,12 @@ def l2_norm_linear(v: Field) -> float:
     """L2 norm of the piecewise-linear lift, by the exact cellwise integral.
 
     The cell [x_i, x_{i+1}] contributes (h/3)(|v_i|^2 + v_i.v_{i+1}
-    + |v_{i+1}|^2); the total lies between SANDWICH_LOWER*|v|_h and
-    SANDWICH_UPPER*|v|_h (sharp over periodic fields).
+    + |v_{i+1}|^2), summed over scalar and vector values alike; the total
+    lies between SANDWICH_LOWER*|v|_h and SANDWICH_UPPER*|v|_h (sharp over
+    periodic fields).
     """
     a, b = _cell_pairs(v)
-    if v.is_vector:
-        cell = (np.einsum("ij,ij->i", a, a) + np.einsum("ij,ij->i", a, b)
-                + np.einsum("ij,ij->i", b, b))
-    else:
-        cell = a * a + a * b + b * b
-    return math.sqrt(max(float(np.sum(cell)) * v.grid.h / 3.0, 0.0))
+    return math.sqrt(max(float(np.sum(a * a + a * b + b * b)) * v.grid.h / 3.0, 0.0))
 
 
 def interp_gap(v: Field) -> float:

@@ -2,7 +2,8 @@
 
 Monitored quantities per snapshot: the unit drift (for a curve, the chord
 lengths' drift from the first snapshot's), the weighted gradient energy
-h sum g |D-u|^2, |D+u|_h, |du/dt|_h and its dual norm, |Delta_g u|_h, and
+h sum g |D-u|^2, |D+u|_h, |du/dt|_h and its dual norm, |Delta_g u|_h, the
+spin drift |S(t) - S(0)| / L of S = h sum_i u_i (L = h x cells), and
 the signed margins of the two a-priori bounds
 
     |D+u(t)|_h   <= sqrt(beta/alpha) |D+u0|_h exp(beta1 t / (2 alpha))
@@ -83,6 +84,7 @@ class DiagnosticsRecord:
     rhs_norm: float
     rhs_dual_norm: float
     delta_norm: float
+    spin_drift: float
     bound_margins: dict = field(default_factory=dict)
     oracle_error: float | None = None
 
@@ -120,63 +122,60 @@ def diagnose(result: EvolveResult, speed: SpeedField,
     curve snapshots the tangent u = D+gamma is diagnosed and margins are
     skipped (the coupled bound bookkeeping tracks the energy rate instead).
 
-    Rows stop before the first snapshot whose coefficient samples include a
-    non-positive value or whose diagnostics are not all finite, since the
-    snapshot just before a divergence can overflow. A Riesz residual above
-    the bound norm_h1_dual also applies raises RieszSolveError.
+    Rows stop only at ``_diagnose_block``'s mask, before a non-positive g
+    sample or a non-finite column, the oracle error included (the snapshot
+    just before a divergence can overflow). A Riesz residual above the
+    bound norm_h1_dual also applies raises RieszSolveError.
     """
     records = []
     if not result.fields:
         return records
-    # a curve flow keeps each chord's starting length, not length 1
-    lengths = chord_lengths(result.fields[0]) if result.mode == CURVE else 1.0
+    # a curve flow keeps each chord's starting length, not length 1; its spin sums the chords
+    first, curve = result.fields[0], result.mode == CURVE
+    lengths = chord_lengths(first) if curve else 1.0
+    u0 = (dplus(first).values[:first.grid.cells] if curve else first.values).T
+    spin0 = np.sum(np.ascontiguousarray(u0), axis=1)  # pairwise, as the blocks sum
     # one work array serves every block, so no block allocates or frees a stack
     work = np.empty((_SLOTS, 3, min(_BLOCK, len(result.times)), result.grid.n_nodes))
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, len(result.times), _BLOCK):
-            times = result.times[start:start + _BLOCK]
-            fields = result.fields[start:start + _BLOCK]
-            rows = _diagnose_block(result.mode, fields, result.g_samples[start:start + _BLOCK],
-                                   lengths, work)
-            for t, f, (drift, energy_now, grad, rhs, rhs_dual, delta) in zip(times, fields, rows):
+            part = slice(start, start + _BLOCK)
+            times = result.times[part]
+            rows = _diagnose_block(result.mode, times, result.fields[part], result.g_samples[part],
+                                   lengths, spin0, oracle, work)
+            for t, row in zip(times, rows):
                 margin_row = {}
                 if margins and result.mode == TANGENT:
+                    grad, rhs_dual = row["grad_norm"], row["rhs_dual_norm"]
                     base = records[0].grad_norm if records else grad
                     after = abs(t - result.times[0])
                     margin_row["gradient_bound"] = gradient_bound_margin(after, base, grad, speed)
                     margin_row["dual_bound"] = dual_bound_margin(after, base, rhs_dual, speed)
-                err = None
-                if oracle is not None:
-                    err = float(np.max(np.abs(f.values - oracle(t))))
-                    if not math.isfinite(err):
-                        return records
-                records.append(DiagnosticsRecord(
-                    t=t, unit_drift=drift, energy=energy_now, grad_norm=grad,
-                    rhs_norm=rhs, rhs_dual_norm=rhs_dual, delta_norm=delta,
-                    bound_margins=margin_row, oracle_error=err))
+                records.append(DiagnosticsRecord(t=t, bound_margins=margin_row, **row))
             if len(rows) < len(times):
                 break
     return records
 
 
-def _diagnose_block(mode: str, fields, g_fields, lengths, work: np.ndarray) -> list[tuple]:
-    """(drift, energy, grad, rhs, rhs_dual, delta) rows for a block of snapshots.
+def _diagnose_block(mode: str, times, fields, g_fields, lengths, spin0, oracle,
+                    work: np.ndarray) -> list[dict]:
+    """DiagnosticsRecord columns, a dict per kept snapshot of the block.
 
-    The drift is max_i | |u_i| - lengths_i |, with u = D+gamma for a curve
-    over the grid's cells (a window drops its ghost chord). The block is
-    stacked component-major as (3, B, n), so the lattice's row operators run
-    on it unchanged, and each snapshot is reduced in the order the
-    Field-level norms take on its (n, 3) values: |v_i|^2 for the drift, the
-    energy and the residual scale by the lattice's row norm, the h-norms by
-    sums over C-ordered (B, n, 3) copies. One Riesz solve serves every dual
-    norm. Every stack is a slot of ``work`` (diagnose's work array) and the
-    operators write into it through their ``out``; a block of B < W
-    snapshots slices the slots' block axis. Only a periodic Riesz solve
-    allocates (rfft/irfft take no ``out``). Every operator acts along each
-    snapshot's node axis, so one mask decides where rows stop: before the
-    first snapshot whose g has a non-positive sample or whose columns and
-    residual are not all finite. Each kept residual is checked against its
-    own snapshot's scale.
+    Drift is max_i | |u_i| - lengths_i |, with u = D+gamma for a curve over
+    the grid's cells (a window drops its ghost chord); the spin drift
+    |sum_i u_i - spin0| / cells sums those cells of a curve, every node of a
+    tangent. The block is stacked component-major as (3, B, n), so the
+    lattice's row operators run on it unchanged, and each snapshot is
+    reduced in the order the Field-level code takes on its (n, 3) values:
+    |v_i|^2 by the lattice's row norm, the h-norms over C-ordered (B, n, 3)
+    copies, S pairwise along each component. One Riesz solve serves every
+    dual norm. Every stack is a slot of ``work`` (diagnose's work array),
+    written through the operators' ``out``; a block of B < W snapshots
+    slices the block axis. Only a periodic Riesz solve allocates. One mask
+    is the only rule that stops rows, since every operator acts along each
+    snapshot's node axis: before the first snapshot whose g has a
+    non-positive sample or whose columns (the oracle error too) and residual
+    are not all finite. Each kept residual is checked against its own scale.
     """
     grid, ext = fields[0].grid, fields[0].extension
     h, periodic, n = grid.h, grid.periodic, grid.n_nodes
@@ -184,24 +183,31 @@ def _diagnose_block(mode: str, fields, g_fields, lengths, work: np.ndarray) -> l
     block = work[:, :, :count]
     g = np.stack([s.values for s in g_fields], out=block[_G, 0])
     u = np.stack([f.values.T for f in fields], axis=1, out=block[_A if mode == CURVE else _U])
+    columns = {}
+    if oracle is not None:
+        want = np.stack([oracle(t).T for t in times], axis=1, out=block[_B])
+        want -= u
+        columns["oracle_error"] = np.max(np.abs(want, out=want), axis=(0, 2))
     if mode == CURVE:
         u, ext = _dplus(u, h, periodic, ext, block[_U]), "zero"
     mags = _norm2(u, block[_A])
     mags = np.sqrt(mags, out=mags)
     if mode == CURVE:
         mags = mags[:, :grid.cells]
-    drift = np.max(np.abs(np.subtract(mags, lengths, out=mags), out=mags), axis=1)
+    columns["unit_drift"] = np.max(np.abs(np.subtract(mags, lengths, out=mags), out=mags), axis=1)
     squares = _norm2(_dminus(u, h, periodic, ext, block[_A]), block[_B])
-    energies = h * np.sum(np.multiply(g, squares, out=squares), axis=1)
+    columns["energy"] = h * np.sum(np.multiply(g, squares, out=squares), axis=1)
     delta = _delta_g(g, u, h, periodic, ext, block[_DELTA:_DELTA + 2])
     du = cross3(u, delta, block[_DU:_DU + 4])
     du_rows = _rows(du, work[_DU_ROWS].reshape(-1, n, 3)[:count])
     rows = _rows(_dplus(u, h, periodic, ext, block[_A]),
                  work[_ROWS].reshape(-1, n, 3)[:count])
-    grad = _root(h * _sums(np.multiply(rows, rows, out=rows)))
-    rhs = _root(h * _sums(np.multiply(du_rows, du_rows, out=rows)))
+    columns["grad_norm"] = _root(h * _sums(np.multiply(rows, rows, out=rows)))
+    columns["rhs_norm"] = _root(h * _sums(np.multiply(du_rows, du_rows, out=rows)))
     rows = _rows(delta, rows)
-    delta_norm = _root(h * _sums(np.multiply(rows, rows, out=rows)))
+    columns["delta_norm"] = _root(h * _sums(np.multiply(rows, rows, out=rows)))
+    spin = np.sum(u[..., :grid.cells if mode == CURVE else n], axis=2) - spin0[:, None]
+    columns["spin_drift"] = np.sqrt(np.sum(spin * spin, axis=0)) / grid.cells
     # u is spent, so w takes its slot
     w = _riesz_matrix_solve(grid, du, block[_U])
     resid = _dplus(_dminus(w, h, periodic, "constant", block[_A]), h, periodic, "zero", block[_B])
@@ -211,14 +217,13 @@ def _diagnose_block(mode: str, fields, g_fields, lengths, work: np.ndarray) -> l
     scale = _norm2(du, block[_A])
     bound = _riesz_residual_bound(h, np.max(np.sqrt(scale, out=scale), axis=1))
     rows = _rows(w, rows)
-    rhs_dual = _root(h * _sums(np.multiply(du_rows, rows, out=rows)))
-    columns = (drift, energies, grad, rhs, rhs_dual, delta_norm)
-    good = np.all(g > 0.0, axis=1) & np.isfinite(sum(columns) + worst)
+    columns["rhs_dual_norm"] = _root(h * _sums(np.multiply(du_rows, rows, out=rows)))
+    good = np.all(g > 0.0, axis=1) & np.isfinite(sum(columns.values()) + worst)
     k = count if good.all() else int(np.argmin(good))
     failed = np.flatnonzero(worst[:k] > bound[:k])
     if failed.size:
         raise RieszSolveError(f"residual {worst[failed[0]]:.3e} exceeds tolerance")
-    return list(zip(*(c[:k].tolist() for c in columns)))
+    return [dict(zip(columns, row)) for row in zip(*(c[:k].tolist() for c in columns.values()))]
 
 
 def _rows(v: np.ndarray, out: np.ndarray) -> np.ndarray:

@@ -1,4 +1,7 @@
-"""Run reports: CSV time series and JSON mirrors with the full config.
+"""Run reports: the exit code, CSV time series and JSON mirrors with the full config.
+
+Exit code: ``verdict`` alone maps a run to 0, 2 (diverged) or 3 (a tangent's
+spin drift past 1e-3 L: the lattice flow keeps S = h sum_i u_i exactly).
 
 CSV: comma separated, '.' decimal, one header row, LF line endings, floats
 in shortest round-trip form, so identical (config, seed) runs produce
@@ -23,18 +26,31 @@ import shutil
 from pathlib import Path
 
 from .config import ExperimentConfig, serialize_config
+from .dynamics import TANGENT
+from .integrate import EvolveResult
 from .probe import DiagnosticsRecord
 
-CSV_SCHEMA = "bfl-run-csv-1"
-JSON_SCHEMA = "bfl-run-json-1"
+CSV_SCHEMA = "bfl-run-csv-2"
+JSON_SCHEMA = "bfl-run-json-2"
 
 EXIT_OK = 0
 EXIT_DIVERGED = 2
 EXIT_THRESHOLD = 3
 EXIT_CONFIG = 4
+_SPIN_DRIFT_LIMIT = 1e-3  # L; curve rows carry their chord-sum drift, ungated
 
 _BASE_COLUMNS = ("t", "unit_drift", "energy", "grad_norm", "rhs_norm",
-                 "rhs_dual_norm", "delta_norm")
+                 "rhs_dual_norm", "delta_norm", "spin_drift")
+
+
+def verdict(result: EvolveResult, records: list[DiagnosticsRecord]) -> tuple[int, str | None]:
+    """(exit code, violation or None) of a run and its diagnostics rows."""
+    if result.status != "ok":
+        return EXIT_DIVERGED, None
+    for r in records if result.mode == TANGENT else ():
+        if r.spin_drift > _SPIN_DRIFT_LIMIT:
+            return EXIT_THRESHOLD, f"total spin drifts {r.spin_drift:.3e} L by t = {r.t:g}"
+    return EXIT_OK, None
 
 
 def _fmt(x) -> str:

@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import re
@@ -26,9 +27,11 @@ from bfl.config import (
     serialize_config,
 )
 from bfl.convergence import continuum_oracle, convergence_study
+from bfl.dynamics import CURVE, TANGENT
 from bfl.identities import run_identity_suite
-from bfl.report import render_csv, write_json
-from bfl.probe import diagnose
+from bfl.integrate import EvolveResult
+from bfl.report import render_csv, verdict, write_json
+from bfl.probe import DiagnosticsRecord, diagnose
 from bfl.speed import speed_from_name
 
 
@@ -412,8 +415,8 @@ def test_cli_run_writes_outputs(tmp_path, capsys):
     json_path = tmp_path / "helix.json"
     assert csv_path.exists() and json_path.exists()
     report = json.loads(json_path.read_text())
-    assert report["schema"] == "bfl-run-json-1"
-    assert report["csv_schema"] == "bfl-run-csv-1"
+    assert report["schema"] == "bfl-run-json-2"
+    assert report["csv_schema"] == "bfl-run-csv-2"
     assert report["status"] == "ok"
     assert parse_config(report["config"]) == parse_config(HELIX_CFG)
     # byte-identical on a rerun
@@ -467,6 +470,40 @@ def test_cli_run_exits_3_when_the_total_spin_drifts(tmp_path, capsys):
         assert run(method, 0.25) == (0, "")
     with pytest.warns(RuntimeWarning, match=past_bound):
         assert run("rk4", 4.0) == (2, "")
+
+
+def test_cli_run_spin_drift_column_holds_the_reported_breach(tmp_path, capsys):
+    # the stderr line quotes the first CSV row past 1e-3 L
+    def first_breach(method):
+        path = tmp_path / f"{method}.bfl"
+        path.write_text(serialize_config(replace(readme_config(), method=method, cfl=1.0)))
+        assert run_cli("run", "-c", str(path), "-o", str(tmp_path)) == 3
+        with open(path.with_suffix(".csv"), newline="") as fh:
+            row = next(r for r in csv.DictReader(fh) if float(r["spin_drift"]) > 1e-3)
+        drift, t = float(row["spin_drift"]), float(row["t"])
+        assert capsys.readouterr().err == f"total spin drifts {drift:.3e} L by t = {t:g}\n"
+        return f"{drift:.3e}", f"{t:g}"
+
+    with pytest.warns(RuntimeWarning, match=r"2 sqrt\(2\)"):
+        assert first_breach("projected_rk4") == ("5.046e-03", "0.0642552")
+    assert first_breach("rotation") == ("4.282e-03", "0.0642552")
+
+
+def spin_rows(*drifts):
+    return [DiagnosticsRecord(t=0.1 * k, unit_drift=0.0, energy=1.0, grad_norm=1.0,
+                              rhs_norm=1.0, rhs_dual_norm=1.0, delta_norm=1.0, spin_drift=d)
+            for k, d in enumerate(drifts)]
+
+
+def test_verdict_maps_a_run_to_its_exit_code():
+    rows = spin_rows(0.0, 1e-3, 2e-3, 5e-3)
+    assert verdict(EvolveResult(TANGENT, status="diverged"), rows) == (2, None)
+    # the first tangent row past 1e-3 L is named; 1e-3 itself passes
+    assert verdict(EvolveResult(TANGENT), rows) == (3, "total spin drifts 2.000e-03 L by t = 0.2")
+    assert verdict(EvolveResult(TANGENT), rows[:2]) == (0, None)
+    # curve rows carry their chord-sum drift but never gate
+    assert verdict(EvolveResult(CURVE), rows) == (0, None)
+    assert verdict(EvolveResult(CURVE, status="diverged"), rows) == (2, None)
 
 
 def test_cli_identities_threshold_exit_code(monkeypatch, capsys):

@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from bfl.config import ExperimentConfig, build_speed
+from bfl.config import ExperimentConfig, build_grid, build_initial, build_integrator, build_speed
 from bfl.dynamics import FlowState, chord_lengths, g_samples, rhs
 from bfl.integrate import DivergenceError, IntegratorSpec, evolve, rotate, step
 from bfl.lattice import (
@@ -512,6 +512,36 @@ def test_time_reversal_is_exact(method, name):
     assert fwd.status == back.status == "ok"
     assert fwd.times[-1] == -back.times[-1] == 0.5
     assert np.array_equal(fwd.final().values, -back.final().values)
+
+
+@pytest.mark.parametrize("method", ["rk4", "projected_rk4", "rotation"])
+def test_scalings_of_the_lattice_flow_are_exact(method):
+    # h -> 2h with g(t, x) -> g(t/4, x/2) and t -> 4t, or g -> 2g with t -> t/2,
+    # multiplies every h, h^2, dt, x and t by a power of 2: the marches agree
+    # byte for byte
+    def final(horizon, **cfg):
+        cfg = ExperimentConfig(method=method, cfl=0.25, horizon=horizon,
+                               snapshot_stride=10 ** 6, **cfg)
+        grid = build_grid(cfg)
+        speed = build_speed(cfg, grid)
+        res = evolve(build_initial(cfg, grid, speed)[0], horizon, build_integrator(cfg))
+        assert res.status == "ok"
+        return res.steps_taken, res.final().values
+
+    def periodic(length, k, **cfg):
+        return dict(topology="periodic", length=length, nodes=64,
+                    initial=f"helix:{math.pi / 4!r},{k}", **cfg)
+
+    def window(x0, h, initial):
+        return dict(topology="window", x0=x0, intervals=256, h=h, initial=initial)
+
+    steps, base = final(0.3, **periodic(2 * math.pi, 2, speed="sin:2,1,1"))
+    for other in (final(1.2, **periodic(4 * math.pi, 1, speed="sin:2,1,0.5")),
+                  final(0.15, **periodic(2 * math.pi, 2, speed="sin:4,2,1"))):
+        assert other[0] == steps and np.array_equal(other[1], base)
+    steps, base = final(0.3, **window(-20.0, 0.15625, "soliton:1,0.5"))
+    other = final(1.2, **window(-40.0, 0.3125, "soliton:0.5,0.25"))
+    assert other[0] == steps and np.array_equal(other[1], base)
 
 
 def test_rk4_diverges_at_cfl_four():

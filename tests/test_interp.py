@@ -64,6 +64,17 @@ def test_l2_norm_linear_alternating_attains_lower():
     assert l2_norm_linear(f) == pytest.approx(SANDWICH_LOWER * norm_h(f), rel=1e-14)
 
 
+@pytest.mark.parametrize("ones", [np.ones(8), np.ones((8, 3))])
+def test_l2_norm_linear_sandwich_witnesses_of_either_shape(ones):
+    # values off +-1, so a cell term that squares nothing cannot pass
+    g = Grid.make_periodic(8.0, 8)
+    constant = Field(g, 3.0 * ones)
+    alternating = Field(g, 2.0 * ((-1.0) ** np.arange(8) * ones.T).T)
+    assert l2_norm_linear(constant) == pytest.approx(SANDWICH_UPPER * norm_h(constant), rel=1e-14)
+    assert l2_norm_linear(alternating) == pytest.approx(SANDWICH_LOWER * norm_h(alternating),
+                                                        rel=1e-14)
+
+
 def test_sharp_sandwich_random_fields():
     rng = np.random.default_rng(5)
     for _ in range(200):

@@ -1,4 +1,5 @@
 import hashlib
+import math
 import platform
 import sys
 import tracemalloc
@@ -35,6 +36,7 @@ from bfl.probe import (
     frenet,
     frenet_curve,
     gradient_bound_margin,
+    hasimoto_soliton,
     oracle_great_circle,
     oracle_helix,
     oracle_soliton_curve,
@@ -176,6 +178,7 @@ def reference_diagnose_one(result, speed, t, f, g, grad0, margins, oracle):
         else:
             u = f
             drift = unit_drift(f)
+        spin = spin_sum(result, f) - spin_sum(result, result.fields[0])
         delta = delta_g(g, u)
         du = cross(u, delta)
         grad = norm_h(dplus(u))
@@ -191,7 +194,14 @@ def reference_diagnose_one(result, speed, t, f, g, grad0, margins, oracle):
         return DiagnosticsRecord(
             t=t, unit_drift=drift, energy=energy(u, g), grad_norm=grad,
             rhs_norm=norm_h(du), rhs_dual_norm=rhs_dual, delta_norm=norm_h(delta),
+            spin_drift=math.sqrt(float(np.sum(spin * spin))) / f.grid.cells,
             bound_margins=margin_row, oracle_error=err)
+
+
+def spin_sum(result, f):
+    # S / h componentwise: the node sum of a tangent, the chord sum of a curve
+    u = dplus(f).values[:f.grid.cells] if result.mode == CURVE else f.values
+    return np.array([np.sum(u[:, c]) for c in range(3)])
 
 
 def reference_diagnose(result, speed, margins=True, oracle=None):
@@ -251,13 +261,40 @@ def test_diagnose_equals_field_level_reference(name):
     assert len(got) == len(want) == 37
     for g, w in zip(got, want):
         for key in ("t", "unit_drift", "energy", "grad_norm", "rhs_norm",
-                    "rhs_dual_norm", "delta_norm", "bound_margins", "oracle_error"):
+                    "rhs_dual_norm", "delta_norm", "spin_drift", "bound_margins",
+                    "oracle_error"):
             assert getattr(g, key) == getattr(w, key), key
     assert render_csv(got) == render_csv(want)  # signed zeros and reprs too
     # every call writes its blocks into work arrays of its own
     again = diagnose(res, speed, oracle=oracle)
     assert again == got
     assert render_csv(again) == render_csv(want)
+
+
+@pytest.mark.parametrize("j", [0, 16, 20])
+def test_diagnose_stops_rows_at_a_non_finite_oracle_error(j):
+    res, speed, closed_form = diagnose_case("helix")
+    bad = res.times[j]
+
+    def oracle(t):
+        return np.full((64, 3), np.nan) if t == bad else closed_form(t)
+
+    got = diagnose(res, speed, oracle=oracle)
+    assert len(got) == j
+    assert got == diagnose(res, speed, oracle=closed_form)[:j]
+
+
+def test_diagnose_spin_drift_of_an_rk4_helix_stays_at_rounding():
+    # rk4 keeps the lattice flow's linear invariant S = h sum_i u_i
+    grid = Grid.make_periodic(2 * np.pi, 64)
+    u0, _, _ = oracle_helix(grid, np.pi / 4, 2)
+    speed = speed_from_name("sin:2,1,1")
+    res = evolve(FlowState(0.0, u0, speed), 1.0,
+                 IntegratorSpec(method="rk4", cfl=0.25, snapshot_stride=50))
+    recs = diagnose(res, speed)
+    assert len(recs) == len(res.times) > 10
+    assert recs[0].spin_drift == 0.0
+    assert max(r.spin_drift for r in recs) <= 1e-13
 
 
 def soliton_trajectory():
@@ -532,6 +569,44 @@ def test_soliton_closed_form_matches_frenet_march():
     gamma_m, u_m = frenet_curve(grid, lambda x: 2.0 / np.cosh(x), lambda x: 0.5)
     assert np.max(np.abs(u.values - u_m.values)) <= 2e-9
     assert np.max(np.abs(gamma.values - gamma_m.values)) <= 5e-8
+
+
+def test_hasimoto_soliton_off_unit_nu():
+    # nu = 0.7, tau0 = 0.3: every nu and tau0 in the closed form is read
+    nu, tau0 = 0.7, 0.3
+    closed_form, _ = hasimoto_soliton(nu, tau0, -30.0)
+    s, t = np.linspace(-10.0, 10.0, 201), 0.4
+    kappa = 2 * nu / np.cosh(nu * (s - 2 * tau0 * t))
+    gamma, gamma_s, normal = closed_form(s, t)
+    defects = []
+    for d in (1e-2, 5e-3):
+        g_t = (closed_form(s, t + d)[0] - closed_form(s, t - d)[0]) / (2 * d)
+        g_s = (closed_form(s + d, t)[0] - closed_form(s - d, t)[0]) / (2 * d)
+        g_ss = (closed_form(s + d, t)[0] - 2 * gamma + closed_form(s - d, t)[0]) / d ** 2
+        gs_s = (closed_form(s + d, t)[1] - closed_form(s - d, t)[1]) / (2 * d)
+        defects.append([np.max(np.abs(g_t - np.cross(g_s, g_ss))),     # measured 4.7e-5
+                        np.max(np.abs(g_t - np.cross(gamma_s, kappa[:, None] * normal))),
+                        np.max(np.abs(g_s - gamma_s)),
+                        np.max(np.abs(gs_s - kappa[:, None] * normal))])
+    assert max(defects[0]) <= 1e-4
+    # O(delta^2): each defect falls by 4 per halving of delta
+    assert np.allclose(np.divide(*defects), 4.0, atol=0.2), defects
+    # frenet of the sampled curve on [-30, 30] at 256, 512 and 1024 cells:
+    # kappa against 2 nu sech(nu x) (measured 9.9e-3, 2.5e-3, 6.2e-4) and tau
+    # against tau0 where kappa passes half its peak, first order since
+    # D+D-D+ is off centre (4.2e-2, 2.1e-2, 1.1e-2)
+    kappa_err, tau_err = [], []
+    for cells in (256, 512, 1024):
+        grid = Grid.make_window(-30.0, cells, 60.0 / cells)
+        data = frenet(oracle_soliton_curve(grid, nu, tau0)[0])
+        x, valid = grid.nodes(), data.stencil_valid
+        kappa_err.append(np.max(np.abs(data.kappa.values[valid]
+                                       - 2 * nu / np.cosh(nu * x[valid]))))
+        core = data.tau_defined & (data.kappa.values > nu)
+        tau_err.append(np.max(np.abs(data.tau.values[core] - tau0)))
+    assert kappa_err[0] <= 1.2e-2 and tau_err[0] <= 6e-2
+    assert np.allclose(np.divide(kappa_err[:-1], kappa_err[1:]), 4.0, atol=0.2), kappa_err
+    assert np.allclose(np.divide(tau_err[:-1], tau_err[1:]), 2.0, atol=0.2), tau_err
 
 
 def test_soliton_window_too_narrow():
