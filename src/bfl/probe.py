@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import CURVE, TANGENT, FlowState, chord_lengths
+from .dynamics import CURVE, TANGENT, FlowState, chord_lengths, rhs
 from .integrate import EvolveResult, IntegratorSpec, _rk4, evolve
 from .lattice import (
     Field,
@@ -44,7 +44,6 @@ from .lattice import (
     _norm2,
     _riesz_matrix_solve,
     _riesz_residual_bound,
-    cross,
     cross3,
     d2,
     dminus,
@@ -55,7 +54,7 @@ from .lattice import (
     unit_field,
 )
 from .reconstruct import gamma_integral
-from .speed import SpeedField, _curve_gradient, _sample_at
+from .speed import SpeedField, _derivatives
 
 KAPPA_MIN = 1e-8
 
@@ -245,41 +244,26 @@ def _root(x: np.ndarray) -> np.ndarray:
 def energy_rate_residual(result: EvolveResult, speed: SpeedField) -> float:
     """Worst defect of the energy evolution law over interior snapshots.
 
-    A g that is not time dependent conserves the energy exactly; others
-    satisfy dE/dt = h sum dg/dt |D-u|^2, and coupled ones pick up the
-    curve-transport term h sum (dgamma/dt . grad_gamma g) |D-u|^2 as well.
-    Central differences on the snapshots approximate dE/dt; the coefficient
-    derivatives are numerically differentiated, so the residual carries the
-    snapshot quadrature error, not just the integrator's. Fewer than 3
-    snapshots leave no interior one to check and raise ValueError.
+    dE/dt = h sum (dg/dt + grad_gamma g . gamma_t) |D-u|^2, with both
+    derivatives of g from ``speed._derivatives`` where the samples sit and
+    gamma_t the curve's ``rhs``; a g that reads neither t nor the curve
+    conserves the energy. Central differences on the snapshots approximate
+    dE/dt, so the residual carries the snapshot quadrature error, not just
+    the integrator's. Fewer than 3 snapshots leave no interior one to check
+    and raise ValueError.
     """
     if len(result.times) < 3:
         raise ValueError(f"energy rate needs >= 3 snapshots, got {len(result.times)}")
     times = np.asarray(result.times)
-    grid = result.fields[0].grid
-    x = grid.nodes()
-    energies = []
-    rates = []
-    eps_t = 1e-6
+    energies, rates = [], []
     for t, f, g in zip(result.times, result.fields, result.g_samples):
         u = dplus(f) if result.mode == CURVE else f
-        dm = dminus(u)
-        sq = np.einsum("ij,ij->i", dm.values, dm.values)
-        energies.append(grid.h * float(np.sum(g.values * sq)))
-        rate = 0.0
-        # derivatives of g where its samples sit: the offset points, or the
-        # nodes with the curve for a coupled g
-        gamma_vals = f.values if result.mode == CURVE else None
-        if speed.time_dependent:
-            gp = _sample_at(speed, t + eps_t, x, gamma_vals)
-            gm = _sample_at(speed, t - eps_t, x, gamma_vals)
-            rate += grid.h * float(np.sum((gp - gm) / (2 * eps_t) * sq))
-        if speed.coupled:
-            vel = g * cross(u, dm)
-            grad_g = _curve_gradient(speed, t, x, gamma_vals, eps_t)
-            rate += grid.h * float(np.sum(
-                np.einsum("ij,ij->i", vel.values, grad_g) * sq))
-        rates.append(rate)
+        dm = dminus(u).values
+        energies.append(energy(u, g))
+        _, g_t, _, grad = _derivatives(speed, t, f.grid.nodes(), f.values)
+        # a tangent's rate meets grad_gamma g = 0: only a coupled g reads the curve
+        transport = np.einsum("ij,ij->i", rhs(FlowState(t, f, speed, result.mode), g).values, grad)
+        rates.append(f.grid.h * float(np.sum((g_t + transport) * np.einsum("ij,ij->i", dm, dm))))
 
     worst = 0.0
     for k in range(1, len(times) - 1):

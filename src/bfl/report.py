@@ -1,7 +1,8 @@
 """Run reports: the exit code, CSV time series and JSON mirrors with the full config.
 
-Exit code: ``verdict`` alone maps a run to 0, 2 (diverged) or 3 (a tangent's
-spin drift past 1e-3 L: the lattice flow keeps S = h sum_i u_i exactly).
+Exit code: ``verdict`` alone maps a run to 0, 2 (diverged) or 3 (a spin
+drift past 1e-3 L on any row: the lattice flow keeps S = h sum_i u_i
+exactly, a tangent's and a curve's chord sum alike).
 
 CSV: comma separated, '.' decimal, one header row, LF line endings, floats
 in shortest round-trip form, so identical (config, seed) runs produce
@@ -26,7 +27,6 @@ import shutil
 from pathlib import Path
 
 from .config import ExperimentConfig, serialize_config
-from .dynamics import TANGENT
 from .integrate import EvolveResult
 from .probe import DiagnosticsRecord
 
@@ -37,17 +37,28 @@ EXIT_OK = 0
 EXIT_DIVERGED = 2
 EXIT_THRESHOLD = 3
 EXIT_CONFIG = 4
-_SPIN_DRIFT_LIMIT = 1e-3  # L; curve rows carry their chord-sum drift, ungated
+_SPIN_DRIFT_LIMIT = 1e-3  # L
 
 _BASE_COLUMNS = ("t", "unit_drift", "energy", "grad_norm", "rhs_norm",
                  "rhs_dual_norm", "delta_norm", "spin_drift")
 
 
 def verdict(result: EvolveResult, records: list[DiagnosticsRecord]) -> tuple[int, str | None]:
-    """(exit code, violation or None) of a run and its diagnostics rows."""
+    """(exit code, violation or None) of a run and its diagnostics rows.
+
+    Every row's spin drift gates, a curve's too, where S is the chord sum
+    h sum_cells u_i of u = D+gamma. On a periodic grid it telescopes to 0
+    identically. On a window the curve's end nodes are fixed points of the
+    semi-discrete flow: at node 0 the zero ghost makes D-u_0 = u_0 / h,
+    parallel to u_0, so gamma_t,0 = 0, and at node N, u_N = D+gamma_N reads
+    gamma's constant ghost and is 0, so gamma_t,N = 0. So gamma_N - gamma_0
+    = S is conserved, and rk4 keeps it to rounding; projected_rk4's chord
+    projection moves it by its step error (1.8e-11 L on the window coupled
+    soliton at cfl 0.25, 0.53 L at cfl 1).
+    """
     if result.status != "ok":
         return EXIT_DIVERGED, None
-    for r in records if result.mode == TANGENT else ():
+    for r in records:
         if r.spin_drift > _SPIN_DRIFT_LIMIT:
             return EXIT_THRESHOLD, f"total spin drifts {r.spin_drift:.3e} L by t = {r.t:g}"
     return EXIT_OK, None

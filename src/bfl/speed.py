@@ -2,12 +2,14 @@
 
 A SpeedField wraps one coefficient g(t, x, gamma), the paper's g(s, t, gamma).
 Declared bounds alpha (positive lower bound), beta (sup of g) and beta1 (sup
-of |dg/dt|) feed the a-priori bound monitors; beta_prime (sup of the first
-derivatives in x or in gamma) is read only by ``validate_bounds``. All four
-are spot-validated, never inferred. The one declaration beside them is
-``coupled``: only a coupled g is handed the curve gamma. What else g reads
-follows from the bounds: it is constant when alpha == beta (every sample is
-checked against both), and time dependent when it is coupled or beta1 > 0.
+of |dg/dt|) feed the a-priori bound monitors; beta_prime bounds both |dg/dx|
+and |grad_gamma g|, and only ``validate_bounds`` reads it, checking both for
+every g. All four are spot-validated, never inferred; ``_derivatives`` is the
+one rule that differences g, for that check and for the energy law. The one
+declaration beside them is ``coupled``: only a coupled g is handed the curve
+gamma. What else g reads follows from the bounds: it is constant when
+alpha == beta (every sample is checked against both), and time dependent
+when it is coupled or beta1 > 0.
 
 The selectors ``const:a``, ``sin:a,b,k``, ``sintime:a,b,k,w`` and
 ``coupled-tanh:a,c`` set those parameters of one closed-form model,
@@ -33,6 +35,7 @@ import numpy as np
 from .lattice import CoefficientBoundError, Field, Grid
 
 _BOUND_SLACK = 1e-9
+_STEP = 1e-6  # the finite-difference step of every derivative of g
 
 
 @dataclass(frozen=True)
@@ -114,16 +117,24 @@ def _sample_at(speed: SpeedField, t: float, x: np.ndarray,
     return vals
 
 
-def _curve_gradient(speed: SpeedField, t: float, x: np.ndarray, gamma: np.ndarray,
-                    eps: float) -> np.ndarray:
-    """Gradient of a coupled g in the curve values, (n, 3): central
-    differences over shifts of +-eps along each axis."""
-    grad = np.empty_like(gamma)
-    for j in range(3):
-        shift = np.zeros(3)
-        shift[j] = eps
-        grad[:, j] = (speed(t, x, gamma + shift) - speed(t, x, gamma - shift)) / (2 * eps)
-    return grad
+def _derivatives(speed: SpeedField, t: float, x: np.ndarray,
+                 gamma: np.ndarray | None = None) -> tuple:
+    """(g, dg/dt, dg/dx, grad_gamma g) where ``_sample_at`` reads g, unchecked.
+
+    Central differences with one step, _STEP, in t, in x and along each
+    axis of the curve values; grad_gamma g is (n, 3) and 0 for a g that
+    does not read the curve.
+    """
+    if speed.coupled and gamma is None:
+        raise ValueError("coupled speed needs the current curve")
+    x, e = x + speed.sampling_offset, _STEP
+    gamma = gamma if speed.coupled else None
+    grad = np.zeros((len(x), 3))
+    for j, shift in enumerate(np.eye(3) * e if speed.coupled else ()):
+        grad[:, j] = (speed(t, x, gamma + shift) - speed(t, x, gamma - shift)) / (2 * e)
+    g_t = (speed(t + e, x, gamma) - speed(t - e, x, gamma)) / (2 * e)
+    g_x = (speed(t, x + e, gamma) - speed(t, x - e, gamma)) / (2 * e)
+    return speed(t, x, gamma), g_t, g_x, grad
 
 
 @dataclass
@@ -134,7 +145,7 @@ class BoundsReport:
     lower_margin: float          # min g - alpha
     upper_margin: float          # beta - max g
     dt_margin: float             # beta1 - max |finite-difference dg/dt|
-    dx_margin: float             # beta_prime - max |finite-difference dg/dx or grad_gamma g|
+    dx_margin: float             # beta_prime - max |finite-difference dg/dx|, |grad_gamma g|
     flags: list = field(default_factory=list)
 
 
@@ -142,43 +153,28 @@ def validate_bounds(speed: SpeedField, grid: Grid, t_grid=(0.0,),
                     gamma: Field | None = None) -> BoundsReport:
     """Dense spot check of alpha <= g <= beta and the derivative bounds.
 
-    Samples 10 points per cell at every listed time (a coupled g at the
-    nodes, with the curve); finite-difference estimates of dg/dt and of dg/dx,
-    or of a coupled g's gradient in the curve values, must respect beta1 and
-    beta_prime within 5%. Both are checked for every g, so one that reads t
-    but declares beta1 = 0 is flagged. Violations are reported, not raised:
-    the caller decides. An empty ``t_grid`` samples nothing and raises
-    ValueError.
+    Samples 10 points per cell at every listed time, shifted as ``sample``
+    shifts them (a coupled g at the nodes, with the curve). The central
+    differences of ``_derivatives`` must respect the bounds within 5%:
+    |dg/dt| <= beta1, and both |dg/dx| and |grad_gamma g| <= beta_prime,
+    for every g, so one that reads t but declares beta1 = 0 is flagged.
+    Violations are reported, not raised: the caller decides. An empty
+    ``t_grid`` samples nothing and raises ValueError.
     """
     if len(t_grid) == 0:
         raise ValueError("t_grid lists no time to sample")
-    xs = grid.x0 + np.linspace(0.0, grid.cells * grid.h, grid.cells * 10, endpoint=False)
-    gamma_vals = None
-    if speed.coupled:
-        if gamma is None:
-            raise ValueError("coupled speed needs curve samples to validate")
-        # curve available at nodes only: validate there
-        xs = grid.nodes()
-        gamma_vals = gamma.values
-
-    lower = np.inf
-    upper = np.inf
-    dt_worst = 0.0
-    dx_worst = 0.0
-    eps_t = 1e-5
-    eps_x = 1e-5 * max(grid.h, 1.0)
+    # a coupled g reads the curve, which exists at the nodes only
+    xs = grid.nodes() if speed.coupled else grid.x0 + np.linspace(
+        0.0, grid.cells * grid.h, grid.cells * 10, endpoint=False)
+    lower = upper = np.inf
+    dt_worst = dx_worst = 0.0
     for t in t_grid:
-        vals = speed(t, xs, gamma_vals)
+        vals, g_t, g_x, grad = _derivatives(speed, t, xs, None if gamma is None else gamma.values)
         lower = min(lower, float(np.min(vals) - speed.alpha))
         upper = min(upper, float(speed.beta - np.max(vals)))
-        vp = speed(t + eps_t, xs, gamma_vals)
-        dt_worst = max(dt_worst, float(np.max(np.abs(vp - vals))) / eps_t)
-        if speed.coupled:
-            grad = _curve_gradient(speed, t, xs, gamma_vals, eps_x)
-            dx_worst = max(dx_worst, float(np.max(np.sqrt(np.einsum("ij,ij->i", grad, grad)))))
-        else:
-            vx = speed(t, xs + eps_x)
-            dx_worst = max(dx_worst, float(np.max(np.abs(vx - vals))) / eps_x)
+        dt_worst = max(dt_worst, float(np.max(np.abs(g_t))))
+        dx_worst = max(dx_worst, float(np.max(np.abs(g_x))),
+                       float(np.max(np.sqrt(np.einsum("ij,ij->i", grad, grad)))))
 
     dt_margin = speed.beta1 * 1.05 - dt_worst
     dx_margin = speed.beta_prime * 1.05 - dx_worst

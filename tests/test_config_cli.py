@@ -155,6 +155,8 @@ def test_initial_selectors():
         grid = build_grid(cfg)
         state, _ = build_initial(cfg, grid, build_speed(cfg, grid))
         assert state.mode == mode
+        # const:1 passes continuum_oracle's first gate; no curve has a closed form
+        assert (continuum_oracle(cfg, grid) is None) == (mode == "curve")
     with pytest.raises(ConfigError):
         cfg = parse_config(serialize_config(base).replace(
             "initial = helix:0.7853981633974483,2", "initial = wobble:1"))
@@ -498,11 +500,10 @@ def spin_rows(*drifts):
 def test_verdict_maps_a_run_to_its_exit_code():
     rows = spin_rows(0.0, 1e-3, 2e-3, 5e-3)
     assert verdict(EvolveResult(TANGENT, status="diverged"), rows) == (2, None)
-    # the first tangent row past 1e-3 L is named; 1e-3 itself passes
-    assert verdict(EvolveResult(TANGENT), rows) == (3, "total spin drifts 2.000e-03 L by t = 0.2")
-    assert verdict(EvolveResult(TANGENT), rows[:2]) == (0, None)
-    # curve rows carry their chord-sum drift but never gate
-    assert verdict(EvolveResult(CURVE), rows) == (0, None)
+    # the first row past 1e-3 L is named, a curve's chord-sum drift too; 1e-3 itself passes
+    for mode in (TANGENT, CURVE):
+        assert verdict(EvolveResult(mode), rows) == (3, "total spin drifts 2.000e-03 L by t = 0.2")
+        assert verdict(EvolveResult(mode), rows[:2]) == (0, None)
     assert verdict(EvolveResult(CURVE, status="diverged"), rows) == (2, None)
 
 
@@ -683,6 +684,23 @@ def test_cli_run_coupled_soliton_window(tmp_path, capsys):
     assert run_cli("run", "-c", str(cfg_path), "-o", str(tmp_path)) == 0
     report = json.loads((tmp_path / "csol.json").read_text())
     assert report["status"] == "ok"
+
+
+def test_cli_run_window_coupled_soliton_exits_3_on_chord_sum_drift(tmp_path, capsys):
+    # the flow fixes a window curve's end nodes, so its chord sum gamma_N - gamma_0
+    # is conserved; at cfl 1 projected_rk4 blows up (energy 27.9 -> 3815.5) and moves it
+    def run(cfl):
+        path = tmp_path / f"csol-{cfl}.bfl"
+        path.write_text("".join(f"{line}\n" for line in (
+            "topology = window", "x0 = -20", "intervals = 256", "h = 0.15625",
+            "initial = coupled-soliton:1,0.5", "speed = coupled-tanh:1,0.5", f"cfl = {cfl}",
+            "T = 1", "snapshot_stride = 10")))
+        return run_cli("run", "-c", str(path), "-o", str(tmp_path)), capsys.readouterr().err
+
+    assert run(0.25) == (0, "")
+    with pytest.warns(RuntimeWarning, match=r"2 sqrt\(2\)"):
+        assert run(1) == (3, "total spin drifts 2.101e-01 L by t = 0.325521\n")
+    assert json.loads((tmp_path / "csol-1.json").read_text())["exit_code"] == 3
 
 
 def test_mid_offset_rejected_for_coupled_speed(tmp_path):

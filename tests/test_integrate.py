@@ -17,10 +17,11 @@ from bfl.lattice import (
     dplus,
     magnitudes,
     norm_linf,
+    normalized,
     unit_drift,
     unit_field,
 )
-from bfl.probe import diagnose, oracle_circle_curve, oracle_soliton_curve
+from bfl.probe import diagnose, oracle_circle_curve, oracle_helix, oracle_soliton_curve
 from bfl.speed import SpeedField, make_constant, speed_from_name
 
 
@@ -518,30 +519,74 @@ def test_time_reversal_is_exact(method, name):
 def test_scalings_of_the_lattice_flow_are_exact(method):
     # h -> 2h with g(t, x) -> g(t/4, x/2) and t -> 4t, or g -> 2g with t -> t/2,
     # multiplies every h, h^2, dt, x and t by a power of 2: the marches agree
-    # byte for byte
-    def final(horizon, **cfg):
+    # byte for byte, and a curve gamma -> 2 gamma. With const g on a periodic
+    # grid a roll by whole nodes and the reflection u_i -> u_-i commute with the
+    # march byte for byte, and a rotation of R^3 to rounding
+    spec = IntegratorSpec(method=method, cfl=0.25, snapshot_stride=10 ** 6)
+
+    def march(horizon, **cfg):
         cfg = ExperimentConfig(method=method, cfl=0.25, horizon=horizon,
                                snapshot_stride=10 ** 6, **cfg)
         grid = build_grid(cfg)
         speed = build_speed(cfg, grid)
         res = evolve(build_initial(cfg, grid, speed)[0], horizon, build_integrator(cfg))
         assert res.status == "ok"
-        return res.steps_taken, res.final().values
+        return res, speed
+
+    def same(res, other, factor=1.0):
+        return res.steps_taken == other.steps_taken and np.array_equal(
+            res.final().values, factor * other.final().values)
 
     def periodic(length, k, **cfg):
         return dict(topology="periodic", length=length, nodes=64,
                     initial=f"helix:{math.pi / 4!r},{k}", **cfg)
 
-    def window(x0, h, initial):
-        return dict(topology="window", x0=x0, intervals=256, h=h, initial=initial)
+    def window(x0, h, initial, **cfg):
+        return dict(topology="window", x0=x0, intervals=256, h=h, initial=initial, **cfg)
 
-    steps, base = final(0.3, **periodic(2 * math.pi, 2, speed="sin:2,1,1"))
-    for other in (final(1.2, **periodic(4 * math.pi, 1, speed="sin:2,1,0.5")),
-                  final(0.15, **periodic(2 * math.pi, 2, speed="sin:4,2,1"))):
-        assert other[0] == steps and np.array_equal(other[1], base)
-    steps, base = final(0.3, **window(-20.0, 0.15625, "soliton:1,0.5"))
-    other = final(1.2, **window(-40.0, 0.3125, "soliton:0.5,0.25"))
-    assert other[0] == steps and np.array_equal(other[1], base)
+    (base, speed), (half, half_speed) = (march(0.3, **periodic(2 * math.pi, 2, speed="sin:2,1,1")),
+                                         march(1.2, **periodic(4 * math.pi, 1, speed="sin:2,1,0.5")))
+    assert same(half, base)
+    assert same(march(0.15, **periodic(2 * math.pi, 2, speed="sin:4,2,1"))[0], base)
+    # h -> 2h halves the energy exactly; the norms scale to rounding (the dual norm does not)
+    for row, half_row in zip(diagnose(base, speed), diagnose(half, half_speed)):
+        assert half_row.energy == row.energy / 2
+        assert half_row.grad_norm == pytest.approx(row.grad_norm / math.sqrt(2), rel=1e-14)
+        assert half_row.rhs_norm == pytest.approx(row.rhs_norm / (2 * math.sqrt(2)), rel=1e-14)
+    assert same(march(1.2, **window(-40.0, 0.3125, "soliton:0.5,0.25"))[0],
+                march(0.3, **window(-20.0, 0.15625, "soliton:1,0.5"))[0])
+    if method != "rotation":
+        for g, half_g in (("const:1", "const:1"), ("sin:2,1,1", "sin:2,1,0.5")):
+            assert same(march(0.4, **window(-40.0, 0.3125, "coupled-soliton:0.5,0.25", speed=half_g))[0],
+                        march(0.1, **window(-20.0, 0.15625, "coupled-soliton:1,0.5", speed=g))[0], 2.0)
+
+    grid = Grid.make_periodic(2 * math.pi, 64)
+    x = grid.nodes()
+    u0, _, _ = oracle_helix(grid, math.pi / 4, 2)
+    u0 = normalized(Field(grid, u0.values + 0.3 * np.stack(
+        [np.cos(x), 0.5 * np.sin(3 * x), np.cos(2 * x + 0.3)], axis=1)))
+
+    def final(f, speed):
+        res = evolve(FlowState(0.0, f, speed, "curve" if speed.coupled else "tangent"), 0.3, spec)
+        assert res.status == "ok"
+        return res.final().values
+
+    const = make_constant(1.5)
+    ref = final(u0, const)
+    roll = lambda v: np.roll(v, 5, axis=0)                         # noqa: E731
+    mirror = lambda v: np.roll(v[::-1], 1, axis=0)                 # noqa: E731
+    for move in (roll, mirror):
+        assert np.array_equal(final(Field(grid, move(u0.values)), const), move(ref))
+    turn = np.linalg.qr(np.random.default_rng(7).normal(size=(3, 3)))[0]
+    sin = speed_from_name("sin:2,1,1")
+    turned = final(Field(grid, u0.values @ turn.T), sin) - final(u0, sin) @ turn.T
+    assert np.max(np.abs(turned)) <= 1e-13                         # measured <= 4.7e-15
+    if method != "rotation":
+        # g reads |gamma|^2, so only rotations about the origin commute
+        circle, coupled = oracle_circle_curve(grid), speed_from_name("coupled-tanh:1,0.5")
+        turned = (final(Field(grid, circle.values @ turn.T), coupled)
+                  - final(circle, coupled) @ turn.T)
+        assert np.max(np.abs(turned)) <= 1e-12                     # measured <= 2.6e-14
 
 
 def test_rk4_diverges_at_cfl_four():

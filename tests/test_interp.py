@@ -31,6 +31,16 @@ def test_eval_returns_node_values():
         assert np.allclose(out, f.values, atol=1e-12)
 
 
+def test_eval_just_below_the_period_reads_node_zero():
+    # rel / h rounds to 48.0 exactly; the clamp to the last cell leaves frac = 1
+    g = Grid.make_periodic(2 * np.pi, 48)
+    f = Field(g, np.random.default_rng(3).normal(size=(48, 3)))
+    x = np.nextafter(2 * np.pi, 0.0)
+    assert x / g.h == 48.0
+    assert np.array_equal(piecewise_constant(f)(x), f.values[0])
+    assert piecewise_linear(f)(x) == pytest.approx(f.values[0], abs=1e-15)
+
+
 def test_eval_periodic_wrap():
     g = Grid.make_periodic(2.0, 8)
     f = Field(g, np.arange(8.0))

@@ -11,7 +11,7 @@ import bfl.integrate
 import bfl.probe
 from bfl.config import ExperimentConfig, build_grid, build_initial, build_speed
 from bfl.convergence import convergence_study, stability_sweep
-from bfl.dynamics import CURVE, TANGENT, FlowState, chord_lengths, g_samples
+from bfl.dynamics import CURVE, TANGENT, FlowState, chord_lengths, g_samples, rhs
 from bfl.integrate import EvolveResult, IntegratorSpec, evolve
 from bfl.lattice import (
     Field,
@@ -46,7 +46,7 @@ from bfl.probe import (
     stability_probe,
 )
 from bfl.report import render_csv
-from bfl.speed import make_constant, speed_from_name
+from bfl.speed import _derivatives, _model, make_constant, speed_from_name, validate_bounds
 
 
 # ------------------------------------------------------------- margins
@@ -449,6 +449,33 @@ def test_energy_rate_coupled_transport_term():
     assert energy_rate_residual(res, speed) <= 3e-3  # measured 6.6e-4
 
 
+def test_energy_rate_law_with_a_g_that_reads_s_t_and_gamma():
+    # g = 2 + 0.5 sin(x) cos(3t) + 0.5 tanh|gamma|^2 on a circle off the origin, so
+    # both extra terms of dE/dt are nonzero and grad_gamma g . gamma_t varies along
+    # the curve; the residual is the snapshot quadrature error alone, falling 4x per
+    # halving of the snapshot spacing (measured 2.84e-3, 7.11e-4, 1.78e-4)
+    grid = Grid.make_periodic(2 * np.pi, 64)
+    speed = _model("full", a=2, b=0.5, k=1, w=3, c=0.5)
+    gamma0 = Field(grid, oracle_circle_curve(grid).values + np.array([0.3, 0.0, 0.2]))
+    assert validate_bounds(speed, grid, t_grid=np.linspace(0, 0.3, 7), gamma=gamma0).ok
+    residuals = []
+    for stride in (20, 10, 5):
+        res = evolve(FlowState(0.0, gamma0, speed, mode=CURVE), 0.3,
+                     IntegratorSpec(cfl=0.25, snapshot_stride=stride))
+        residuals.append(energy_rate_residual(res, speed))
+    assert residuals[2] <= 2e-4
+    assert 3.9 <= residuals[0] / residuals[1] <= 4.1
+    assert 3.9 <= residuals[1] / residuals[2] <= 4.1
+    g_t, transport = [], []
+    for t, f, g in zip(res.times, res.fields, res.g_samples):
+        _, dt, _, grad = _derivatives(speed, t, grid.nodes(), f.values)
+        g_t.append(dt)
+        transport.append(np.einsum("ij,ij->i", rhs(FlowState(t, f, speed, CURVE), g).values, grad))
+    assert np.max(np.abs(g_t)) >= 1.0                                # measured 1.17
+    assert np.max(np.abs(transport)) >= 0.5                          # measured 0.68
+    assert max(np.ptp(row) for row in transport) >= 0.5              # measured 0.60
+
+
 def test_energy_rate_refuses_too_few_snapshots():
     # a three-point derivative has no interior snapshot among two: the
     # residual would read 0.0 without checking anything
@@ -497,6 +524,9 @@ def test_peak_location_parabolic():
     x = grid.nodes()
     vals = 5.0 - (x - 1.03) ** 2
     assert peak_location(Field(grid, vals)) == pytest.approx(1.03, abs=1e-12)
+    # no parabola fits at either end of a window: the end node itself is returned
+    assert peak_location(Field(grid, x)) == x[-1]
+    assert peak_location(Field(grid, 3.0 - x)) == x[0]
 
 
 @pytest.mark.parametrize("x0", [0.0, -4.0])

@@ -193,6 +193,34 @@ def test_validate_coupled_curve_gradient_bound():
     assert any("space-derivative" in f for f in rep.flags)
 
 
+def test_validate_checks_a_coupled_g_in_x_and_in_gamma():
+    # g = 2 + 0.5 sin(10 x) + 0.5 tanh|gamma|^2 on the unit circle: |grad_gamma g|
+    # = sech^2(1) = 0.42 sits under beta' = 1.2, but |dg/dx| = 5 at node 0 does not
+    grid = Grid.make_periodic(2 * np.pi, 64)
+    x = grid.nodes()
+    circle = Field(grid, np.stack([np.cos(x), np.sin(x), 0 * x], axis=1))
+    s = SpeedField(lambda t, x, gamma: 2.0 + 0.5 * np.sin(10 * x)
+                   + 0.5 * np.tanh(np.einsum("ij,ij->i", gamma, gamma)),
+                   alpha=1.5, beta=3.0, beta_prime=1.2, coupled=True)
+    rep = validate_bounds(s, grid, gamma=circle)
+    assert rep.flags == ["space-derivative bound exceeded by 3.74"]
+    assert rep.dx_margin == pytest.approx(1.05 * 1.2 - 5.0, abs=1e-6)
+    assert rep.dt_margin == 0.0
+    with pytest.raises(ValueError, match="needs the current curve"):
+        validate_bounds(s, grid)
+
+
+def test_validate_samples_where_the_speed_is_sampled():
+    # g = 2 + tanh(x) is least at the window's left end x0 = 0, and a mid offset
+    # samples h/2 further left; a span read from x0 - span would flag g near 1
+    grid = Grid.make_window(0.0, 100, 0.1)
+    s = SpeedField(lambda t, x, gamma: 2.0 + np.tanh(x), alpha=1.9, beta=3.0, beta_prime=1.0)
+    rep = validate_bounds(s, grid)
+    assert rep.ok and rep.lower_margin == pytest.approx(0.1, abs=1e-12)
+    rep = validate_bounds(s.with_offset(-grid.h / 2), grid)
+    assert rep.ok and rep.lower_margin == pytest.approx(0.1 + np.tanh(-0.05), abs=1e-12)
+
+
 def test_selector_rejects_nonpositive():
     with pytest.raises(ValueError, match="speed sin:1,2,1: lower bound alpha = -1 must be"):
         speed_from_name("sin:1,2,1")
