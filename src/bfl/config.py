@@ -31,7 +31,7 @@ A selector head takes no spaces and no argument may be empty; a head takes
 exactly as many arguments as its grammar lists. parse_config
 raises ConfigError (``bfl`` exits 4) on an unknown or duplicate key, a value
 of the wrong type, any number that is not finite (in a value or a selector
-argument), T <= 0, an unknown probe, ``coupled-*`` (curve) data with
+argument), T <= 0, an unknown probe, curve data (``_CURVE_HEADS``) with
 method = rotation, and anything the builders refuse: validate_config runs
 build_grid, build_speed and build_integrator and parses the initial
 selector, so each rule is stated once, by its builder. Only ``file:`` data
@@ -49,7 +49,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .dynamics import FlowState, warn_if_near_boundary
+from .dynamics import CURVE, TANGENT, FlowState, warn_if_near_boundary
 from .integrate import IntegratorSpec
 from .lattice import Grid, unit_field
 from .probe import oracle_circle_curve, oracle_great_circle, oracle_helix, oracle_soliton_curve
@@ -155,7 +155,7 @@ def validate_config(cfg: ExperimentConfig) -> None:
         head, _ = parse_initial(cfg.initial)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    if head.startswith("coupled-") and cfg.method == "rotation":
+    if head in _CURVE_HEADS and cfg.method == "rotation":
         raise ConfigError(f"{head} data is a curve, which method = rotation cannot step; "
                           "use rk4 or projected_rk4")
 
@@ -164,6 +164,8 @@ def validate_config(cfg: ExperimentConfig) -> None:
 _INITIAL_ARGS = {"great-circle": (int,), "helix": (float, int),
                  "soliton": (float, float), "coupled-circle": (int,),
                  "coupled-soliton": (float, float)}
+# heads whose data is a curve gamma, marched in the curve form; the rest are tangents u
+_CURVE_HEADS = {"coupled-circle", "coupled-soliton"}
 
 
 def parse_initial(selector: str) -> tuple[str, tuple]:
@@ -213,38 +215,37 @@ def build_initial(cfg: ExperimentConfig, grid: Grid, speed: SpeedField):
     """Initial FlowState plus the closed-form oracle t -> values, if any."""
     # the closed forms solve the flow for a constant coefficient c, at rate c
     c = speed.beta if speed.constant else None
+    oracle = None
     try:
         head, args = parse_initial(cfg.initial)
         if head == "great-circle":
             # an equilibrium: Delta u stays parallel to u
-            u0 = oracle_great_circle(grid, *args)
-            vals0 = u0.values.copy()
-            return FlowState(0.0, u0, speed), None if c is None else (lambda t: vals0)
-        if head == "helix":
-            u0, closed_form, _ = oracle_helix(grid, *args)
-            oracle = None if c is None else (lambda t: closed_form(c * t))
-            return FlowState(0.0, u0, speed), oracle
-        if head == "soliton":
-            _, u0 = oracle_soliton_curve(grid, *args)
-            return FlowState(0.0, u0, speed), None
-        if head == "coupled-circle":
-            gamma0 = oracle_circle_curve(grid, *args)
-            return FlowState(0.0, gamma0, speed, mode="curve"), None
-        if head == "coupled-soliton":
-            gamma0, _ = oracle_soliton_curve(grid, *args)
-            return FlowState(0.0, gamma0, speed, mode="curve"), None
-        (path,) = args  # file:<path>
-        vals = np.loadtxt(path, delimiter=",", dtype=float)
-        if vals.ndim != 2 or vals.shape[1] != 3:
-            raise ConfigError(f"{path}: expected rows of ux,uy,uz")
-        norms = np.linalg.norm(vals, axis=1)
-        if np.any(norms == 0.0):
-            raise ConfigError(f"{path}: zero tangent row")
-        u0 = unit_field(grid, vals / norms[:, None])
-        warn_if_near_boundary(u0)  # window data must sit 10 h off the ends
-        return FlowState(0.0, u0, speed), None
+            field = oracle_great_circle(grid, *args)
+            vals0 = field.values.copy()
+            oracle = lambda t: vals0
+        elif head == "helix":
+            field, closed_form, _ = oracle_helix(grid, *args)
+            oracle = lambda t: closed_form(c * t)
+        elif head == "soliton":
+            _, field = oracle_soliton_curve(grid, *args)
+        elif head == "coupled-circle":
+            field = oracle_circle_curve(grid, *args)
+        elif head == "coupled-soliton":
+            field, _ = oracle_soliton_curve(grid, *args)
+        else:
+            (path,) = args  # file:<path>
+            vals = np.loadtxt(path, delimiter=",", dtype=float)
+            if vals.ndim != 2 or vals.shape[1] != 3:
+                raise ConfigError(f"{path}: expected rows of ux,uy,uz")
+            norms = np.linalg.norm(vals, axis=1)
+            if np.any(norms == 0.0):
+                raise ConfigError(f"{path}: zero tangent row")
+            field = unit_field(grid, vals / norms[:, None])
+            warn_if_near_boundary(field)  # window data must sit 10 h off the ends
+        state = FlowState(0.0, field, speed, mode=CURVE if head in _CURVE_HEADS else TANGENT)
     except (ValueError, OSError) as exc:
         raise ConfigError(f"initial data {cfg.initial!r}: {exc}") from exc
+    return state, None if c is None else oracle
 
 
 def build_integrator(cfg: ExperimentConfig) -> IntegratorSpec:
@@ -256,18 +257,12 @@ def build_integrator(cfg: ExperimentConfig) -> IntegratorSpec:
 
 
 def refine(cfg: ExperimentConfig, factor: int) -> ExperimentConfig:
-    """Dyadic-style refinement keeping dt proportional to h^2.
+    """The config on a grid ``factor`` times finer, with dt proportional to h^2.
 
-    Fixed-dt configs are converted to the equivalent cfl policy at the base
-    resolution so every level satisfies dt = c h^2 / beta.
+    A cfl config keeps its cfl; a fixed dt is divided by factor^2, which is
+    exact in binary for the dyadic factors a refinement study takes.
     """
-    out = cfg
-    if cfg.dt is not None:
-        grid = build_grid(cfg)
-        speed = speed_from_name(cfg.speed)
-        c = cfg.dt * speed.beta / grid.h ** 2
-        out = replace(out, dt=None, cfl=c)
+    dt = None if cfg.dt is None else cfg.dt / factor ** 2
     if cfg.topology == "periodic":
-        return replace(out, nodes=cfg.nodes * factor)
-    return replace(out, intervals=cfg.intervals * factor,
-                   h=cfg.h / factor)
+        return replace(cfg, nodes=cfg.nodes * factor, dt=dt)
+    return replace(cfg, intervals=cfg.intervals * factor, h=cfg.h / factor, dt=dt)

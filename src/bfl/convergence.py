@@ -1,6 +1,7 @@
 """Refinement studies and stability sweeps.
 
-Levels refine dyadically with dt tied to h^2 (spatial error dominates).
+Levels refine dyadically with dt tied to h^2 (spatial error dominates):
+``config.refine`` keeps a cfl and divides a fixed dt by 4 per level.
 Errors are measured at the final time against the continuum closed form
 when the initial data has one (great circle, helix and, on windows, the
 soliton filament, all with a constant coefficient), otherwise against the
@@ -53,13 +54,11 @@ def continuum_oracle(cfg: ExperimentConfig, grid):
     return None
 
 
-def _run_level(cfg: ExperimentConfig):
+def _set_up(cfg: ExperimentConfig):
+    """Initial state, and a spec that stores only the first and last snapshots."""
     grid = build_grid(cfg)
-    speed = build_speed(cfg, grid)
-    state, _ = build_initial(cfg, grid, speed)
-    spec = replace(build_integrator(cfg), snapshot_stride=10 ** 9)
-    result = evolve(state, cfg.horizon, spec)
-    return grid, result
+    state, _ = build_initial(cfg, grid, build_speed(cfg, grid))
+    return state, replace(build_integrator(cfg), snapshot_stride=10 ** 9)
 
 
 def _restricted_gap(coarse, fine, grid) -> float:
@@ -77,17 +76,20 @@ def convergence_study(cfg: ExperimentConfig, levels: int) -> dict:
     """
     if levels < 3:
         raise ValueError("need at least 3 refinement levels")
-    outcomes = [_run_level(refine(cfg, 2 ** j)) for j in range(levels)]
+    results = []
+    for j in range(levels):
+        state, spec = _set_up(refine(cfg, 2 ** j))
+        results.append(evolve(state, cfg.horizon, spec))
 
-    diverged = [i for i, (_, res) in enumerate(outcomes) if res.status != "ok"]
+    diverged = [i for i, res in enumerate(results) if res.status != "ok"]
     if diverged:
         raise RuntimeError(f"level {diverged[0]} diverged")
 
-    oracles = [continuum_oracle(cfg, grid) for grid, _ in outcomes]
+    oracles = [continuum_oracle(cfg, res.grid) for res in results]
     errors = []
     if oracles[0] is not None:
         kind = "continuum closed form"
-        for (_, res), oracle in zip(outcomes, oracles):
+        for res, oracle in zip(results, oracles):
             errors.append(float(np.max(np.abs(res.final().values
                                               - oracle(cfg.horizon)))))
     else:
@@ -95,9 +97,9 @@ def convergence_study(cfg: ExperimentConfig, levels: int) -> dict:
         # p-th order scheme's last measured order to log2((2^p m - ...)), e.g.
         # log2(3) = 1.58 for p = 1, so the pairwise form is what converges
         kind = "next finer level (restricted)"
-        for (g_c, r_c), (_, r_f) in zip(outcomes[:-1], outcomes[1:]):
-            err = _restricted_gap(r_c.final(), r_f.final(), g_c)
-            err0 = _restricted_gap(r_c.fields[0], r_f.fields[0], g_c)
+        for r_c, r_f in zip(results[:-1], results[1:]):
+            err = _restricted_gap(r_c.final(), r_f.final(), r_c.grid)
+            err0 = _restricted_gap(r_c.fields[0], r_f.fields[0], r_c.grid)
             # levels that disagree at t = 0 measure their sampling, not the flow
             if err0 > 0.1 * err:
                 raise ValueError(f"levels differ by {err0:.3e} at t = 0 against "
@@ -106,9 +108,9 @@ def convergence_study(cfg: ExperimentConfig, levels: int) -> dict:
             errors.append(err)
 
     rows = []
-    for j, ((grid, _), err) in enumerate(zip(outcomes, errors)):
+    for j, (res, err) in enumerate(zip(results, errors)):
         order = None if j == 0 else math.log2(errors[j - 1] / err)
-        rows.append({"level": j, "h": grid.h, "n_nodes": grid.n_nodes,
+        rows.append({"level": j, "h": res.grid.h, "n_nodes": res.grid.n_nodes,
                      "error": err, "order": order})
     return {"reference": kind, "offset": cfg.offset, "rows": rows}
 
@@ -118,13 +120,10 @@ def stability_sweep(cfg: ExperimentConfig, eps_list) -> dict:
     eps_list = list(eps_list)
     if len(eps_list) < 2:
         raise ValueError("need at least two perturbation scales")
-    grid = build_grid(cfg)
-    speed = build_speed(cfg, grid)
-    state, _ = build_initial(cfg, grid, speed)
+    state, spec = _set_up(cfg)
     if state.mode != "tangent":
         raise ValueError("the stability probe runs on tangent initial data")
-    spec = replace(build_integrator(cfg), snapshot_stride=10 ** 9)
-    ratios = stability_probe(state.field, eps_list, speed, cfg.horizon, spec)
+    ratios = stability_probe(state.field, eps_list, state.speed, cfg.horizon, spec)
     spread = (max(ratios) - min(ratios)) / (sum(ratios) / len(ratios))
     return {"rows": [{"eps": e, "ratio": r} for e, r in zip(eps_list, ratios)],
             "spread": spread}

@@ -274,7 +274,7 @@ def energy_rate_residual(result: EvolveResult, speed: SpeedField) -> float:
         dedt = (energies[k + 1] * d1 ** 2 - energies[k - 1] * d0 ** 2
                 + energies[k] * (d0 ** 2 - d1 ** 2)) / (d0 * d1 * (d0 + d1))
         worst = max(worst, abs(dedt - rates[k]))
-    return worst
+    return float(worst)
 
 
 # --------------------------------------------------------------------------

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import bfl
+import bfl.convergence
 from bfl.cli import main
 from bfl.config import (
     ConfigError,
@@ -29,7 +30,7 @@ from bfl.config import (
 from bfl.convergence import continuum_oracle, convergence_study
 from bfl.dynamics import CURVE, TANGENT
 from bfl.identities import run_identity_suite
-from bfl.integrate import EvolveResult
+from bfl.integrate import EvolveResult, evolve
 from bfl.report import render_csv, verdict, write_json
 from bfl.probe import DiagnosticsRecord, diagnose
 from bfl.speed import speed_from_name
@@ -71,7 +72,7 @@ def test_config_errors():
     with pytest.raises(ConfigError, match="periodic topology needs length, nodes"):
         parse_config("topology = periodic\nnodes = 8\n")
     for missing in ("x0", "intervals", "h"):
-        text = "".join(line + "\n" for line in WINDOW_CFG.splitlines()
+        text = "".join(line + "\n" for line in FINE_WINDOW_CFG.splitlines()
                        if not line.startswith(missing + " "))
         with pytest.raises(ConfigError, match="window topology needs x0, intervals, h"):
             parse_config(text)
@@ -331,7 +332,7 @@ def test_refine_periodic_and_window():
     wfine = refine(wcfg, 4)
     assert wfine.intervals == 32
     assert wfine.h == pytest.approx(0.0625)
-    assert wfine.dt is None and wfine.cfl is not None
+    assert wfine.dt == wcfg.dt / 16 and wfine.cfl is None
 
 
 # ------------------------------------------------------------- reports
@@ -507,6 +508,15 @@ def test_verdict_maps_a_run_to_its_exit_code():
     assert verdict(EvolveResult(CURVE, status="diverged"), rows) == (2, None)
 
 
+def test_verdict_gates_each_rows_unit_drift_after_its_spin_drift():
+    rows = [replace(r, unit_drift=u) for r, u in zip(spin_rows(0.0, 0.0, 2e-3), (1e-3, 2e-3, 5e-3))]
+    for mode in (TANGENT, CURVE):
+        assert verdict(EvolveResult(mode), rows) == (3, "unit drift 2.000e-03 by t = 0.1")
+        assert verdict(EvolveResult(mode), rows[2:]) == (
+            3, "total spin drifts 2.000e-03 L by t = 0.2")
+        assert verdict(EvolveResult(mode), rows[:1]) == (0, None)
+
+
 def test_cli_identities_threshold_exit_code(monkeypatch, capsys):
     monkeypatch.setattr("bfl.cli.run_identity_suite",
                         lambda seed, trials: {"integration_by_parts": 1e-3})
@@ -640,6 +650,20 @@ def test_cli_converge_refuses_levels_that_differ_at_t0(tmp_path, capsys):
     assert "4.909e-02 at t = 0" in capsys.readouterr().err
 
 
+def test_cli_converge_divides_a_fixed_dt_by_four_per_level(tmp_path, capsys, monkeypatch):
+    # dt = 0.7 on 16 nodes is dt beta / h^2 = 4.5, past the accepted cfl range, and
+    # bfl run takes it; each level steps at dt / 4^j exactly, with no cfl
+    specs = []
+    monkeypatch.setattr(bfl.convergence, "evolve",
+                        lambda state, horizon, spec: specs.append(spec) or evolve(state, horizon, spec))
+    cfg_path = tmp_path / "helix-dt.bfl"
+    cfg_path.write_text(HELIX_CFG.replace("nodes = 32", "nodes = 16").replace(
+        "cfl = 0.25", "dt = 0.7").replace("T = 0.05", "T = 1.4"))
+    assert run_cli("converge", "-c", str(cfg_path), "--levels", "3") == 0
+    assert [(spec.dt, spec.cfl) for spec in specs] == [(0.7 / 4 ** j, None) for j in range(3)]
+    assert "reference: continuum closed form" in capsys.readouterr().out
+
+
 def test_cli_converge_prints_table(tmp_path, capsys):
     cfg_path = tmp_path / "helix.bfl"
     cfg_path.write_text(HELIX_CFG)
@@ -649,7 +673,7 @@ def test_cli_converge_prints_table(tmp_path, capsys):
     assert "order" in out
 
 
-WINDOW_CFG = """\
+FINE_WINDOW_CFG = """\
 topology = window
 x0 = -20.0
 intervals = 256
@@ -667,7 +691,7 @@ seed = 0
 
 def test_cli_run_window_soliton(tmp_path, capsys):
     cfg_path = tmp_path / "soliton.bfl"
-    cfg_path.write_text(WINDOW_CFG)
+    cfg_path.write_text(FINE_WINDOW_CFG)
     assert run_cli("run", "-c", str(cfg_path), "-o", str(tmp_path)) == 0
     report = json.loads((tmp_path / "soliton.json").read_text())
     assert report["status"] == "ok"
@@ -675,8 +699,8 @@ def test_cli_run_window_soliton(tmp_path, capsys):
 
 
 def test_cli_run_coupled_soliton_window(tmp_path, capsys):
-    cfg = WINDOW_CFG.replace("initial = soliton:1,0.5",
-                             "initial = coupled-soliton:1,0.5").replace(
+    cfg = FINE_WINDOW_CFG.replace("initial = soliton:1,0.5",
+                                  "initial = coupled-soliton:1,0.5").replace(
         "speed = const:1", "speed = coupled-tanh:1,0.5").replace(
         "method = rotation", "method = rk4")
     cfg_path = tmp_path / "csol.bfl"
@@ -703,9 +727,27 @@ def test_cli_run_window_coupled_soliton_exits_3_on_chord_sum_drift(tmp_path, cap
     assert json.loads((tmp_path / "csol-1.json").read_text())["exit_code"] == 3
 
 
+def test_cli_run_periodic_coupled_circle_exits_3_on_unit_drift(tmp_path, capsys):
+    # a periodic curve's chord sum is 0 identically, so its blow-up past the
+    # stability limit (energy 8.67 -> 557.6 at cfl 1) shows in its chord lengths
+    def run(cfl):
+        path = tmp_path / f"circle-{cfl}.bfl"
+        path.write_text("".join(f"{line}\n" for line in (
+            "topology = periodic", "length = 6.283185307179586", "nodes = 64",
+            "initial = coupled-circle:1", "speed = coupled-tanh:1,0.5", f"cfl = {cfl}",
+            "T = 0.5", "snapshot_stride = 20")))
+        return run_cli("run", "-c", str(path), "-o", str(tmp_path)), capsys.readouterr().err
+
+    for cfl in (0.25, 0.6, 0.7):
+        assert run(cfl) == (0, "")
+    with pytest.warns(RuntimeWarning, match=r"2 sqrt\(2\)"):
+        assert run(1) == (3, "unit drift 1.707e-02 by t = 0.257021\n")
+    assert json.loads((tmp_path / "circle-1.json").read_text())["exit_code"] == 3
+
+
 def test_mid_offset_rejected_for_coupled_speed(tmp_path):
-    cfg = WINDOW_CFG.replace("initial = soliton:1,0.5",
-                             "initial = coupled-soliton:1,0.5").replace(
+    cfg = FINE_WINDOW_CFG.replace("initial = soliton:1,0.5",
+                                  "initial = coupled-soliton:1,0.5").replace(
         "speed = const:1", "speed = coupled-tanh:1,0.5").replace(
         "method = rotation", "method = projected_rk4")
     parsed = parse_config(cfg)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import bfl
+import bfl.identities
 
 from bfl.lattice import (
     AlignmentError,
@@ -414,6 +415,49 @@ def test_unit_field_delta_g_identity(make_grid):
     rhs = -0.5 * (coeff.values * np.einsum("ij,ij->i", dm.values, dm.values)
                   + shift_plus(coeff).values * np.einsum("ij,ij->i", dp.values, dp.values))
     assert np.max(np.abs(lhs - rhs)) <= 1e-12 * max(1.0, np.max(np.abs(rhs)))
+
+
+# ------------------------------------------------- identity suite normalization
+
+# (operator the defect enters, identity, delta, band of residual / delta): the
+# operator is scaled by 1 + delta. Each residual divides its defect by the size of
+# the terms that cancel, so it reads a defect of order delta at any spacing and
+# amplitude. With B_i = tau+g_i |D+u_i|^2 and A_i = g_i |D-u_i|^2 = B_{i-1}:
+IDENTITY_DEFECTS = [
+    ("dplus", "integration_by_parts", 1e-6, 0.0, 0.5),    # |t1| / (sum|v D+u| + sum|u D-v|)
+    ("dplus", "unit_dot_difference", 1e-6, 0.5, 0.5),     # 1 / (2 + delta) on the D+ branch
+    ("dplus", "unit_dot_delta_g", 1e-6, 0.5, 1.0),        # max B / max (A + B)
+    ("dplus", "interp_gap_identity", 1e-6, 2.0, 2.0),     # (1 - 1 / (1 + delta)^2) / delta
+    ("shift_plus", "product_rule", 1e-6, 0.0, 0.5),       # |a| <= |D+(u.v)| + |b|
+    ("shift_plus", "unit_dot_delta_g", 1e-6, 0.25, 0.5),  # max B / (2 max (A + B))
+    ("shift_plus", "delta_g_factorization", 1e-6, 0.0, 1.0),  # |D+ flux| <= (2/h) |flux|
+    # a bound reads a defect only past its slack: (3 rho - 1) / 2 with
+    # rho = h |D+v| / (2 |v|) <= 1, and 2 sigma - 1 with sigma = ||P v|| / |v|_h >= 1/sqrt(3)
+    ("dplus", "difference_norm_bound", 2.0, 0.0, 1.0),
+    ("l2_norm_linear", "norm_sandwich_sharp", 1.0, 0.0, 1.0),
+]
+
+
+@pytest.mark.parametrize("op, name, delta, lo, hi", IDENTITY_DEFECTS,
+                         ids=[f"{name}-{op}" for op, name, *_ in IDENTITY_DEFECTS])
+def test_identity_residual_reads_a_known_defect(monkeypatch, op, name, delta, lo, hi):
+    exact = getattr(bfl.identities, op)
+
+    def off(v):
+        r = exact(v)  # a Field, or the float norm l2_norm_linear returns
+        return r.with_values(r.values * (1.0 + delta)) if isinstance(r, Field) else r * (1.0 + delta)
+
+    monkeypatch.setattr(bfl.identities, op, off)
+    for make in (lambda h: Grid.make_periodic(24 * h, 24), lambda h: Grid.make_window(-1.0, 24, h)):
+        readings = []
+        for h in (1.0, 0.1, 0.01):
+            rng = np.random.default_rng(5)  # the same draws, amplitudes 1e-3 to 1e6, at every h
+            readings.append([bfl.identities.IDENTITIES[name](rng, make(h)) / delta
+                             for _ in range(8)])
+        readings = np.array(readings)
+        assert np.all(readings > 0.0) and np.all(readings >= lo * (1 - 2e-6)), readings
+        assert np.all(readings <= hi * (1 + 1e-9)), readings
+        assert np.allclose(readings, readings[0], rtol=1e-7, atol=0.0), readings
 
 
 def test_cross_dot_alignment_errors():
