@@ -41,7 +41,7 @@ def _load_config(path: str):
         raise ConfigError(f"cannot read {path}: {exc}") from exc
 
 
-def cmd_identities(args) -> int:
+def _cmd_identities(args) -> int:
     try:
         results = run_identity_suite(seed=args.seed, trials=args.trials)
     except ValueError as exc:
@@ -56,7 +56,7 @@ def cmd_identities(args) -> int:
     return EXIT_OK
 
 
-def cmd_run(args) -> int:
+def _cmd_run(args) -> int:
     cfg = _load_config(args.config)
     grid = build_grid(cfg)
     speed = build_speed(cfg, grid)
@@ -88,7 +88,7 @@ def cmd_run(args) -> int:
     return status_code
 
 
-def cmd_converge(args) -> int:
+def _cmd_converge(args) -> int:
     cfg = _load_config(args.config)
     try:
         study = convergence_study(cfg, args.levels)
@@ -106,7 +106,7 @@ def cmd_converge(args) -> int:
     return EXIT_OK
 
 
-def cmd_stability(args) -> int:
+def _cmd_stability(args) -> int:
     cfg = _load_config(args.config)
     try:
         eps_list = [float(s) for s in args.eps.split(",") if s.strip()]
@@ -126,7 +126,7 @@ def cmd_stability(args) -> int:
     return EXIT_OK
 
 
-def make_parser() -> argparse.ArgumentParser:
+def _make_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bfl",
         description="Semi-discrete binormal-flow lab: identity checks, "
@@ -136,28 +136,28 @@ def make_parser() -> argparse.ArgumentParser:
     p_id = sub.add_parser("identities", help="randomized exact-identity suite")
     p_id.add_argument("--seed", type=int, default=0)
     p_id.add_argument("--trials", type=int, default=1000)
-    p_id.set_defaults(fn=cmd_identities)
+    p_id.set_defaults(fn=_cmd_identities)
 
     p_run = sub.add_parser("run", help="evolve one experiment, write CSV/JSON")
     p_run.add_argument("-c", "--config", required=True)
     p_run.add_argument("-o", "--out", default=None)
-    p_run.set_defaults(fn=cmd_run)
+    p_run.set_defaults(fn=_cmd_run)
 
     p_conv = sub.add_parser("converge", help="dyadic refinement study")
     p_conv.add_argument("-c", "--config", required=True)
     p_conv.add_argument("--levels", type=int, required=True)
-    p_conv.set_defaults(fn=cmd_converge)
+    p_conv.set_defaults(fn=_cmd_converge)
 
     p_stab = sub.add_parser("stability", help="perturbation amplification sweep")
     p_stab.add_argument("-c", "--config", required=True)
     p_stab.add_argument("--eps", required=True,
                         help="comma-separated perturbation scales")
-    p_stab.set_defaults(fn=cmd_stability)
+    p_stab.set_defaults(fn=_cmd_stability)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = make_parser()
+    parser = _make_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse exits 0 after --help, 2 on a usage error

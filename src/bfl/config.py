@@ -32,7 +32,7 @@ exactly as many arguments as its grammar lists. parse_config
 raises ConfigError (``bfl`` exits 4) on an unknown or duplicate key, a value
 of the wrong type, any number that is not finite (in a value or a selector
 argument), T <= 0, an unknown probe, curve data (``_CURVE_HEADS``) with
-method = rotation, and anything the builders refuse: validate_config runs
+method = rotation, and anything the builders refuse: _validate_config runs
 build_grid, build_speed and build_integrator and parses the initial
 selector, so each rule is stated once, by its builder. Only ``file:`` data
 is read later, by build_initial. Configs round-trip for every key,
@@ -116,7 +116,7 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ConfigError(f"line {lineno}: bad value for {key!r}: {val!r}") from exc
         values[name] = parsed
     cfg = ExperimentConfig(**values)
-    validate_config(cfg)
+    _validate_config(cfg)
     return cfg
 
 
@@ -142,7 +142,7 @@ def serialize_config(cfg: ExperimentConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
-def validate_config(cfg: ExperimentConfig) -> None:
+def _validate_config(cfg: ExperimentConfig) -> None:
     """ConfigError unless the builders accept cfg; the initial data is parsed, not built."""
     if cfg.horizon <= 0:
         raise ConfigError("horizon T must be positive")

@@ -36,7 +36,7 @@ from .speed import SpeedField, sample
 TANGENT = "tangent"
 CURVE = "curve"
 
-BOUNDARY_CLEARANCE_NODES = 10
+_BOUNDARY_CLEARANCE_NODES = 10
 
 
 @dataclass(frozen=True)
@@ -147,7 +147,7 @@ def warn_if_near_boundary(u0: Field) -> None:
     if grid.periodic:
         return
     vals = u0.values if u0.is_vector else u0.values[:, None]
-    k = BOUNDARY_CLEARANCE_NODES
+    k = _BOUNDARY_CLEARANCE_NODES
     lo = np.max(np.abs(vals[:k] - vals[0]))
     hi = np.max(np.abs(vals[-k:] - vals[-1]))
     tol = 1e-8 * max(1.0, float(np.max(np.abs(vals))))

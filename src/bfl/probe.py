@@ -56,7 +56,7 @@ from .lattice import (
 from .reconstruct import gamma_integral
 from .speed import SpeedField, _derivatives
 
-KAPPA_MIN = 1e-8
+_KAPPA_MIN = 1e-8
 
 # snapshots stacked per diagnostics block
 _BLOCK = 16
@@ -282,7 +282,7 @@ def energy_rate_residual(result: EvolveResult, speed: SpeedField) -> float:
 # --------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class FrenetData:
+class _FrenetData:
     """Curvature and torsion fields with validity masks.
 
     ``stencil_valid`` marks nodes whose difference stencils stay inside the
@@ -296,11 +296,11 @@ class FrenetData:
     stencil_valid: np.ndarray
 
 
-def frenet(gamma: Field) -> FrenetData:
+def frenet(gamma: Field) -> _FrenetData:
     """kappa_i = |D2 gamma_i| and tau_i = det(D+g, D2g, D3g)_i / kappa_i^2,
     with D2 = D+D- and D3 = D+D-D+.
 
-    Torsion entries with kappa below ``KAPPA_MIN`` are flagged undefined and
+    Torsion entries with kappa below ``_KAPPA_MIN`` are flagged undefined and
     set to zero rather than clamped: torsion has no value at inflections.
     Window nodes whose stencils would read ghost values are zeroed and
     excluded from the masks. Warns when the input is visibly not arc-length
@@ -321,10 +321,10 @@ def frenet(gamma: Field) -> FrenetData:
     third = dplus(dminus(first))
     kappa = np.where(valid, magnitudes(second), 0.0)
     det = np.einsum("ij,ij->i", np.cross(first.values, second.values), third.values)
-    defined = tau_stencil & (kappa >= KAPPA_MIN)
+    defined = tau_stencil & (kappa >= _KAPPA_MIN)
     tau = np.zeros_like(kappa)
     tau[defined] = det[defined] / kappa[defined] ** 2
-    return FrenetData(
+    return _FrenetData(
         kappa=Field(gamma.grid, kappa, "zero"),
         tau=Field(gamma.grid, tau, "zero"),
         tau_defined=defined,

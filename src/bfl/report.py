@@ -30,8 +30,8 @@ from .config import ExperimentConfig, serialize_config
 from .integrate import EvolveResult
 from .probe import DiagnosticsRecord
 
-CSV_SCHEMA = "bfl-run-csv-2"
-JSON_SCHEMA = "bfl-run-json-2"
+_CSV_SCHEMA = "bfl-run-csv-2"
+_JSON_SCHEMA = "bfl-run-json-2"
 
 EXIT_OK = 0
 EXIT_DIVERGED = 2
@@ -74,7 +74,7 @@ def _fmt(x) -> str:
     return repr(float(x))
 
 
-def columns_for(records: list[DiagnosticsRecord]) -> list[str]:
+def _columns_for(records: list[DiagnosticsRecord]) -> list[str]:
     cols = list(_BASE_COLUMNS)
     if records and records[0].bound_margins:
         cols += [f"margin_{k}" for k in sorted(records[0].bound_margins)]
@@ -82,7 +82,7 @@ def columns_for(records: list[DiagnosticsRecord]) -> list[str]:
     return cols
 
 
-def csv_rows(records: list[DiagnosticsRecord]) -> list[dict]:
+def _csv_rows(records: list[DiagnosticsRecord]) -> list[dict]:
     rows = []
     for r in records:
         row = {c: getattr(r, c) for c in _BASE_COLUMNS + ("oracle_error",)}
@@ -93,9 +93,9 @@ def csv_rows(records: list[DiagnosticsRecord]) -> list[dict]:
 
 
 def render_csv(records: list[DiagnosticsRecord]) -> str:
-    cols = columns_for(records)
+    cols = _columns_for(records)
     lines = [",".join(cols)]
-    for row in csv_rows(records):
+    for row in _csv_rows(records):
         lines.append(",".join(_fmt(row.get(c)) for c in cols))
     return "\n".join(lines) + "\n"
 
@@ -107,13 +107,13 @@ def write_csv(path, records: list[DiagnosticsRecord]) -> None:
 def build_report(cfg: ExperimentConfig, records: list[DiagnosticsRecord],
                  status: str, exit_code: int, extras: dict | None = None) -> dict:
     report = {
-        "schema": JSON_SCHEMA,
-        "csv_schema": CSV_SCHEMA,
+        "schema": _JSON_SCHEMA,
+        "csv_schema": _CSV_SCHEMA,
         "config": serialize_config(cfg),
         "status": status,
         "exit_code": exit_code,
-        "columns": columns_for(records),
-        "rows": csv_rows(records),
+        "columns": _columns_for(records),
+        "rows": _csv_rows(records),
     }
     if extras:
         report.update(extras)

@@ -138,7 +138,7 @@ def _derivatives(speed: SpeedField, t: float, x: np.ndarray,
 
 
 @dataclass
-class BoundsReport:
+class _BoundsReport:
     """Worst margins from a dense spot check of the declared bounds."""
 
     ok: bool
@@ -150,7 +150,7 @@ class BoundsReport:
 
 
 def validate_bounds(speed: SpeedField, grid: Grid, t_grid=(0.0,),
-                    gamma: Field | None = None) -> BoundsReport:
+                    gamma: Field | None = None) -> _BoundsReport:
     """Dense spot check of alpha <= g <= beta and the derivative bounds.
 
     Samples 10 points per cell at every listed time, shifted as ``sample``
@@ -187,8 +187,8 @@ def validate_bounds(speed: SpeedField, grid: Grid, t_grid=(0.0,),
         flags.append(f"time-derivative bound exceeded by {-dt_margin:.3g}")
     if dx_margin < 0:
         flags.append(f"space-derivative bound exceeded by {-dx_margin:.3g}")
-    return BoundsReport(ok=not flags, lower_margin=lower, upper_margin=upper,
-                        dt_margin=dt_margin, dx_margin=dx_margin, flags=flags)
+    return _BoundsReport(ok=not flags, lower_margin=lower, upper_margin=upper,
+                         dt_margin=dt_margin, dx_margin=dx_margin, flags=flags)
 
 
 # --------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import os
 import re
 import stat
@@ -422,6 +423,9 @@ def test_cli_run_writes_outputs(tmp_path, capsys):
     assert report["csv_schema"] == "bfl-run-csv-2"
     assert report["status"] == "ok"
     assert parse_config(report["config"]) == parse_config(HELIX_CFG)
+    # a const:1 helix has a closed-form oracle, read back to the last row
+    with open(csv_path, newline="") as fh:
+        assert math.isfinite(float(list(csv.DictReader(fh))[-1]["oracle_error"]))
     # byte-identical on a rerun
     first = csv_path.read_bytes()
     assert run_cli("run", "-c", str(cfg_path), "-o", str(tmp_path)) == 0
@@ -597,14 +601,18 @@ def test_cli_usage_errors_exit_code(tmp_path, capsys):
     assert run_cli("run") == 4
     assert run_cli("transmogrify") == 4
     capsys.readouterr()
+    assert run_cli("--help") == 0
     assert run_cli("converge", "--help") == 0
     out = capsys.readouterr().out
     assert "--levels" in out and "--offset" not in out
 
 
-def test_cli_stability_rejects_zero_eps(tmp_path, capsys):
+@pytest.mark.parametrize("method", ["rk4", "projected_rk4", "rotation"])
+def test_cli_stability_rejects_zero_eps(tmp_path, capsys, method):
+    # the sweep marches its perturbed runs as one batch under each method
     cfg_path = tmp_path / "helix.bfl"
-    cfg_path.write_text(HELIX_CFG.replace("speed = const:1", "speed = sin:2,1,1"))
+    cfg_path.write_text(HELIX_CFG.replace("speed = const:1", "speed = sin:2,1,1").replace(
+        "method = rotation", f"method = {method}"))
     assert run_cli("stability", "-c", str(cfg_path), "--eps", "0,1e-3") == 4
     assert run_cli("stability", "-c", str(cfg_path), "--eps", "1e-3,-1e-4") == 4
     assert run_cli("stability", "-c", str(cfg_path), "--eps", "1e-2,1e-3") == 0
@@ -664,9 +672,13 @@ def test_cli_converge_divides_a_fixed_dt_by_four_per_level(tmp_path, capsys, mon
     assert "reference: continuum closed form" in capsys.readouterr().out
 
 
-def test_cli_converge_prints_table(tmp_path, capsys):
+@pytest.mark.parametrize("text", [
+    HELIX_CFG,
+    HELIX_CFG.replace("nodes = 32", "nodes = 16").replace("method = rotation\n", "").replace(
+        "T = 0.05", "T = 0.2")], ids=["rotation", "default-method"])
+def test_cli_converge_prints_table(tmp_path, capsys, text):
     cfg_path = tmp_path / "helix.bfl"
-    cfg_path.write_text(HELIX_CFG)
+    cfg_path.write_text(text)
     assert run_cli("converge", "-c", str(cfg_path), "--levels", "3") == 0
     out = capsys.readouterr().out
     assert "reference: continuum closed form" in out
@@ -689,13 +701,22 @@ seed = 0
 """
 
 
-def test_cli_run_window_soliton(tmp_path, capsys):
+@pytest.mark.parametrize("text, snapshots", [
+    (FINE_WINDOW_CFG, 2),
+    # one full diagnose block of 16 snapshots and a partial one of 6, each
+    # through the window Riesz solve
+    (WINDOW_CFG.replace("method = rotation\n", "").replace("T = 0.05", "T = 0.5")
+     + "snapshot_stride = 1\nprobes = margins\n", 22)], ids=["fine", "22-snapshots"])
+def test_cli_run_window_soliton(tmp_path, capsys, text, snapshots):
     cfg_path = tmp_path / "soliton.bfl"
-    cfg_path.write_text(FINE_WINDOW_CFG)
+    cfg_path.write_text(text)
     assert run_cli("run", "-c", str(cfg_path), "-o", str(tmp_path)) == 0
     report = json.loads((tmp_path / "soliton.json").read_text())
     assert report["status"] == "ok"
     assert report["rows"][-1]["unit_drift"] <= 1e-12
+    assert len(report["rows"]) == snapshots
+    assert all(math.isfinite(row[f"margin_{k}"]) for row in report["rows"]
+               for k in ("gradient_bound", "dual_bound"))
 
 
 def test_cli_run_coupled_soliton_window(tmp_path, capsys):
@@ -708,6 +729,11 @@ def test_cli_run_coupled_soliton_window(tmp_path, capsys):
     assert run_cli("run", "-c", str(cfg_path), "-o", str(tmp_path)) == 0
     report = json.loads((tmp_path / "csol.json").read_text())
     assert report["status"] == "ok"
+
+
+def max_column(csv_path, name):
+    with open(csv_path, newline="") as fh:
+        return max(float(row[name]) for row in csv.DictReader(fh))
 
 
 def test_cli_run_window_coupled_soliton_exits_3_on_chord_sum_drift(tmp_path, capsys):
@@ -725,6 +751,7 @@ def test_cli_run_window_coupled_soliton_exits_3_on_chord_sum_drift(tmp_path, cap
     with pytest.warns(RuntimeWarning, match=r"2 sqrt\(2\)"):
         assert run(1) == (3, "total spin drifts 2.101e-01 L by t = 0.325521\n")
     assert json.loads((tmp_path / "csol-1.json").read_text())["exit_code"] == 3
+    assert max_column(tmp_path / "csol-1.csv", "spin_drift") > 1e-3
 
 
 def test_cli_run_periodic_coupled_circle_exits_3_on_unit_drift(tmp_path, capsys):
@@ -743,6 +770,7 @@ def test_cli_run_periodic_coupled_circle_exits_3_on_unit_drift(tmp_path, capsys)
     with pytest.warns(RuntimeWarning, match=r"2 sqrt\(2\)"):
         assert run(1) == (3, "unit drift 1.707e-02 by t = 0.257021\n")
     assert json.loads((tmp_path / "circle-1.json").read_text())["exit_code"] == 3
+    assert max_column(tmp_path / "circle-1.csv", "unit_drift") > 1e-3
 
 
 def test_mid_offset_rejected_for_coupled_speed(tmp_path):
@@ -838,6 +866,11 @@ def test_console_entry_point():
                           capture_output=True, text=True, env=child_env())
     assert proc.returncode == 0
     assert "pass" in proc.stdout
+    # a child imports the copy under test: src/ in the checkout, the
+    # installed package when the suite runs from outside it
+    proc = subprocess.run([sys.executable, "-c", "import bfl; print(bfl.__file__)"],
+                          capture_output=True, text=True, env=child_env(), check=True)
+    assert proc.stdout.strip() == bfl.__file__
 
 
 def test_importing_a_module_loads_only_its_dependencies():
